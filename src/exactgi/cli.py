@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import equations, inverses, ode, solve
@@ -81,12 +80,10 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise DocumentError("--threads must be at least 1")
-        return args.threads
-    return os.cpu_count() or 1
+def _check_threads(args: argparse.Namespace) -> None:
+    # --threads is accepted for compatibility only; evaluation is sequential.
+    if args.threads is not None and args.threads < 1:
+        raise DocumentError("--threads must be at least 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,12 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--budget",
         type=int,
-        help="override the minor-sum work guard (submatrix-entry touches)",
+        help="override the minor-sum work guard (entry operations)",
     )
     common.add_argument(
         "--threads",
         type=int,
-        help="entrywise evaluation threads (default: all cores)",
+        help="accepted for compatibility and ignored; evaluation is sequential",
     )
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument(
@@ -182,11 +179,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> dict:
     decimal = args.decimal
     budget = args.budget
-    threads = _threads(args)
+    _check_threads(args)
     a = load_matrix(args.matrix)
 
     if args.command == "pinv":
-        return _report_doc(inverses.mp_inverse(a, args.form, budget, threads), decimal)
+        return _report_doc(inverses.mp_inverse(a, args.form, budget), decimal)
 
     if args.command == "wpinv":
         if args.form == "row":
@@ -195,26 +192,26 @@ def _run(args: argparse.Namespace) -> dict:
             )
         weights = WeightPair(load_matrix(args.weight_m), load_matrix(args.weight_n))
         return _report_doc(
-            inverses.weighted_mp_inverse(a, weights, budget, threads), decimal
+            inverses.weighted_mp_inverse(a, weights, budget), decimal
         )
 
     if args.command == "dinv":
         return _report_doc(
-            inverses.drazin_inverse(a, args.form, budget, threads), decimal
+            inverses.drazin_inverse(a, args.form, budget), decimal
         )
 
     if args.command == "ginv":
-        return _report_doc(inverses.group_inverse(a, budget, threads), decimal)
+        return _report_doc(inverses.group_inverse(a, budget), decimal)
 
     if args.command == "wdinv":
         w = load_matrix(args.weight)
         return _report_doc(
-            inverses.w_drazin_inverse(a, w, args.form, budget, threads), decimal
+            inverses.w_drazin_inverse(a, w, args.form, budget), decimal
         )
 
     if args.command == "proj":
         return matrix_to_document(
-            inverses.projector(a, args.which, budget, threads), decimal
+            inverses.projector(a, args.which, budget), decimal
         )
 
     if args.command == "solve":

@@ -30,14 +30,8 @@ from .matrix import (
     rank_profile,
     row_space_contains,
 )
-from .minors import (
-    check_budget,
-    principal_minor_sum,
-    replaced_col_minor_sum,
-    replaced_row_minor_sum,
-    subset_count,
-)
-from .scalar import ExactScalar
+from .minors import adjugate_product, cramer_ratio
+from .scalar import ONE
 
 Route = Literal["auto", "dB", "dA"]
 
@@ -70,21 +64,9 @@ def ls_solve_left(
     if r == 0:
         x = ExactMatrix.zeros(n, s)
         return EqSolution(x, "zero_rank", (r,), None, b - a @ x)
-    gram = a.conj_transpose() @ a
-    b_hat = a.conj_transpose() @ b
-    check_budget(
-        n * s * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(gram, r, budget)
-    x = ExactMatrix(
-        n,
-        s,
-        [
-            replaced_col_minor_sum(gram, i, b_hat.col(j), r, budget) / d
-            for i in range(1, n + 1)
-            for j in range(1, s + 1)
-        ],
-    )
+    a_star = a.conj_transpose()
+    b_hat = a_star @ b
+    x, _ = cramer_ratio(a_star @ a, r, b_hat, "column", budget)
     tag = "full_column_rank" if r == n else "rank_deficient"
     return EqSolution(x, tag, (r,), None, b - a @ x, None, {"B_hat": b_hat})
 
@@ -101,21 +83,9 @@ def ls_solve_right(
     if r == 0:
         x = ExactMatrix.zeros(s, m)
         return EqSolution(x, "zero_rank", (r,), None, b - x @ a)
-    gram = a @ a.conj_transpose()
-    b_check = b @ a.conj_transpose()
-    check_budget(
-        s * m * subset_count(r, m, 1) * r * r + subset_count(r, m) * r * r, budget
-    )
-    d = principal_minor_sum(gram, r, budget)
-    x = ExactMatrix(
-        s,
-        m,
-        [
-            replaced_row_minor_sum(gram, j, b_check.row(i), r, budget) / d
-            for i in range(1, s + 1)
-            for j in range(1, m + 1)
-        ],
-    )
+    a_star = a.conj_transpose()
+    b_check = b @ a_star
+    x, _ = cramer_ratio(a @ a_star, r, b_check, "row", budget)
     tag = "full_row_rank" if r == m else "rank_deficient"
     return EqSolution(x, tag, (r,), None, b - x @ a, None, {"B_check": b_check})
 
@@ -151,18 +121,7 @@ def ls_solve_both(
     gram_a = a.conj_transpose() @ a  # n x n
     gram_b = b @ b.conj_transpose()  # p x p
     d_tilde = a.conj_transpose() @ d_rhs @ b.conj_transpose()  # n x p
-    check_budget(
-        2 * n * p * (subset_count(r1, n, 1) * r1 * r1 + subset_count(r2, p, 1) * r2 * r2)
-        + subset_count(r1, n) * r1 * r1
-        + subset_count(r2, p) * r2 * r2,
-        budget,
-    )
-    denominator = principal_minor_sum(gram_a, r1, budget) * principal_minor_sum(
-        gram_b, r2, budget
-    )
-    x, inter = _contract_both(
-        gram_a, r1, gram_b, r2, d_tilde, denominator, route, budget
-    )
+    x, inter = _contract_both(gram_a, r1, gram_b, r2, d_tilde, route, budget)
     inter["D_tilde"] = d_tilde
     return EqSolution(x, tag, (r1, r2), None, d_rhs - a @ x @ b, None, inter)
 
@@ -173,59 +132,26 @@ def _contract_both(
     right: ExactMatrix,
     r2: int,
     d_tilde: ExactMatrix,
-    denominator: ExactScalar,
     route: Route,
     budget: int | None,
 ) -> tuple[ExactMatrix, dict[str, ExactMatrix]]:
-    """Shared two-stage contraction for the AXB solvers.
+    """Shared two-stage contraction for the AXB solvers: X = L1 D~ L2 / (d1 d2).
 
     left is the n x n matrix whose column-replaced sums give the A side,
-    right the p x p matrix whose row-replaced sums give the B side.
+    right the p x p matrix whose row-replaced sums give the B side.  The
+    first stage's undivided sums are returned as the intermediate.
     """
-    n = left.rows
-    p = right.rows
     if route not in ("auto", "dB", "dA"):
         raise ValueError(f"unknown route {route!r}")
-    chosen = "dB" if route == "auto" else route
-    if chosen == "dB":
-        d_b = ExactMatrix(
-            n,
-            p,
-            [
-                replaced_row_minor_sum(right, j, d_tilde.row(l), r2, budget)
-                for l in range(1, n + 1)
-                for j in range(1, p + 1)
-            ],
-        )
-        x = ExactMatrix(
-            n,
-            p,
-            [
-                replaced_col_minor_sum(left, i, d_b.col(j), r1, budget) / denominator
-                for i in range(1, n + 1)
-                for j in range(1, p + 1)
-            ],
-        )
-        return x, {"d_B": d_b}
-    d_a = ExactMatrix(
-        n,
-        p,
-        [
-            replaced_col_minor_sum(left, i, d_tilde.col(t), r1, budget)
-            for i in range(1, n + 1)
-            for t in range(1, p + 1)
-        ],
-    )
-    x = ExactMatrix(
-        n,
-        p,
-        [
-            replaced_row_minor_sum(right, j, d_a.row(i), r2, budget) / denominator
-            for i in range(1, n + 1)
-            for j in range(1, p + 1)
-        ],
-    )
-    return x, {"d_A": d_a}
+    if route == "dA":
+        d_a, d_left = adjugate_product(left, r1, d_tilde, "column", budget)
+        x, d_right = adjugate_product(right, r2, d_a, "row", budget)
+        inter = {"d_A": d_a}
+    else:
+        d_b, d_right = adjugate_product(right, r2, d_tilde, "row", budget)
+        x, d_left = adjugate_product(left, r1, d_b, "column", budget)
+        inter = {"d_B": d_b}
+    return x.scale(ONE / (d_left * d_right)), inter
 
 
 # -- Drazin ---------------------------------------------------------------------------
@@ -248,21 +174,8 @@ def dz_solve_left(
     if r == 0:
         x = ExactMatrix.zeros(n, s)
         return EqSolution(x, "nilpotent", (r,), (k,), b - a @ x, constraint)
-    base = profile.power(k + 1)
     b_hat = profile.power(k) @ b
-    check_budget(
-        n * s * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(base, r, budget)
-    x = ExactMatrix(
-        n,
-        s,
-        [
-            replaced_col_minor_sum(base, i, b_hat.col(j), r, budget) / d
-            for i in range(1, n + 1)
-            for j in range(1, s + 1)
-        ],
-    )
+    x, _ = cramer_ratio(profile.power(k + 1), r, b_hat, "column", budget)
     tag = "nonsingular" if k == 0 else "singular"
     return EqSolution(x, tag, (r,), (k,), b - a @ x, constraint, {"B_hat": b_hat})
 
@@ -284,21 +197,8 @@ def dz_solve_right(
     if r == 0:
         x = ExactMatrix.zeros(s, m)
         return EqSolution(x, "nilpotent", (r,), (k,), b - x @ a, constraint)
-    base = profile.power(k + 1)
     b_check = b @ profile.power(k)
-    check_budget(
-        s * m * subset_count(r, m, 1) * r * r + subset_count(r, m) * r * r, budget
-    )
-    d = principal_minor_sum(base, r, budget)
-    x = ExactMatrix(
-        s,
-        m,
-        [
-            replaced_row_minor_sum(base, j, b_check.row(i), r, budget) / d
-            for i in range(1, s + 1)
-            for j in range(1, m + 1)
-        ],
-    )
+    x, _ = cramer_ratio(profile.power(k + 1), r, b_check, "row", budget)
     tag = "nonsingular" if k == 0 else "singular"
     return EqSolution(x, tag, (r,), (k,), b - x @ a, constraint, {"B_check": b_check})
 
@@ -327,20 +227,9 @@ def dz_solve_both(
     if r1 == 0 or r2 == 0:
         x = ExactMatrix.zeros(n, m)
         return EqSolution(x, "nilpotent", (r1, r2), (k1, k2), d_rhs - a @ x @ b, constraint)
-    base_a = pa.power(k1 + 1)
-    base_b = pb.power(k2 + 1)
     d_tilde = pa.power(k1) @ d_rhs @ pb.power(k2)
-    check_budget(
-        2 * n * m * (subset_count(r1, n, 1) * r1 * r1 + subset_count(r2, m, 1) * r2 * r2)
-        + subset_count(r1, n) * r1 * r1
-        + subset_count(r2, m) * r2 * r2,
-        budget,
-    )
-    denominator = principal_minor_sum(base_a, r1, budget) * principal_minor_sum(
-        base_b, r2, budget
-    )
     x, inter = _contract_both(
-        base_a, r1, base_b, r2, d_tilde, denominator, route, budget
+        pa.power(k1 + 1), r1, pb.power(k2 + 1), r2, d_tilde, route, budget
     )
     inter["D_tilde"] = d_tilde
     tag = "nonsingular" if k1 == 0 and k2 == 0 else "singular"

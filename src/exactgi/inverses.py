@@ -10,32 +10,30 @@ subset family degenerates to a singleton and the formula becomes the
 classical adjugate ratio).  Rank-0 and nilpotent inputs return the zero
 matrix, matching the unique solutions of the defining equations.
 
-All functions are pure; entries are independent, and `threads` > 1 evaluates
-them through a thread pool with output identical to the sequential order.
+Every formula is one call of the generalized-adjugate kernel
+(`minors.cramer_ratio`) on its base matrix and replacement block,
+divided once by the principal-minor sum d_r.
+
+All functions are pure.  The `threads` parameter is accepted for
+compatibility and ignored: evaluation is sequential, because the kernel
+works per subset rather than per entry, and threads gave no speedup on
+pure-Python arithmetic under the interpreter lock.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal
 
 from .matrix import (
     ExactMatrix,
-    RankProfile,
     det,
     inverse,
     rank,
     rank_profile,
     rref,
 )
-from .minors import (
-    check_budget,
-    principal_minor_sum,
-    replaced_col_minor_sum,
-    replaced_row_minor_sum,
-    subset_count,
-)
+from .minors import cramer_ratio, kernel_work
 from .scalar import ONE, ExactScalar
 
 Form = Literal["auto", "column", "row"]
@@ -92,22 +90,6 @@ def is_hermitian_positive_definite(matrix: ExactMatrix) -> bool:
     return True
 
 
-def _map_entries(fn: Callable[[tuple[int, int]], ExactScalar],
-                 indices: Sequence[tuple[int, int]],
-                 threads: int) -> list[ExactScalar]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(ix) for ix in indices]
-
-
-def _build(rows: int, cols: int,
-           fn: Callable[[tuple[int, int]], ExactScalar],
-           threads: int) -> ExactMatrix:
-    indices = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
-    return ExactMatrix(rows, cols, _map_entries(fn, indices, threads))
-
-
 def _resolve_form(form: Form, column_cost: int, row_cost: int) -> str:
     if form == "column":
         return "column"
@@ -133,31 +115,15 @@ def mp_inverse(
     r = rank(matrix)
     if r == 0:
         return GiReport(ExactMatrix.zeros(n, m), 0, 0, COLUMN_FORM, ONE)
-    chosen = _resolve_form(form, subset_count(r, n, 1), subset_count(r, m, 1))
+    chosen = _resolve_form(form, kernel_work(n, r, m), kernel_work(m, r, n))
     a_star = matrix.conj_transpose()
     if chosen == "column":
-        gram = a_star @ matrix
-        per_entry = subset_count(r, n, 1) * r * r
-        check_budget(n * m * per_entry + subset_count(r, n) * r * r, budget)
-        d = principal_minor_sum(gram, r, budget)
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_col_minor_sum(gram, i, a_star.col(j), r, budget) / d
-
+        x, d = cramer_ratio(a_star @ matrix, r, a_star, "column", budget)
         rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
     else:
-        gram = matrix @ a_star
-        per_entry = subset_count(r, m, 1) * r * r
-        check_budget(n * m * per_entry + subset_count(r, m) * r * r, budget)
-        d = principal_minor_sum(gram, r, budget)
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_row_minor_sum(gram, j, a_star.row(i), r, budget) / d
-
+        x, d = cramer_ratio(matrix @ a_star, r, a_star, "row", budget)
         rep = FULL_RANK_ADJOINT if r == m else ROW_FORM
-    return GiReport(_build(n, m, entry, threads), r, 0, rep, d)
+    return GiReport(x, r, 0, rep, d)
 
 
 def mp_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
@@ -200,18 +166,9 @@ def weighted_mp_inverse(
     if r == 0:
         return GiReport(ExactMatrix.zeros(n, m), 0, 0, COLUMN_FORM, ONE)
     a_sharp = inverse(weights.N) @ matrix.conj_transpose() @ weights.M
-    gram = a_sharp @ matrix
-    check_budget(
-        n * m * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(gram, r, budget)
-
-    def entry(ix: tuple[int, int]) -> ExactScalar:
-        i, j = ix
-        return replaced_col_minor_sum(gram, i, a_sharp.col(j), r, budget) / d
-
+    x, d = cramer_ratio(a_sharp @ matrix, r, a_sharp, "column", budget)
     rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
-    return GiReport(_build(n, m, entry, threads), r, 0, rep, d)
+    return GiReport(x, r, 0, rep, d)
 
 
 # -- Drazin and group -----------------------------------------------------------
@@ -228,39 +185,19 @@ def drazin_inverse(
     if not matrix.is_square:
         raise ValueError("the Drazin inverse needs a square matrix")
     profile = rank_profile(matrix)
-    return _drazin_from_profile(profile, form, budget, threads)
-
-
-def _drazin_from_profile(
-    profile: RankProfile, form: Form, budget: int | None, threads: int
-) -> GiReport:
-    n = profile.matrix.rows
+    n = matrix.rows
     k = profile.index
     r = profile.core_rank
     if r == 0:
         return GiReport(ExactMatrix.zeros(n, n), 0, k, COLUMN_FORM, ONE)
-    power_k = profile.power(k)
-    power_k1 = profile.power(k + 1)
-    chosen = _resolve_form(form, subset_count(r, n, 1), subset_count(r, n, 1))
-    check_budget(
-        n * n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(power_k1, r, budget)
-    if chosen == "column":
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_col_minor_sum(power_k1, i, power_k.col(j), r, budget) / d
-
-        rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
+    cost = kernel_work(n, r, n)
+    chosen = _resolve_form(form, cost, cost)
+    x, d = cramer_ratio(profile.power(k + 1), r, profile.power(k), chosen, budget)
+    if r == n:
+        rep = FULL_RANK_ADJOINT
     else:
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_row_minor_sum(power_k1, j, power_k.row(i), r, budget) / d
-
-        rep = FULL_RANK_ADJOINT if r == n else ROW_FORM
-    return GiReport(_build(n, n, entry, threads), r, k, rep, d)
+        rep = COLUMN_FORM if chosen == "column" else ROW_FORM
+    return GiReport(x, r, k, rep, d)
 
 
 def drazin_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
@@ -300,17 +237,9 @@ def group_inverse(
     r = rank(square)
     if r == 0:
         return GiReport(ExactMatrix.zeros(n, n), 0, profile.index, COLUMN_FORM, ONE)
-    check_budget(
-        n * n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(square, r, budget)
-
-    def entry(ix: tuple[int, int]) -> ExactScalar:
-        i, j = ix
-        return replaced_col_minor_sum(square, i, matrix.col(j), r, budget) / d
-
+    x, d = cramer_ratio(square, r, matrix, "column", budget)
     rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
-    return GiReport(_build(n, n, entry, threads), r, profile.index, rep, d)
+    return GiReport(x, r, profile.index, rep, d)
 
 
 # -- weighted Drazin ---------------------------------------------------------------
@@ -335,36 +264,14 @@ def w_drazin_inverse(
     r = rank(aw.power(k))
     if r == 0:
         return GiReport(ExactMatrix.zeros(m, n), 0, k, COLUMN_FORM, ONE)
-    chosen = _resolve_form(form, subset_count(r, m, 1), subset_count(r, n, 1))
+    chosen = _resolve_form(form, kernel_work(m, r, n), kernel_work(n, r, m))
     if chosen == "column":
-        base = aw.power(k + 2)
-        replacement = aw.power(k) @ matrix  # m x n
-        check_budget(
-            m * n * subset_count(r, m, 1) * r * r + subset_count(r, m) * r * r,
-            budget,
-        )
-        d = principal_minor_sum(base, r, budget)
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_col_minor_sum(base, i, replacement.col(j), r, budget) / d
-
+        x, d = cramer_ratio(aw.power(k + 2), r, aw.power(k) @ matrix, "column", budget)
         rep = FULL_RANK_ADJOINT if r == m else COLUMN_FORM
     else:
-        base = wa.power(k + 2)
-        replacement = matrix @ wa.power(k)  # m x n
-        check_budget(
-            m * n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r,
-            budget,
-        )
-        d = principal_minor_sum(base, r, budget)
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_row_minor_sum(base, j, replacement.row(i), r, budget) / d
-
+        x, d = cramer_ratio(wa.power(k + 2), r, matrix @ wa.power(k), "row", budget)
         rep = FULL_RANK_ADJOINT if r == n else ROW_FORM
-    return GiReport(_build(m, n, entry, threads), r, k, rep, d)
+    return GiReport(x, r, k, rep, d)
 
 
 # -- projectors ---------------------------------------------------------------------
@@ -380,7 +287,8 @@ def projector(
     threads: int = 1,
 ) -> ExactMatrix:
     """Projection matrices computed directly by minor sums, never by
-    multiplying inverses:
+    multiplying inverses; the replacement vectors are the base's own
+    columns (or rows):
 
     * ``in``           A+A   (onto the row space)
     * ``out``          AA+   (onto the column space)
@@ -390,65 +298,21 @@ def projector(
     if which in ("in", "out"):
         r = rank(matrix)
         if which == "in":
-            n = matrix.cols
-            if r == 0:
-                return ExactMatrix.zeros(n, n)
-            gram = matrix.conj_transpose() @ matrix
-            check_budget(
-                n * n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r,
-                budget,
-            )
-            d = principal_minor_sum(gram, r, budget)
-
-            def entry(ix: tuple[int, int]) -> ExactScalar:
-                i, j = ix
-                return replaced_col_minor_sum(gram, i, gram.col(j), r, budget) / d
-
-            return _build(n, n, entry, threads)
-        m = matrix.rows
-        if r == 0:
-            return ExactMatrix.zeros(m, m)
-        gram = matrix @ matrix.conj_transpose()
-        check_budget(
-            m * m * subset_count(r, m, 1) * r * r + subset_count(r, m) * r * r,
-            budget,
-        )
-        d = principal_minor_sum(gram, r, budget)
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_row_minor_sum(gram, j, gram.row(i), r, budget) / d
-
-        return _build(m, m, entry, threads)
-
-    if which not in ("drazin_left", "drazin_right"):
-        raise ValueError(f"unknown projector kind {which!r}")
-    if not matrix.is_square:
-        raise ValueError("Drazin projectors need a square matrix")
-    profile = rank_profile(matrix)
-    n = matrix.rows
-    k = profile.index
-    r = profile.core_rank
-    if r == 0:
-        return ExactMatrix.zeros(n, n)
-    power_k1 = profile.power(k + 1)
-    check_budget(
-        n * n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(power_k1, r, budget)
-    if which == "drazin_left":
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_row_minor_sum(power_k1, j, power_k1.row(i), r, budget) / d
-
+            base, side = matrix.conj_transpose() @ matrix, "column"
+        else:
+            base, side = matrix @ matrix.conj_transpose(), "row"
+    elif which in ("drazin_left", "drazin_right"):
+        if not matrix.is_square:
+            raise ValueError("Drazin projectors need a square matrix")
+        profile = rank_profile(matrix)
+        r = profile.core_rank
+        base = profile.power(profile.index + 1)
+        side = "row" if which == "drazin_left" else "column"
     else:
-
-        def entry(ix: tuple[int, int]) -> ExactScalar:
-            i, j = ix
-            return replaced_col_minor_sum(power_k1, i, power_k1.col(j), r, budget) / d
-
-    return _build(n, n, entry, threads)
+        raise ValueError(f"unknown projector kind {which!r}")
+    if r == 0:
+        return ExactMatrix.zeros(base.rows, base.rows)
+    return cramer_ratio(base, r, base, side, budget)[0]
 
 
 # -- defining-equation verification ---------------------------------------------------

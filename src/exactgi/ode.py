@@ -6,11 +6,11 @@ solution is the degree-<=k matrix polynomial
 
     X(t) = A^D B + sum_{j=1..k} ((-1)^(j-1)/j!) (A^(j-1)B - A^D A^j B) t^j
 
-(mirrored on the right for X' + XA = B).  Every coefficient entry is
-computed by minor sums over A^(k+1) with replacement vectors drawn from the
-power products A^l B (or B A^l), never by forming A^D itself.  Substituting
-the polynomial back into the equation telescopes to B exactly, which
-`substitute_check` certifies.
+(mirrored on the right for X' + XA = B).  The Drazin products A^D A^j B
+(or B A^j A^D), j = 0..k, are computed together by minor sums over A^(k+1)
+with replacement vectors drawn from the power products A^l B (or B A^l),
+never by forming A^D itself.  Substituting the polynomial back into the
+equation telescopes to B exactly, which `substitute_check` certifies.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from math import factorial
 from typing import Literal
 
 from .matrix import ExactMatrix, inverse, rank_profile
-from .minors import (
-    check_budget,
-    principal_minor_sum,
-    replaced_col_minor_sum,
-    replaced_row_minor_sum,
-    subset_count,
-)
+from .minors import cramer_ratio
 from .scalar import ExactScalar
 
 Side = Literal["left", "right"]
@@ -152,39 +146,32 @@ def _ode_partial(
         products.append(
             a @ products[-1] if side == "left" else products[-1] @ a
         )
+    # drazin[j] = A^D A^j B (left) or B A^j A^D (right), j = 0..k: one kernel
+    # call on the blocks B^(k+j) side by side (left) or on top (right)
+    sources = products[k:]
     base = profile.power(k + 1)
-    if r > 0:
-        check_budget(
-            (k + 1) * n * n * subset_count(r, n, 1) * r * r
-            + subset_count(r, n) * r * r,
-            budget,
+    if r == 0:
+        drazin = [ExactMatrix.zeros(n, n)] * (k + 1)
+    elif side == "left":
+        stacked = ExactMatrix.from_rows(
+            [[e for p in sources for e in p.row(i)] for i in range(1, n + 1)]
         )
-        d = principal_minor_sum(base, r, budget)
+        rows = cramer_ratio(base, r, stacked, "column", budget)[0].to_lists()
+        drazin = [
+            ExactMatrix.from_rows([row[j * n : (j + 1) * n] for row in rows])
+            for j in range(k + 1)
+        ]
+    else:
+        stacked = ExactMatrix(n * (k + 1), n, [e for p in sources for e in p.entries])
+        entries = cramer_ratio(base, r, stacked, "row", budget)[0].entries
+        drazin = [
+            ExactMatrix(n, n, entries[j * n * n : (j + 1) * n * n]) for j in range(k + 1)
+        ]
 
-    def drazin_product(order: int) -> ExactMatrix:
-        # A^D A^order B (left) or B A^order A^D (right), entrywise by minor
-        # sums with the replacement vectors of the (k+order)-th power product.
-        if r == 0:
-            return ExactMatrix.zeros(n, n)
-        source = products[k + order]
-        if side == "left":
-            entries = [
-                replaced_col_minor_sum(base, i, source.col(j), r, budget) / d
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-            ]
-        else:
-            entries = [
-                replaced_row_minor_sum(base, j, source.row(i), r, budget) / d
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-            ]
-        return ExactMatrix(n, n, entries)
-
-    coefficients = [drazin_product(0)]
+    coefficients = [drazin[0]]
     for j in range(1, k + 1):
         factor = ExactScalar(Fraction((-1) ** (j - 1), factorial(j)))
-        coefficients.append((products[j - 1] - drazin_product(j)).scale(factor))
+        coefficients.append((products[j - 1] - drazin[j]).scale(factor))
     return MatrixPoly(coefficients)
 
 

@@ -116,6 +116,9 @@ class ExactScalar:
         return self.re == coerced.re and self.im == coerced.im
 
     def __hash__(self) -> int:
+        # A real value equals its Fraction (and int), so it must hash alike.
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self) -> str:

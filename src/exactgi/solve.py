@@ -22,13 +22,7 @@ from .matrix import (
     rank_profile,
     row_space_contains,
 )
-from .minors import (
-    check_budget,
-    principal_minor_sum,
-    replaced_col_minor_sum,
-    replaced_row_minor_sum,
-    subset_count,
-)
+from .minors import cramer_ratio
 from .scalar import ExactScalar
 
 VectorLike = ExactMatrix | Sequence[ExactScalar]
@@ -87,16 +81,8 @@ def ls_min_norm_solve(
     if r == 0:
         x = ExactMatrix.zeros(n, 1)
         return SolveReport(x, 0, 0, _residual_sq(y), "ls_min_norm")
-    gram = matrix.conj_transpose() @ matrix
-    f = matrix.conj_transpose() @ y
-    check_budget(
-        n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(gram, r, budget)
-    comps = [
-        replaced_col_minor_sum(gram, j, f, r, budget) / d for j in range(1, n + 1)
-    ]
-    x = ExactMatrix.column(comps)
+    a_star = matrix.conj_transpose()
+    x, _ = cramer_ratio(a_star @ matrix, r, a_star @ y, "column", budget)
     return SolveReport(x, r, 0, _residual_sq(matrix @ x - y), "ls_min_norm")
 
 
@@ -111,16 +97,8 @@ def ls_min_norm_solve_row(
     if r == 0:
         x = ExactMatrix.zeros(1, m)
         return SolveReport(x, 0, 0, _residual_sq(y), "ls_min_norm_row")
-    gram = matrix @ matrix.conj_transpose()
-    g = y @ matrix.conj_transpose()
-    check_budget(
-        m * subset_count(r, m, 1) * r * r + subset_count(r, m) * r * r, budget
-    )
-    d = principal_minor_sum(gram, r, budget)
-    comps = [
-        replaced_row_minor_sum(gram, i, g, r, budget) / d for i in range(1, m + 1)
-    ]
-    x = ExactMatrix.row_vector(comps)
+    a_star = matrix.conj_transpose()
+    x, _ = cramer_ratio(matrix @ a_star, r, y @ a_star, "row", budget)
     return SolveReport(x, r, 0, _residual_sq(x @ matrix - y), "ls_min_norm_row")
 
 
@@ -140,16 +118,7 @@ def drazin_solve(
     if r == 0:
         x = ExactMatrix.zeros(n, 1)
         return SolveReport(x, 0, k, _residual_sq(y), "drazin", in_range)
-    base = profile.power(k + 1)
-    f = profile.power(k) @ y
-    check_budget(
-        n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(base, r, budget)
-    comps = [
-        replaced_col_minor_sum(base, i, f, r, budget) / d for i in range(1, n + 1)
-    ]
-    x = ExactMatrix.column(comps)
+    x, _ = cramer_ratio(profile.power(k + 1), r, profile.power(k) @ y, "column", budget)
     return SolveReport(x, r, k, _residual_sq(matrix @ x - y), "drazin", in_range)
 
 
@@ -169,16 +138,7 @@ def drazin_solve_row(
     if r == 0:
         x = ExactMatrix.zeros(1, n)
         return SolveReport(x, 0, k, _residual_sq(y), "drazin_row", in_range)
-    base = profile.power(k + 1)
-    g = y @ profile.power(k)
-    check_budget(
-        n * subset_count(r, n, 1) * r * r + subset_count(r, n) * r * r, budget
-    )
-    d = principal_minor_sum(base, r, budget)
-    comps = [
-        replaced_row_minor_sum(base, i, g, r, budget) / d for i in range(1, n + 1)
-    ]
-    x = ExactMatrix.row_vector(comps)
+    x, _ = cramer_ratio(profile.power(k + 1), r, y @ profile.power(k), "row", budget)
     return SolveReport(x, r, k, _residual_sq(x @ matrix - y), "drazin_row", in_range)
 
 
@@ -207,14 +167,5 @@ def w_drazin_solve(
     if r == 0:
         x = ExactMatrix.zeros(m, 1)
         return SolveReport(x, 0, k, _residual_sq(y), "w_drazin", in_range)
-    base = aw.power(k + 2)
-    f = aw.power(k) @ matrix @ y
-    check_budget(
-        m * subset_count(r, m, 1) * r * r + subset_count(r, m) * r * r, budget
-    )
-    d = principal_minor_sum(base, r, budget)
-    comps = [
-        replaced_col_minor_sum(base, i, f, r, budget) / d for i in range(1, m + 1)
-    ]
-    x = ExactMatrix.column(comps)
+    x, _ = cramer_ratio(aw.power(k + 2), r, aw.power(k) @ matrix @ y, "column", budget)
     return SolveReport(x, r, k, _residual_sq(waw @ x - y), "w_drazin", in_range)

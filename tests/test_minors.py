@@ -1,3 +1,4 @@
+from fractions import Fraction as F
 from itertools import permutations
 from math import comb
 
@@ -11,11 +12,13 @@ from exactgi import (
     IndexSubset,
     char_poly_coeffs,
     enumerate_subsets,
+    mp_inverse,
     principal_minor_sum,
     replaced_col_minor_sum,
     replaced_row_minor_sum,
     subset_count,
 )
+from exactgi.minors import adjugate_product, cramer_ratio
 from exactgi.scalar import ExactScalar
 
 from cases import AXB_LS_A, AXB_LS_B, AXB_LS_D, DZ_A, mat, sc
@@ -292,3 +295,110 @@ def test_budget_override_allows_and_restricts():
     assert principal_minor_sum(m, 2, budget=10**9) == sc(6)
     with pytest.raises(BudgetExceededError):
         principal_minor_sum(m, 2, budget=3)
+
+
+# -- the adjugate kernel against the enumeration oracle ----------------------------
+
+
+def small_unit_matrix(rng, rows, cols):
+    """Entries in {0, +-1} + {0, +-1}i: many principal submatrices are
+    singular."""
+    return ExactMatrix.from_rows(
+        [[sc(rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+
+
+def rational_matrix(rng, rows, cols):
+    """Entries over several distinct denominators."""
+    def part():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+
+    return ExactMatrix.from_rows(
+        [[sc(part(), part()) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def assert_kernel_matches_enumeration(m, vectors_col, vectors_row):
+    n = m.rows
+    for r in range(1, n + 1):
+        d = principal_minor_sum(m, r)
+        product, got_d = adjugate_product(m, r, vectors_col, "column")
+        assert got_d == d
+        for i in range(1, n + 1):
+            for j in range(1, vectors_col.cols + 1):
+                assert product.entry(i, j) == replaced_col_minor_sum(
+                    m, i, vectors_col.col(j), r
+                )
+        product, got_d = adjugate_product(m, r, vectors_row, "row")
+        assert got_d == d
+        for i in range(1, vectors_row.rows + 1):
+            for j in range(1, n + 1):
+                assert product.entry(i, j) == replaced_row_minor_sum(
+                    m, j, vectors_row.row(i), r
+                )
+        if not d.is_zero():
+            ratio, _ = cramer_ratio(m, r, vectors_col, "column")
+            assert ratio.entry(1, 1) == replaced_col_minor_sum(
+                m, 1, vectors_col.col(1), r
+            ) / d
+
+
+def test_kernel_matches_enumeration_small_entries(rng):
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        s = rng.randint(1, 3)
+        m = small_unit_matrix(rng, n, n)
+        if rng.random() < 0.5:  # low rank: singular subsets at every order
+            k = rng.randint(1, n)
+            m = small_unit_matrix(rng, n, k) @ small_unit_matrix(rng, k, n)
+        assert_kernel_matches_enumeration(
+            m, small_unit_matrix(rng, n, s), small_unit_matrix(rng, s, n)
+        )
+
+
+def test_kernel_matches_enumeration_rational_entries(rng):
+    for _ in range(8):
+        n = rng.randint(1, 6)
+        s = rng.randint(1, 3)
+        assert_kernel_matches_enumeration(
+            rational_matrix(rng, n, n), rational_matrix(rng, n, s),
+            rational_matrix(rng, s, n),
+        )
+
+
+def test_kernel_singular_full_order(rng):
+    # r = n: the single subset is the whole matrix.  Rank n-1 leaves a
+    # nonzero adjugate; rank n-2 or less makes it vanish.
+    for n, k in ((1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (4, 2), (5, 1)):
+        if k:
+            m = rational_matrix(rng, n, k) @ rational_matrix(rng, k, n)
+        else:
+            m = ExactMatrix.zeros(n, n)
+        assert_kernel_matches_enumeration(
+            m, rational_matrix(rng, n, 2), rational_matrix(rng, 2, n)
+        )
+
+
+def test_kernel_validation(rng):
+    m = rand_matrix(rng, 3, 3)
+    with pytest.raises(ValueError):
+        adjugate_product(m, 0, rand_matrix(rng, 3, 1), "column")
+    with pytest.raises(ValueError):
+        adjugate_product(m, 2, rand_matrix(rng, 2, 1), "column")
+    with pytest.raises(ValueError):
+        adjugate_product(m, 2, rand_matrix(rng, 3, 1), "row")
+    with pytest.raises(ValueError):
+        adjugate_product(m, 2, rand_matrix(rng, 3, 1), "diagonal")
+
+
+def test_kernel_work_guard_estimate():
+    a = ExactMatrix.from_rows(
+        [[1, 0, 2, 1], [0, 1, 1, 1], [1, 1, 3, 2], [2, 0, 4, 2], [0, 2, 2, 2]]
+    )
+    m, n = a.shape
+    r = 2
+    with pytest.raises(BudgetExceededError) as err:
+        mp_inverse(a, budget=1)
+    assert err.value.estimate == comb(n, r) * 2 * r**3 + n * n * m
+    assert err.value.budget == 1

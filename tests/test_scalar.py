@@ -20,6 +20,14 @@ def test_canonical_form_and_equality():
     assert hash(a) == hash(ExactScalar(F(2, 4), F(6, 2)))
 
 
+def test_real_scalars_hash_like_their_rationals():
+    assert ExactScalar(3) == 3 and hash(ExactScalar(3)) == hash(3)
+    assert len({ExactScalar(3), 3}) == 1
+    assert hash(ExactScalar(F(-5, 2))) == hash(F(-5, 2))
+    assert {ExactScalar(F(1, 2)): "half"}[F(1, 2)] == "half"
+    assert ExactScalar(0, 1) != 0
+
+
 def test_basic_arithmetic():
     a = ExactScalar(1, 2)
     b = ExactScalar(3, -1)
