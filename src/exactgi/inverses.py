@@ -375,9 +375,10 @@ def verify_defining_equations(
                 "AX=XA": a @ x == x @ a,
             }
         else:
-            k = rank_profile(a).index
+            profile = rank_profile(a)
+            k = profile.index
             results = {
-                "A^(k+1)X=A^k": a.power(k + 1) @ x == a.power(k),
+                "A^(k+1)X=A^k": profile.power(k + 1) @ x == profile.power(k),
                 "XAX=X": x @ a @ x == x,
                 "AX=XA": a @ x == x @ a,
             }
@@ -387,9 +388,10 @@ def verify_defining_equations(
         if x.shape != a.shape:
             raise ValueError("candidate has the wrong shape for a weighted Drazin inverse")
         aw = a @ weight
-        k = max(rank_profile(aw).index, rank_profile(weight @ a).index)
+        profile = rank_profile(aw)
+        k = max(profile.index, rank_profile(weight @ a).index)
         results = {
-            "(AW)^(k+1)XW=(AW)^k": aw.power(k + 1) @ x @ weight == aw.power(k),
+            "(AW)^(k+1)XW=(AW)^k": profile.power(k + 1) @ x @ weight == profile.power(k),
             "XWAWX=X": x @ weight @ a @ weight @ x == x,
             "AWX=XWA": aw @ x == x @ weight @ a,
         }

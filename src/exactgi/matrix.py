@@ -1,5 +1,13 @@
-"""Dense matrices over Gaussian rationals, with exact rank, determinant,
-characteristic-polynomial coefficients and matrix index.
+"""Dense matrices over Gaussian rationals, with exact products, rank,
+determinant, characteristic-polynomial coefficients and matrix index.
+
+Matrix products and power chains run on cleared Gaussian integers, with
+`ExactScalar` only at their ends.  A product clears each operand's
+denominators once (`clear_denominators`), multiplies the integer images row
+by column (`int_matmul`) and divides by the product of the two denominators
+once per entry.  Power chains (`rank_profile`) stay in the integers between
+steps: A^j is A_int^j / q^j, so each new power is one integer product and its
+rank is taken on the integer power directly.
 
 Rank and determinant run fraction-free (Bareiss) over Gaussian integers after
 clearing denominators, which bounds intermediate bit growth.  The
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .scalar import ONE, ZERO, ExactScalar, RationalLike
@@ -151,17 +160,9 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a = self.to_lists()
-        b = other.to_lists()
-        out: list[ExactScalar] = []
-        for i in range(self.rows):
-            arow = a[i]
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + arow[k] * b[k][j]
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        a_re, a_im, qa = clear_denominators(self)
+        b_re, b_im, qb = clear_denominators(other)
+        return _from_int(*int_matmul(a_re, a_im, b_re, b_im), qa * qb)
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
         s = _as_scalar(factor)
@@ -243,16 +244,61 @@ def conj_transpose(matrix: ExactMatrix) -> ExactMatrix:
 def clear_denominators(matrix: ExactMatrix) -> tuple[list[list[int]], list[list[int]], int]:
     """Return integer real/imaginary parts and the common denominator q,
     so that matrix == (re + i*im) / q entrywise."""
-    q = 1
-    for e in matrix.entries:
-        q = lcm(q, e.re.denominator, e.im.denominator)
-    re_rows: list[list[int]] = []
-    im_rows: list[list[int]] = []
-    for i in range(1, matrix.rows + 1):
-        row = matrix.row(i)
-        re_rows.append([int(e.re * q) for e in row])
-        im_rows.append([int(e.im * q) for e in row])
-    return re_rows, im_rows, q
+    entries = matrix.entries
+    q = lcm(*{part.denominator for e in entries for part in (e.re, e.im)})
+    if q == 1:
+        re = [e.re.numerator for e in entries]
+        im = [e.im.numerator for e in entries]
+    else:
+        re = [e.re.numerator * (q // e.re.denominator) for e in entries]
+        im = [e.im.numerator * (q // e.im.denominator) for e in entries]
+    cols = matrix.cols
+    starts = range(0, len(entries), cols)
+    return [re[s : s + cols] for s in starts], [im[s : s + cols] for s in starts], q
+
+
+def _from_int(re_rows: list[list[int]], im_rows: list[list[int]], q: int) -> ExactMatrix:
+    """The matrix (re + i*im) / q; the inverse of `clear_denominators`."""
+    entries = []
+    for row_re, row_im in zip(re_rows, im_rows):
+        for x, y in zip(row_re, row_im):
+            if not (x or y):
+                entries.append(ZERO)
+            elif q == 1:
+                entries.append(ExactScalar(x, y))
+            else:
+                entries.append(ExactScalar(Fraction(x, q), Fraction(y, q)))
+    return ExactMatrix(len(re_rows), len(re_rows[0]), entries)
+
+
+def int_matmul(
+    a_re: list[list[int]], a_im: list[list[int]],
+    b_re: list[list[int]], b_im: list[list[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The product of two Gaussian-integer matrices given as real and
+    imaginary parts.  A real operand (all-zero imaginary part) skips the
+    products it cannot contribute to."""
+    cols_re = list(zip(*b_re))
+    cols_im = list(zip(*b_im))
+    a_complex = any(map(any, a_im))
+    b_complex = any(map(any, cols_im))
+    if a_complex and b_complex:
+        # re = xr.yr - xi.yi and im = xr.yi + xi.yr, each as one dot product
+        # of concatenated vectors
+        left_re = [xr + [-v for v in xi] for xr, xi in zip(a_re, a_im)]
+        left_im = [xr + xi for xr, xi in zip(a_re, a_im)]
+        right_re = [yr + yi for yr, yi in zip(cols_re, cols_im)]
+        right_im = [yi + yr for yr, yi in zip(cols_re, cols_im)]
+    elif a_complex:
+        left_re, left_im, right_re, right_im = a_re, a_im, cols_re, cols_re
+    elif b_complex:
+        left_re, left_im, right_re, right_im = a_re, a_re, cols_re, cols_im
+    else:
+        out_re = [[sum(map(mul, x, y)) for y in cols_re] for x in a_re]
+        return out_re, [[0] * len(cols_re) for _ in a_re]
+    out_re = [[sum(map(mul, x, y)) for y in right_re] for x in left_re]
+    out_im = [[sum(map(mul, x, y)) for y in right_im] for x in left_im]
+    return out_re, out_im
 
 
 def _gauss_div(tr: int, ti: int, pr: int, pi: int) -> tuple[int, int]:
@@ -499,18 +545,27 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
+    # A^j == P_j / q^j with P_j = A_int^j, so the chain stays in Z[i]
+    a_re, a_im, q = clear_denominators(matrix)
+    p_re, p_im = a_re, a_im
     powers = [ExactMatrix.identity(n), matrix]
-    ranks = [rank(matrix)]
+
+    def next_power() -> None:
+        nonlocal p_re, p_im
+        p_re, p_im = int_matmul(p_re, p_im, a_re, a_im)
+        powers.append(_from_int(p_re, p_im, q ** len(powers)))
+
+    ranks = [int_rank(a_re, a_im)]
     k = 0
     prev_rank = n
     while ranks[-1] != prev_rank:
         prev_rank = ranks[-1]
-        powers.append(powers[-1] @ matrix)
-        ranks.append(rank(powers[-1]))
+        next_power()
+        ranks.append(int_rank(p_re, p_im))
         k += 1
     # ranks[k] == ranks[k-1] now holds; k is the index.
     while len(powers) < 2 * k + 2:
-        powers.append(powers[-1] @ matrix)
+        next_power()
     return RankProfile(matrix, tuple(ranks), k, tuple(powers))
 
 

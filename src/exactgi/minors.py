@@ -40,28 +40,49 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .matrix import ExactMatrix, clear_denominators, int_det
+from .matrix import ExactMatrix, _from_int, clear_denominators, int_det, int_matmul
 from .scalar import ONE, ExactScalar
 
 DEFAULT_WORK_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an operation's estimated minor-sum work exceeds the budget."""
+    """Raised when an operation's estimated minor-sum work exceeds the budget.
 
-    def __init__(self, estimate: int, budget: int):
+    A refusal by `adjugate_product` also carries its breakdown: the base
+    order n, the minor order r, the number s of replacement vectors and the
+    number of r-subsets C(n, r).  These are None for the literal primitives.
+    """
+
+    def __init__(
+        self,
+        estimate: int,
+        budget: int,
+        n: int | None = None,
+        r: int | None = None,
+        s: int | None = None,
+    ):
         self.estimate = estimate
         self.budget = budget
+        self.n = n
+        self.r = r
+        self.s = s
+        self.subsets = None if n is None else comb(n, r)
+        detail = (
+            ""
+            if n is None
+            else f" (n = {n}, r = {r}, s = {s}: C(n, r) = {self.subsets} subsets)"
+        )
         super().__init__(
-            f"estimated work of {estimate} entry operations exceeds the work "
-            f"budget of {budget}; raise the budget to run anyway"
+            f"estimated work of {estimate} entry operations{detail} exceeds the "
+            f"work budget of {budget}; raise the budget to run anyway"
         )
 
 
-def check_budget(estimate: int, budget: int | None) -> None:
+def check_budget(estimate: int, budget: int | None, **breakdown: int) -> None:
     limit = DEFAULT_WORK_BUDGET if budget is None else budget
     if estimate > limit:
-        raise BudgetExceededError(estimate, limit)
+        raise BudgetExceededError(estimate, limit, **breakdown)
 
 
 @dataclass(frozen=True)
@@ -305,24 +326,6 @@ def _subset_adjugate(
     return (0, 0), adj_r, adj_i
 
 
-def _int_matmul(
-    a_re: list[list[int]], a_im: list[list[int]],
-    b_re: list[list[int]], b_im: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    cols = list(zip(zip(*b_re), zip(*b_im)))
-    out_re = []
-    out_im = []
-    for xr, xi in zip(a_re, a_im):
-        row_re = []
-        row_im = []
-        for yr, yi in cols:
-            row_re.append(sum(a * c - b * d for a, b, c, d in zip(xr, xi, yr, yi)))
-            row_im.append(sum(a * d + b * c for a, b, c, d in zip(xr, xi, yr, yi)))
-        out_re.append(row_re)
-        out_im.append(row_im)
-    return out_re, out_im
-
-
 def adjugate_product(
     base: ExactMatrix,
     r: int,
@@ -353,7 +356,7 @@ def adjugate_product(
         s = vectors.rows
     else:
         raise ValueError(f"unknown side {side!r}")
-    check_budget(kernel_work(n, r, s), budget)
+    check_budget(kernel_work(n, r, s), budget, n=n, r=r, s=s)
     re_rows, im_rows, q = clear_denominators(base)
     l_re = [[0] * n for _ in range(n)]
     l_im = [[0] * n for _ in range(n)]
@@ -371,20 +374,11 @@ def adjugate_product(
                 target_im[b] += xi
     v_re, v_im, qv = clear_denominators(vectors)
     if side == "column":
-        n_re, n_im = _int_matmul(l_re, l_im, v_re, v_im)
+        n_re, n_im = int_matmul(l_re, l_im, v_re, v_im)
     else:
-        n_re, n_im = _int_matmul(v_re, v_im, l_re, l_im)
+        n_re, n_im = int_matmul(v_re, v_im, l_re, l_im)
     # base = M_int / q, so adj(M_S) = adj(M_int_S) / q^(r-1), det / q^r
-    scale = q ** (r - 1) * qv
-    product = ExactMatrix(
-        len(n_re),
-        len(n_re[0]),
-        [
-            ExactScalar(Fraction(xr, scale), Fraction(xi, scale))
-            for row_re, row_im in zip(n_re, n_im)
-            for xr, xi in zip(row_re, row_im)
-        ],
-    )
+    product = _from_int(n_re, n_im, q ** (r - 1) * qv)
     return product, ExactScalar(Fraction(d_re, q**r), Fraction(d_im, q**r))
 
 

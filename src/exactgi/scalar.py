@@ -8,21 +8,36 @@ are immutable and hashable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RationalLike = int | Fraction
+
+# A real number of the scalar literal grammar (see exactgi.documents):
+# sign? (digits/digits | digits.digits | .digits | digits).  Fraction(str)
+# alone would also take exponents, underscores and surrounding whitespace.
+_REAL_LITERAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]*\.[0-9]+|[0-9]+)")
 
 
 def _as_fraction(value: RationalLike | str) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        if _REAL_LITERAL.fullmatch(value) is None:
+            raise ValueError(f"invalid rational literal {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
 class ExactScalar:
-    """A complex number with Fraction real and imaginary parts."""
+    """A complex number with Fraction real and imaginary parts.
+
+    Each part is an int, a Fraction or a string in the real-number form of
+    the scalar literal grammar ("-5/2", "0.5", ".5"); any other string raises
+    ValueError, and bool is not a number here (TypeError).
+    """
 
     __slots__ = ("re", "im")
 
@@ -144,7 +159,7 @@ class ExactScalar:
 def _coerce(value: object) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return ExactScalar(value)
     return NotImplemented
 

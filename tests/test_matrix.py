@@ -2,9 +2,12 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exactgi import (
     ExactMatrix,
+    ExactScalar,
     char_poly_coeffs,
     conj_transpose,
     det,
@@ -16,7 +19,34 @@ from exactgi import (
 from exactgi.matrix import column_space_contains, row_space_contains, rref
 
 from cases import DZ_A, DZ_INDEX, LS_A, mat, sc
-from conftest import rand_matrix, rand_low_rank
+from conftest import rand_index_matrix, rand_matrix, rand_low_rank
+
+
+def reference_matmul(a, b):
+    """The textbook triple loop over ExactScalar, the reference for `@`."""
+    out = []
+    for i in range(1, a.rows + 1):
+        for j in range(1, b.cols + 1):
+            acc = ExactScalar(0)
+            for k in range(1, a.cols + 1):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            out.append(acc)
+    return ExactMatrix(a.rows, b.cols, out)
+
+
+def rand_rational_matrix(rng, rows, cols, complex_ok=True, big=False):
+    """Gaussian-rational entries over distinct small denominators, so the
+    cleared common denominator is not 1; `big` takes numerators up to 10^40."""
+    top = 10**40 if big else 9
+
+    def part(allowed=True):
+        if not allowed or rng.random() < 0.25:
+            return F(0)
+        return F(rng.randint(-top, top), rng.choice([1, 2, 3, 5, 7, 12, 35]))
+
+    return ExactMatrix(
+        rows, cols, [ExactScalar(part(), part(complex_ok)) for _ in range(rows * cols)]
+    )
 
 
 def test_construction_validation():
@@ -60,6 +90,84 @@ def test_matmul_associativity_fuzz(rng):
         b = rand_matrix(rng, a.cols, rng.randint(1, 4))
         c = rand_matrix(rng, b.cols, rng.randint(1, 4))
         assert (a @ b) @ c == a @ (b @ c)
+
+
+def test_matmul_matches_reference_on_rationals(rng):
+    for complex_ok in (False, True):
+        for _ in range(20):
+            a = rand_rational_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), complex_ok)
+            b = rand_rational_matrix(rng, a.cols, rng.randint(1, 4), complex_ok)
+            assert a @ b == reference_matmul(a, b)
+    # one real and one complex operand, both orders
+    a = rand_rational_matrix(rng, 3, 4, complex_ok=False)
+    b = rand_rational_matrix(rng, 4, 2)
+    assert a @ b == reference_matmul(a, b)
+    assert b.transpose() @ a.transpose() == reference_matmul(b.transpose(), a.transpose())
+
+
+def test_matmul_matches_reference_on_huge_entries(rng):
+    for _ in range(5):
+        a = rand_rational_matrix(rng, 3, 3, big=True)
+        b = rand_rational_matrix(rng, 3, 2, big=True)
+        assert a @ b == reference_matmul(a, b)
+    huge = ExactMatrix.from_rows([[10**40, -(10**40)], [F(10**40, 3), 1]])
+    assert huge @ huge == reference_matmul(huge, huge)
+
+
+def test_matmul_edge_shapes(rng):
+    for rows, inner, cols in ((1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 4), (4, 3, 1)):
+        a = rand_rational_matrix(rng, rows, inner)
+        b = rand_rational_matrix(rng, inner, cols)
+        product = a @ b
+        assert product.shape == (rows, cols)
+        assert product == reference_matmul(a, b)
+        assert a @ ExactMatrix.zeros(inner, cols) == ExactMatrix.zeros(rows, cols)
+        assert ExactMatrix.zeros(rows, inner) @ b == ExactMatrix.zeros(rows, cols)
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ValueError):
+        mat([[1, 2]]) @ mat([[1, 2]])
+    with pytest.raises(ValueError):
+        ExactMatrix.zeros(2, 3) @ ExactMatrix.zeros(2, 3)
+
+
+def test_rank_profile_on_rationals_matches_reference(rng):
+    for _ in range(8):
+        n = rng.randint(2, 5)
+        core = rng.randint(0, n - 2)
+        a = rand_index_matrix(rng, n, core, rng.randint(1, n - core)).scale(
+            ExactScalar(F(rng.choice([2, 3, 5]), 7), F(1, 3))
+        )
+        profile = rank_profile(a)
+        power = ExactMatrix.identity(n)
+        for p, cached in enumerate(profile.powers):
+            assert cached == power
+            if 1 <= p <= len(profile.rank_of_power):
+                assert profile.rank_of(p) == rank(power)
+            power = reference_matmul(power, a)
+        assert len(profile.powers) >= 2 * profile.index + 2
+
+
+_rationals = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 5, 12]))
+_gaussian = st.builds(ExactScalar, _rationals, _rationals)
+
+
+def _matrices(rows, cols):
+    return st.lists(_gaussian, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: ExactMatrix(rows, cols, entries)
+    )
+
+
+@given(st.data())
+def test_matmul_associative_and_distributive(data):
+    p, q, r, s = (data.draw(st.integers(1, 3)) for _ in range(4))
+    a = data.draw(_matrices(p, q))
+    b, b2 = data.draw(_matrices(q, r)), data.draw(_matrices(q, r))
+    c = data.draw(_matrices(r, s))
+    assert (a @ b) @ c == a @ (b @ c)
+    assert a @ (b + b2) == a @ b + a @ b2
+    assert (b + b2) @ c == b @ c + b2 @ c
 
 
 def test_conj_transpose_involution(rng):

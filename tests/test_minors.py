@@ -402,3 +402,6 @@ def test_kernel_work_guard_estimate():
         mp_inverse(a, budget=1)
     assert err.value.estimate == comb(n, r) * 2 * r**3 + n * n * m
     assert err.value.budget == 1
+    assert (err.value.n, err.value.r, err.value.s) == (n, r, m)
+    assert err.value.subsets == comb(n, r)
+    assert f"n = {n}, r = {r}, s = {m}: C(n, r) = {comb(n, r)} subsets" in str(err.value)

@@ -28,6 +28,28 @@ def test_real_scalars_hash_like_their_rationals():
     assert ExactScalar(0, 1) != 0
 
 
+def test_string_parts_follow_the_literal_grammar():
+    assert ExactScalar("-5/2", ".5") == ExactScalar(F(-5, 2), F(1, 2))
+    assert ExactScalar("+10.25") == ExactScalar(F(41, 4))
+
+
+@pytest.mark.parametrize("text", ["1e3", "1_000", " 3 ", "3 ", "1.", "", "+", "1/2i", "0x10"])
+def test_string_outside_the_grammar_is_rejected(text):
+    with pytest.raises(ValueError):
+        ExactScalar(text)
+    with pytest.raises(ValueError):
+        ExactScalar(0, text)
+
+
+def test_bool_is_not_a_scalar():
+    with pytest.raises(TypeError):
+        ExactScalar(True)
+    with pytest.raises(TypeError):
+        ExactScalar(1, False)
+    with pytest.raises(TypeError):
+        ExactScalar(1) + True
+
+
 def test_basic_arithmetic():
     a = ExactScalar(1, 2)
     b = ExactScalar(3, -1)
