@@ -5,9 +5,10 @@ Matrix products and power chains run on cleared Gaussian integers, with
 `ExactScalar` only at their ends.  A product clears each operand's
 denominators once (`clear_denominators`), multiplies the integer images row
 by column (`int_matmul`) and divides by the product of the two denominators
-once per entry.  Power chains (`rank_profile`) stay in the integers between
-steps: A^j is A_int^j / q^j, so each new power is one integer product and its
-rank is taken on the integer power directly.
+once per entry.  Power chains (`power_products`, used by `rank_profile` and
+the ODE solutions) stay in the integers between steps: A^l B is
+A_int^l B_int / (q_A^l q_B), so each new power is one integer product, and
+`rank_profile` takes each power's rank on its integer image directly.
 
 Rank and determinant run fraction-free (Bareiss) over Gaussian integers after
 clearing denominators, which bounds intermediate bit growth.  The
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .scalar import ONE, ZERO, ExactScalar, RationalLike
 
@@ -276,29 +277,40 @@ def int_matmul(
     b_re: list[list[int]], b_im: list[list[int]],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The product of two Gaussian-integer matrices given as real and
-    imaginary parts.  A real operand (all-zero imaginary part) skips the
-    products it cannot contribute to."""
+    imaginary parts."""
     cols_re = list(zip(*b_re))
     cols_im = list(zip(*b_im))
-    a_complex = any(map(any, a_im))
-    b_complex = any(map(any, cols_im))
-    if a_complex and b_complex:
-        # re = xr.yr - xi.yi and im = xr.yi + xi.yr, each as one dot product
-        # of concatenated vectors
-        left_re = [xr + [-v for v in xi] for xr, xi in zip(a_re, a_im)]
-        left_im = [xr + xi for xr, xi in zip(a_re, a_im)]
-        right_re = [yr + yi for yr, yi in zip(cols_re, cols_im)]
-        right_im = [yi + yr for yr, yi in zip(cols_re, cols_im)]
-    elif a_complex:
-        left_re, left_im, right_re, right_im = a_re, a_im, cols_re, cols_re
-    elif b_complex:
-        left_re, left_im, right_re, right_im = a_re, a_re, cols_re, cols_im
-    else:
-        out_re = [[sum(map(mul, x, y)) for y in cols_re] for x in a_re]
-        return out_re, [[0] * len(cols_re) for _ in a_re]
+    # re = xr.yr - xi.yi and im = xr.yi + xi.yr, each as one dot product of
+    # concatenated vectors
+    left_re = [xr + [-v for v in xi] for xr, xi in zip(a_re, a_im)]
+    left_im = [xr + xi for xr, xi in zip(a_re, a_im)]
+    right_re = [yr + yi for yr, yi in zip(cols_re, cols_im)]
+    right_im = [yi + yr for yr, yi in zip(cols_re, cols_im)]
     out_re = [[sum(map(mul, x, y)) for y in right_re] for x in left_re]
     out_im = [[sum(map(mul, x, y)) for y in right_im] for x in left_im]
     return out_re, out_im
+
+
+def power_products(
+    a: ExactMatrix, b: ExactMatrix, side: str = "left"
+) -> Iterator[tuple[ExactMatrix, list[list[int]], list[list[int]]]]:
+    """Yield B, A B, A^2 B, ... (side "left") or B, B A, B A^2, ... (side
+    "right"), each with the real and imaginary parts of its cleared image.
+
+    The chain stays in Z[i]: A^l B == A_int^l B_int / (q_A^l q_B), so each
+    step is one `int_matmul` and A and B are cleared once."""
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
+    a_re, a_im, qa = a_int = clear_denominators(a)
+    p_re, p_im, q = a_int if b is a else clear_denominators(b)
+    yield b, p_re, p_im
+    while True:
+        if side == "left":
+            p_re, p_im = int_matmul(a_re, a_im, p_re, p_im)
+        else:
+            p_re, p_im = int_matmul(p_re, p_im, a_re, a_im)
+        q *= qa
+        yield _from_int(p_re, p_im, q), p_re, p_im
 
 
 def _gauss_div(tr: int, ti: int, pr: int, pi: int) -> tuple[int, int]:
@@ -545,27 +557,21 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
-    # A^j == P_j / q^j with P_j = A_int^j, so the chain stays in Z[i]
-    a_re, a_im, q = clear_denominators(matrix)
-    p_re, p_im = a_re, a_im
+    chain = power_products(matrix, matrix, "right")  # A, A^2, A^3, ...
+    _, p_re, p_im = next(chain)
     powers = [ExactMatrix.identity(n), matrix]
-
-    def next_power() -> None:
-        nonlocal p_re, p_im
-        p_re, p_im = int_matmul(p_re, p_im, a_re, a_im)
-        powers.append(_from_int(p_re, p_im, q ** len(powers)))
-
-    ranks = [int_rank(a_re, a_im)]
+    ranks = [int_rank(p_re, p_im)]
     k = 0
     prev_rank = n
     while ranks[-1] != prev_rank:
         prev_rank = ranks[-1]
-        next_power()
+        power, p_re, p_im = next(chain)
+        powers.append(power)
         ranks.append(int_rank(p_re, p_im))
         k += 1
     # ranks[k] == ranks[k-1] now holds; k is the index.
     while len(powers) < 2 * k + 2:
-        next_power()
+        powers.append(next(chain)[0])
     return RankProfile(matrix, tuple(ranks), k, tuple(powers))
 
 

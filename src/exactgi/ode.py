@@ -17,17 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from typing import Literal
 
-from .matrix import (
-    ExactMatrix,
-    _from_int,
-    clear_denominators,
-    int_matmul,
-    inverse,
-    rank_profile,
-)
+from .matrix import ExactMatrix, inverse, power_products, rank_profile
 from .minors import cramer_ratio
 from .scalar import ExactScalar
 
@@ -147,18 +141,8 @@ def _ode_partial(
         a_inv = inverse(a)
         return MatrixPoly([a_inv @ b if side == "left" else b @ a_inv])
     r = profile.core_rank
-    # power products B^(l): A^l B on the left, B A^l on the right, l = 0..2k,
-    # kept as Gaussian integers over q_B q_A^l between steps
-    a_re, a_im, qa = clear_denominators(a)
-    p_re, p_im, qp = clear_denominators(b)
-    products = [b]
-    for _ in range(2 * k):
-        if side == "left":
-            p_re, p_im = int_matmul(a_re, a_im, p_re, p_im)
-        else:
-            p_re, p_im = int_matmul(p_re, p_im, a_re, a_im)
-        qp *= qa
-        products.append(_from_int(p_re, p_im, qp))
+    # power products B^(l): A^l B on the left, B A^l on the right, l = 0..2k
+    products = [p for p, _, _ in islice(power_products(a, b, side), 2 * k + 1)]
     # drazin[j] = A^D A^j B (left) or B A^j A^D (right), j = 0..k: one kernel
     # call on the blocks B^(k+j) side by side (left) or on top (right)
     sources = products[k:]

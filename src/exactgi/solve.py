@@ -12,8 +12,8 @@ reported, never enforced, because each solution is well defined regardless.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .matrix import (
     ExactMatrix,
@@ -25,6 +25,8 @@ from .matrix import (
 from .minors import cramer_ratio
 from .scalar import ExactScalar
 
+# collections.abc, not typing: a typing.Union would sit in typing's cache and
+# keep these classes (and a re-imported package's old modules) alive
 VectorLike = ExactMatrix | Sequence[ExactScalar]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import islice
 from math import comb
 
 import pytest
@@ -16,7 +17,13 @@ from exactgi import (
     rank,
     rank_profile,
 )
-from exactgi.matrix import column_space_contains, row_space_contains, rref
+from exactgi.matrix import (
+    clear_denominators,
+    column_space_contains,
+    power_products,
+    row_space_contains,
+    rref,
+)
 
 from cases import DZ_A, DZ_INDEX, LS_A, mat, sc
 from conftest import rand_index_matrix, rand_matrix, rand_low_rank
@@ -147,6 +154,32 @@ def test_rank_profile_on_rationals_matches_reference(rng):
                 assert profile.rank_of(p) == rank(power)
             power = reference_matmul(power, a)
         assert len(profile.powers) >= 2 * profile.index + 2
+
+
+def test_power_products_match_reference(rng):
+    for side in ("left", "right"):
+        for _ in range(4):
+            n = rng.randint(1, 4)
+            a = rand_rational_matrix(rng, n, n)
+            b = rand_rational_matrix(rng, n, n)
+            qa, qb = clear_denominators(a)[2], clear_denominators(b)[2]
+            expected = b
+            for l, (product, p_re, p_im) in enumerate(islice(power_products(a, b, side), 5)):
+                assert product == expected
+                # the integer image is A^l B scaled by q_A^l q_B
+                q = qa**l * qb
+                assert product == ExactMatrix(n, n, [
+                    ExactScalar(F(x, q), F(y, q))
+                    for row_re, row_im in zip(p_re, p_im)
+                    for x, y in zip(row_re, row_im)
+                ])
+                expected = (
+                    reference_matmul(a, expected)
+                    if side == "left"
+                    else reference_matmul(expected, a)
+                )
+    with pytest.raises(ValueError):
+        next(power_products(a, b, "both"))
 
 
 _rationals = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 5, 12]))

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import exactgi
 from exactgi import (
     ExactMatrix,
     drazin_inverse_oracle,
@@ -229,3 +233,25 @@ def test_solver_input_validation(rng):
         w_drazin_solve(
             rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3), ExactMatrix.column([sc(1)] * 3)
         )
+
+
+def test_reimport_releases_old_package():
+    # A module-level typing alias over the package's classes would sit in
+    # typing's cache and keep a re-imported package's old modules alive.
+    code = """
+import gc, sys, weakref
+sys.path.insert(0, sys.argv[1])
+import exactgi
+old = weakref.ref(exactgi.ExactMatrix)
+for name in [n for n in sys.modules if n.split(".")[0] == "exactgi"]:
+    del sys.modules[name]
+del exactgi
+import exactgi
+gc.collect()
+assert old() is None, "the old ExactMatrix class is still referenced"
+"""
+    src = str(Path(exactgi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
