@@ -234,7 +234,7 @@ def group_inverse(
         )
     n = matrix.rows
     square = profile.power(2)
-    r = rank(square)
+    r = profile.core_rank  # rank(A^2): the index is at most 1
     if r == 0:
         return GiReport(ExactMatrix.zeros(n, n), 0, profile.index, COLUMN_FORM, ONE)
     x, d = cramer_ratio(square, r, matrix, "column", budget)
@@ -261,7 +261,7 @@ def w_drazin_inverse(
     aw = rank_profile(matrix @ weight)
     wa = rank_profile(weight @ matrix)
     k = max(aw.index, wa.index)
-    r = rank(aw.power(k))
+    r = aw.core_rank  # rank((AW)^k): k >= Ind(AW)
     if r == 0:
         return GiReport(ExactMatrix.zeros(m, n), 0, k, COLUMN_FORM, ONE)
     chosen = _resolve_form(form, kernel_work(m, r, n), kernel_work(n, r, m))

@@ -163,7 +163,7 @@ def w_drazin_solve(
     aw = rank_profile(matrix @ weight)
     wa = rank_profile(weight @ matrix)
     k = max(aw.index, wa.index)
-    r = rank(aw.power(k))
+    r = aw.core_rank  # rank((AW)^k): k >= Ind(AW)
     in_range = column_space_contains(wa.power(wa.index), y)
     waw = weight @ matrix @ weight
     if r == 0:

@@ -1,12 +1,19 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from exactgi import ExactMatrix, ExactScalar
+
+# CI searches harder and reproducibly (HYPOTHESIS_PROFILE=ci); a local run
+# keeps Hypothesis's default number of examples.
+settings.register_profile("ci", max_examples=400, derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rand_scalar(rng: random.Random, span: int = 2, complex_ok: bool = True) -> ExactScalar:

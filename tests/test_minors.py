@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import given
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from exactgi import (
@@ -14,6 +15,7 @@ from exactgi import (
     enumerate_subsets,
     mp_inverse,
     principal_minor_sum,
+    rank,
     replaced_col_minor_sum,
     replaced_row_minor_sum,
     subset_count,
@@ -22,7 +24,7 @@ from exactgi.minors import adjugate_product, cramer_ratio
 from exactgi.scalar import ExactScalar
 
 from cases import AXB_LS_A, AXB_LS_B, AXB_LS_D, DZ_A, mat, sc
-from conftest import rand_matrix
+from conftest import rand_index_matrix, rand_matrix
 
 
 def perm_expansion_det(matrix: ExactMatrix) -> ExactScalar:
@@ -405,3 +407,159 @@ def test_kernel_work_guard_estimate():
     assert (err.value.n, err.value.r, err.value.s) == (n, r, m)
     assert err.value.subsets == comb(n, r)
     assert f"n = {n}, r = {r}, s = {m}: C(n, r) = {comb(n, r)} subsets" in str(err.value)
+
+
+# -- the subset-tree walk: held indices, rank-deficient leaves, depth ----------------
+#
+# A zero pivot in index order makes the walk hold that index until the leaf;
+# these bases put zero pivots at every depth.
+
+
+def zero_diagonal_blocks(rng, n):
+    """Permutation-similar blocks: a conjugated direct sum of 2x2 and 3x3
+    blocks with zero diagonal and nonzero off-diagonal entries."""
+    rows = [[sc(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = min(rng.choice((2, 3)), n - start)
+        for i in range(size):
+            for j in range(size):
+                if i != j:
+                    rows[start + i][start + j] = sc(rng.choice((-2, -1, 1, 2)),
+                                                    rng.choice((-1, 0, 1)))
+        start += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return ExactMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(n)]
+                                  for i in range(n)])
+
+
+def with_zero_lines(rng, m):
+    """m with some rows, some columns, or both lines of an index set to zero."""
+    rows = m.to_lists()
+    n = m.rows
+    for z in rng.sample(range(n), rng.randint(1, max(1, n // 2))):
+        lines = rng.choice(("row", "column", "both"))
+        if lines != "column":
+            rows[z] = [sc(0)] * n
+        if lines != "row":
+            for row in rows:
+                row[z] = sc(0)
+    return ExactMatrix.from_rows(rows)
+
+
+def with_repeated_columns(rng, m):
+    rows = m.to_lists()
+    for j in range(1, m.cols):
+        if rng.random() < 0.6:
+            src = rng.randrange(j)
+            for row in rows:
+                row[j] = row[src]
+    return ExactMatrix.from_rows(rows)
+
+
+def test_walk_held_zero_diagonal_blocks(rng):
+    for n in (2, 3, 4, 5, 6):
+        m = zero_diagonal_blocks(rng, n)
+        assert_kernel_matches_enumeration(
+            m, small_unit_matrix(rng, n, 2), small_unit_matrix(rng, 2, n)
+        )
+
+
+def test_walk_held_zero_lines_and_repeated_columns(rng):
+    for _ in range(6):
+        n = rng.randint(2, 6)
+        for m in (with_zero_lines(rng, rational_matrix(rng, n, n)),
+                  with_repeated_columns(rng, small_unit_matrix(rng, n, n))):
+            assert_kernel_matches_enumeration(
+                m, rational_matrix(rng, n, 2), rational_matrix(rng, 2, n)
+            )
+
+
+def test_walk_core_plus_nilpotent_bases(rng):
+    # A^(k+1) of a core-plus-nilpotent matrix, the Drazin base, at every
+    # order r, not only at the core rank
+    for n, core, index in ((5, 2, 3), (6, 3, 2), (7, 3, 3), (6, 1, 4)):
+        a = rand_index_matrix(rng, n, core, index)
+        base = a.power(index + 1)
+        assert_kernel_matches_enumeration(
+            base, rand_matrix(rng, n, 1), rand_matrix(rng, 1, n)
+        )
+
+
+def test_walk_rank_deficient_leaf_after_held_index():
+    # index 1 has a zero pivot and is held from the root; the 3-subset
+    # {1, 2, 3} has rank 2, so its adjugate is the nonzero sigma u w^T / D
+    m = mat([[0, 1, 1, 2, 1], [1, 0, 1, -1, 0], [1, 1, 2, 0, 1],
+             [1, 0, 2, 1, -1], [0, 1, 1, 1, 2]])
+    block = mat([[0, 1, 1], [1, 0, 1], [1, 1, 2]])
+    assert rank(block) == 2
+    assert not adjugate_product(block, 3, ExactMatrix.identity(3), "column")[0].is_zero()
+    # index 2 is held after a nonzero pivot on 1 (the leading 2x2 minor is
+    # 0); column 4 = column 1 + column 3 makes {1, 2, 3, 4} rank 3
+    rows = [[1, 1, 2, 0, 1, 1], [1, 1, 0, 1, 1, 0], [0, 1, 1, 2, 0, 1],
+            [2, 0, 1, 1, 1, 1], [1, 2, 0, 1, 1, 1], [0, 1, 1, 0, 2, 1]]
+    for row in rows:
+        row[3] = row[0] + row[2]
+    deep = mat(rows)
+    assert rank(mat([row[:4] for row in rows[:4]])) == 3
+    for base in (m, deep):
+        n = base.rows
+        assert_kernel_matches_enumeration(
+            base, mat([[i + 1, 1 - i] for i in range(n)]), mat([list(range(1, n + 1))])
+        )
+
+
+def test_walk_depth_half_order(rng):
+    # n = 7..9: at r = n/2 the walk descends several levels before the leaves
+    for n in (7, 8, 9):
+        m = small_unit_matrix(rng, n, n)
+        if n == 8:
+            m = small_unit_matrix(rng, n, 5) @ small_unit_matrix(rng, 5, n)
+        assert_kernel_matches_enumeration(m, rand_matrix(rng, n, 1), rand_matrix(rng, 1, n))
+
+
+def test_walk_deep_order_does_not_recurse():
+    # the walk keeps its own stack, so r is not bounded by the interpreter's
+    # recursion limit
+    n = 40
+    m = ExactMatrix.identity(n)
+    product, d = adjugate_product(m, n - 1, m, "column")
+    assert d == sc(n)
+    assert product == ExactMatrix.identity(n).scale(sc(n - 1))
+
+
+structured = st.sampled_from(("plain", "zero_diagonal", "zero_lines", "repeated"))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), structured, st.integers(0, 2**32 - 1))
+def test_walk_matches_enumeration_property(n, kind, seed):
+    import random
+
+    rng = random.Random(seed)
+    m = small_unit_matrix(rng, n, n)
+    if kind == "zero_diagonal":
+        m = zero_diagonal_blocks(rng, n) if n > 1 else ExactMatrix.zeros(1, 1)
+    elif kind == "zero_lines":
+        m = with_zero_lines(rng, m)
+    elif kind == "repeated":
+        m = with_repeated_columns(rng, m)
+    assert_kernel_matches_enumeration(
+        m, small_unit_matrix(rng, n, 1), small_unit_matrix(rng, 1, n)
+    )
+
+
+def test_cramer_ratio_divides_exactly_and_refuses_zero_denominator(rng):
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        m, v = rational_matrix(rng, n, n), rational_matrix(rng, n, 2)
+        for r in range(1, n + 1):
+            product, d = adjugate_product(m, r, v, "column")
+            if d.is_zero():
+                continue
+            ratio, got_d = cramer_ratio(m, r, v, "column")
+            assert got_d == d
+            assert ratio == product.scale(ExactScalar(1) / d)
+    with pytest.raises(ZeroDivisionError):
+        cramer_ratio(ExactMatrix.zeros(3, 3), 2, rational_matrix(rng, 3, 1), "column")
