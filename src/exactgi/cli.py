@@ -6,11 +6,17 @@ is exact; --decimal only affects rendering.
 
 Exit codes: 0 ok, 2 input/validation error, 3 work-budget error, 4 internal
 verification failure.
+
+The argument parser is built once per process, on the first `main()` call,
+and reused by every later call: its ten sub-parsers cost far more to build
+than an argv costs to parse.  Reuse is safe because each `parse_args` fills
+a fresh namespace and a rejected argv leaves the parser as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -86,6 +92,7 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise DocumentError("--threads must be at least 1")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gi",

@@ -10,6 +10,11 @@ Examples: "3", "-5/2", "1/2+3i", "-i", "2-0.5i".  Decimal literals convert
 exactly ("-10.5" becomes -21/2).  Rendering produces the same grammar back
 in canonical form, so render(parse(text)) round-trips.
 
+A run of digits in a literal, and a JSON integer, may hold at most
+MAX_LITERAL_DIGITS digits; a longer one is refused before any conversion.
+Below the cap, digits convert in chunks, so neither parsing nor rendering
+depends on the interpreter's int/str digit limit.
+
 Matrix documents are JSON objects {"rows": m, "cols": n, "entries": [[...]]}
 whose entries are scalar literals (strings) or JSON integers.  JSON floats
 are rejected: exactness must survive transport.  CSV input is accepted for
@@ -25,7 +30,11 @@ from fractions import Fraction
 from typing import Any
 
 from .matrix import ExactMatrix
-from .scalar import ExactScalar
+from .scalar import CHUNK_DIGITS, ExactScalar, int_text
+
+# The most digits one run of digits in a scalar literal (a numerator, a
+# denominator, either side of a decimal point) or one JSON integer may hold.
+MAX_LITERAL_DIGITS = 100_000
 
 
 class DocumentError(ValueError):
@@ -36,7 +45,33 @@ class ScalarParseError(DocumentError):
     def __init__(self, text: str, position: int, reason: str):
         self.text = text
         self.position = position
-        super().__init__(f"invalid scalar {text!r} at position {position}: {reason}")
+        shown = text if len(text) <= 80 else f"{text[:40]}...{text[-20:]}"
+        super().__init__(f"invalid scalar {shown!r} at position {position}: {reason}")
+
+
+def _int_of(digits: str) -> int:
+    # int(digits) in halves of at most CHUNK_DIGITS digits at the leaves
+    if len(digits) <= CHUNK_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
+
+
+def _digits_value(text: str, start: int, end: int) -> int:
+    """The value of the digit run text[start:end], refused over the cap."""
+    if end - start <= CHUNK_DIGITS:
+        return int(text[start:end])
+    if end - start > MAX_LITERAL_DIGITS:
+        raise ScalarParseError(
+            text, start, f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
+        )
+    return _int_of(text[start:end])
+
+
+def _json_int(text: str) -> int:
+    if text.startswith("-"):
+        return -_digits_value(text, 1, len(text))
+    return _digits_value(text, 0, len(text))
 
 
 def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
@@ -47,16 +82,19 @@ def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
         pos += 1
     int_digits = pos - start
     if pos < n and text[pos] == ".":
+        whole = _digits_value(text, start, pos) if int_digits else 0
         pos += 1
         frac_start = pos
         while pos < n and text[pos].isdigit():
             pos += 1
         if pos == frac_start:
             raise ScalarParseError(text, pos, "expected digits after decimal point")
-        return Fraction(text[start:pos]), pos
+        part = _digits_value(text, frac_start, pos)
+        scale = 10 ** (pos - frac_start)
+        return Fraction(whole * scale + part, scale), pos
     if int_digits == 0:
         raise ScalarParseError(text, pos, "expected digits")
-    numerator = int(text[start:pos])
+    numerator = _digits_value(text, start, pos)
     if pos < n and text[pos] == "/":
         pos += 1
         den_start = pos
@@ -64,7 +102,7 @@ def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
             pos += 1
         if pos == den_start:
             raise ScalarParseError(text, pos, "expected denominator digits")
-        denominator = int(text[den_start:pos])
+        denominator = _digits_value(text, den_start, pos)
         if denominator == 0:
             raise ScalarParseError(text, den_start, "zero denominator")
         return Fraction(numerator, denominator), pos
@@ -135,7 +173,7 @@ def _round_fraction(value: Fraction, digits: int) -> str:
     double = 2 * remainder
     if double > scaled.denominator or (double == scaled.denominator and whole % 2):
         whole += 1
-    text = str(whole).rjust(digits + 1, "0")
+    text = int_text(whole).rjust(digits + 1, "0")
     if digits:
         text = f"{text[:-digits]}.{text[-digits:]}"
     return f"-{text}" if negative and whole else text
@@ -230,7 +268,7 @@ def load_matrix(path: str) -> ExactMatrix:
     if path.lower().endswith(".csv"):
         return parse_csv_matrix(text)
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     return parse_matrix_document(obj)

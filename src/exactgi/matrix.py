@@ -1,14 +1,16 @@
 """Dense matrices over Gaussian rationals, with exact products, rank,
 determinant, characteristic-polynomial coefficients and matrix index.
 
-Matrix products and power chains run on cleared Gaussian integers, with
-`ExactScalar` only at their ends.  A product clears each operand's
-denominators once (`clear_denominators`), multiplies the integer images row
-by column (`int_matmul`) and divides by the product of the two denominators
-once per entry.  Power chains (`power_products`, used by `rank_profile` and
-the ODE solutions) stay in the integers between steps: A^l B is
-A_int^l B_int / (q_A^l q_B), so each new power is one integer product, and
-`rank_profile` takes each power's rank on its integer image directly.
+Matrix products, scalings and power chains run on cleared Gaussian
+integers, with `ExactScalar` only at their ends.  A product clears each
+operand's denominators once (`clear_denominators`), multiplies the integer
+images row by column (`int_matmul`) and divides by the product of the two
+denominators once per entry; `scale` does the same with the cleared factor.
+Power chains (`power_products`, used by `rank_profile` and the ODE
+solutions) stay in the integers between steps: A^l B is
+A_int^l B_int / (q_A^l q_B), so each new power is one integer product.
+`rank_profile` takes each power's rank on its integer image directly and
+builds a power as an `ExactMatrix` only when a caller reads it.
 
 Rank and determinant run fraction-free (Bareiss) over Gaussian integers after
 clearing denominators, which bounds intermediate bit growth.  The
@@ -22,11 +24,10 @@ lists are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
 
 from .scalar import ONE, ZERO, ExactScalar, RationalLike
 
@@ -166,8 +167,19 @@ class ExactMatrix:
         return _from_int(*int_matmul(a_re, a_im, b_re, b_im), qa * qb)
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
+        # (re + i im)/q times (sr + i si)/qs, in Z[i] and divided once
         s = _as_scalar(factor)
-        return ExactMatrix(self.rows, self.cols, [s * e for e in self.entries])
+        qs = lcm(s.re.denominator, s.im.denominator)
+        sr = s.re.numerator * (qs // s.re.denominator)
+        si = s.im.numerator * (qs // s.im.denominator)
+        a_re, a_im, q = clear_denominators(self)
+        if si:
+            out_re = [[x * sr - y * si for x, y in zip(*rows)] for rows in zip(a_re, a_im)]
+            out_im = [[x * si + y * sr for x, y in zip(*rows)] for rows in zip(a_re, a_im)]
+        else:
+            out_re = [[x * sr for x in row] for row in a_re]
+            out_im = [[y * sr for y in row] for row in a_im]
+        return _from_int(out_re, out_im, q * qs)
 
     def power(self, exponent: int) -> "ExactMatrix":
         if not self.is_square:
@@ -301,16 +313,25 @@ def power_products(
     step is one `int_matmul` and A and B are cleared once."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    a_re, a_im, qa = a_int = clear_denominators(a)
-    p_re, p_im, q = a_int if b is a else clear_denominators(b)
-    yield b, p_re, p_im
+    a_int = clear_denominators(a)
+    b_int = a_int if b is a else clear_denominators(b)
+    yield b, b_int[0], b_int[1]
+    for p_re, p_im, q in _int_chain(a_int, b_int, side):
+        yield _from_int(p_re, p_im, q), p_re, p_im
+
+
+def _int_chain(a_int, b_int, side: str):
+    # The cleared images of A B, A^2 B, ... (or B A, B A^2, ...) with their
+    # denominators q_B q_A^l; ExactMatrix appears nowhere.
+    a_re, a_im, qa = a_int
+    p_re, p_im, q = b_int
     while True:
         if side == "left":
             p_re, p_im = int_matmul(a_re, a_im, p_re, p_im)
         else:
             p_re, p_im = int_matmul(p_re, p_im, a_re, a_im)
         q *= qa
-        yield _from_int(p_re, p_im, q), p_re, p_im
+        yield p_re, p_im, q
 
 
 def _gauss_div(tr: int, ti: int, pr: int, pi: int) -> tuple[int, int]:
@@ -528,19 +549,45 @@ def row_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
 # -- index and cached powers ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RankProfile:
-    """Rank history, index and cached powers A^0..A^(2k+1) of a square matrix."""
+    """Rank history and index of a square matrix A, and its powers A^e.
 
-    matrix: ExactMatrix
-    rank_of_power: tuple[int, ...]  # rank(A^1), rank(A^2), ...
-    index: int
-    powers: tuple[ExactMatrix, ...]  # A^0, A^1, ..., A^(2k+1)
+    The powers come from the integer power chain that found the ranks: the
+    profile keeps the cleared images of A^1, ..., A^(k+1), builds an
+    `ExactMatrix` power only when `power(e)` or `powers` reads it, and
+    extends the chain only as far as a read asks.
+    """
+
+    __slots__ = ("matrix", "rank_of_power", "index", "_images", "_chain", "_q", "_built")
+
+    def __init__(self, matrix, rank_of_power, index, images, chain, q):
+        self.matrix = matrix
+        self.rank_of_power = rank_of_power  # rank(A^1), rank(A^2), ...
+        self.index = index
+        self._images = images  # images[e - 1] is the cleared image of A^e
+        self._chain = chain
+        self._q = q
+        self._built = {1: matrix}
 
     def power(self, exponent: int) -> ExactMatrix:
-        if exponent < len(self.powers):
-            return self.powers[exponent]
-        return self.matrix.power(exponent)
+        if exponent < 0:
+            raise ValueError("negative powers are not supported here")
+        built = self._built.get(exponent)
+        if built is None:
+            if exponent == 0:
+                built = ExactMatrix.identity(self.matrix.rows)
+            else:
+                while len(self._images) < exponent:
+                    self._images.append(next(self._chain)[:2])
+                p_re, p_im = self._images[exponent - 1]
+                built = _from_int(p_re, p_im, self._q**exponent)
+            self._built[exponent] = built
+        return built
+
+    @property
+    def powers(self) -> "_Powers":
+        """A^0, A^1, ..., A^(2k+1), each built when it is read."""
+        return _Powers(self)
 
     def rank_of(self, exponent: int) -> int:
         if exponent == 0:
@@ -553,26 +600,43 @@ class RankProfile:
         return self.rank_of(self.index)
 
 
+class _Powers(Sequence):
+    """The powers A^0..A^(2k+1) of a profile; its length builds none."""
+
+    __slots__ = ("_profile",)
+
+    def __init__(self, profile: RankProfile):
+        self._profile = profile
+
+    def __len__(self) -> int:
+        return 2 * self._profile.index + 2
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return tuple(self[e] for e in range(*item.indices(len(self))))
+        if not -len(self) <= item < len(self):
+            raise IndexError("power index out of range")
+        return self._profile.power(item % len(self))
+
+
 def rank_profile(matrix: ExactMatrix) -> RankProfile:
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
-    chain = power_products(matrix, matrix, "right")  # A, A^2, A^3, ...
-    _, p_re, p_im = next(chain)
-    powers = [ExactMatrix.identity(n), matrix]
-    ranks = [int_rank(p_re, p_im)]
+    a_int = clear_denominators(matrix)
+    chain = _int_chain(a_int, a_int, "right")  # A^2, A^3, ...
+    images = [a_int[:2]]
+    ranks = [int_rank(*a_int[:2])]
     k = 0
     prev_rank = n
     while ranks[-1] != prev_rank:
         prev_rank = ranks[-1]
-        power, p_re, p_im = next(chain)
-        powers.append(power)
+        p_re, p_im, _ = next(chain)
+        images.append((p_re, p_im))
         ranks.append(int_rank(p_re, p_im))
         k += 1
     # ranks[k] == ranks[k-1] now holds; k is the index.
-    while len(powers) < 2 * k + 2:
-        powers.append(next(chain)[0])
-    return RankProfile(matrix, tuple(ranks), k, tuple(powers))
+    return RankProfile(matrix, tuple(ranks), k, images, chain, a_int[2])
 
 
 def index_of(matrix: ExactMatrix) -> int:

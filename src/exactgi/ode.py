@@ -16,12 +16,13 @@ equation telescopes to B exactly, which `substitute_check` certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 from typing import Literal
 
-from .matrix import ExactMatrix, inverse, power_products, rank_profile
+from .matrix import (
+    ExactMatrix, _from_int, clear_denominators, inverse, power_products, rank_profile,
+)
 from .minors import cramer_ratio
 from .scalar import ExactScalar
 
@@ -165,10 +166,20 @@ def _ode_partial(
             ExactMatrix(n, n, entries[j * n * n : (j + 1) * n * n]) for j in range(k + 1)
         ]
 
+    # C_j = ((-1)^(j-1)/j!) (B^(j-1) - drazin[j]), taken on cleared images
+    # and divided once per entry
     coefficients = [drazin[0]]
     for j in range(1, k + 1):
-        factor = ExactScalar(Fraction((-1) ** (j - 1), factorial(j)))
-        coefficients.append((products[j - 1] - drazin[j]).scale(factor))
+        p_re, p_im, qp = clear_denominators(products[j - 1])
+        d_re, d_im, qd = clear_denominators(drazin[j])
+        q = lcm(qp, qd)
+        sign = (-1) ** (j - 1)
+        fp, fd = sign * (q // qp), sign * (q // qd)
+        coefficients.append(_from_int(
+            [[x * fp - y * fd for x, y in zip(*rows)] for rows in zip(p_re, d_re)],
+            [[x * fp - y * fd for x, y in zip(*rows)] for rows in zip(p_im, d_im)],
+            q * factorial(j),
+        ))
     return MatrixPoly(coefficients)
 
 

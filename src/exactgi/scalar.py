@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 
 RationalLike = int | Fraction
+
+# Decimal digits per chunk when a big integer converts to or from text.  The
+# interpreter converts an int of this many digits whatever its int/str digit
+# limit (sys.get_int_max_str_digits(); the least it can be set to is 640).
+CHUNK_DIGITS = 512
 
 # A real number of the scalar literal grammar (see exactgi.documents):
 # sign? (digits/digits | digits.digits | .digits | digits).  Fraction(str)
@@ -142,18 +148,52 @@ class ExactScalar:
     def __str__(self) -> str:
         # Canonical literal, the same grammar the CLI accepts: "0", "-5/2",
         # "1/2+3i", "2-i", "3i".
+        try:
+            return self._literal(str)
+        except ValueError:  # a part too long for str(int)
+            return self._literal(_rational_text)
+
+    def _literal(self, text) -> str:
         if self.im == 0:
-            return str(self.re)
+            return text(self.re)
         if self.im == 1:
             imag = "i"
         elif self.im == -1:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
+            imag = f"{text(self.im)}i"
         if self.re == 0:
             return imag
         sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        return f"{text(self.re)}{sign}{imag}"
+
+
+@cache
+def _pow10(exponent: int) -> int:
+    return 10**exponent
+
+
+def _digits(n: int, width: int) -> str:
+    # Decimal digits of n >= 0, zero-padded to width, split at 10^k with k a
+    # power-of-two multiple of CHUNK_DIGITS.
+    if n < _pow10(CHUNK_DIGITS):
+        return str(n).zfill(width)
+    k = CHUNK_DIGITS
+    while _pow10(2 * k) <= n:
+        k *= 2
+    high, low = divmod(n, _pow10(k))
+    return _digits(high, width - k) + _digits(low, k)
+
+
+def int_text(n: int) -> str:
+    """str(n) for any size, whatever the interpreter's int/str digit limit."""
+    return "-" + _digits(-n, 0) if n < 0 else _digits(n, 0)
+
+
+def _rational_text(value: Fraction) -> str:
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
 def _coerce(value: object) -> ExactScalar:

@@ -1,7 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-from exactgi import parse_matrix_document
-from exactgi.cli import main
+import pytest
+
+import exactgi
+from exactgi import inverse, mp_inverse, parse_matrix_document, parse_scalar
+from exactgi.cli import _build_parser, main
 
 from cases import (
     AXB_DZ_A,
@@ -198,3 +204,98 @@ def test_threads_flag_is_deterministic(tmp_path, capsys):
     code2, out2, _ = run(capsys, ["pinv", "--in", a_path, "--threads", "4"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_first_call_output_in_a_fresh_process(tmp_path, capsys):
+    a_path = write(tmp_path, "A.json", LS_A)
+    src = str(Path(exactgi.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from exactgi.cli import main; "
+         "sys.exit(main(sys.argv[2:]))",
+         src, "pinv", "--in", a_path],
+        capture_output=True, text=True,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    code, row_out, err = run(capsys, ["pinv", "--form", "row", "--in", a_path])
+    assert code == 0, err
+    assert json.loads(row_out)["representation"] != json.loads(fresh.stdout)["representation"]
+    # --form row must not stick to the reused parser
+    code, out, err = run(capsys, ["pinv", "--in", a_path])
+    assert code == 0, err
+    assert out == fresh.stdout
+
+
+def test_rejected_argv_leaves_the_parser_unchanged(tmp_path, capsys):
+    a_path = write(tmp_path, "A.json", DZ_A)
+    code, before, err = run(capsys, ["dinv", "--in", a_path])
+    assert code == 0, err
+    for bad in (["dinv"], ["dinv", "--in", a_path, "--form", "diagonal"], ["nope"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(bad)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+    code, after, err = run(capsys, ["dinv", "--in", a_path])
+    assert code == 0, err
+    assert after == before
+
+
+def test_out_does_not_carry_over(tmp_path, capsys):
+    a_path = write(tmp_path, "A.json", mat([[2, 0], [0, 4]]))
+    b_path = write(tmp_path, "B.json", mat([[1, 0], [0, 1]]))
+    out_path = tmp_path / "result.json"
+    code, out, err = run(capsys, ["pinv", "--in", a_path, "--out", str(out_path)])
+    assert code == 0 and out == "", err
+    written = out_path.read_text()
+    code, out, err = run(capsys, ["pinv", "--in", b_path])
+    assert code == 0, err
+    assert json.loads(out)["entries"] == [["1", "0"], ["0", "1"]]
+    assert out_path.read_text() == written
+    assert json.loads(written)["entries"] == [["1/2", "0"], ["0", "1/4"]]
+
+
+def test_reimport_releases_old_parsers():
+    # The cached parser belongs to its module; re-imports must not pile up.
+    code = """
+import gc, sys, weakref
+sys.path.insert(0, sys.argv[1])
+parsers = []
+for _ in range(5):
+    import exactgi.cli
+    parsers.append(weakref.ref(exactgi.cli._build_parser()))
+    for name in [n for n in sys.modules if n.split(".")[0] == "exactgi"]:
+        del sys.modules[name]
+    del exactgi
+gc.collect()
+alive = sum(ref() is not None for ref in parsers)
+assert alive == 0, f"{alive} of 5 parsers are still alive"
+"""
+    src = str(Path(exactgi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# -- entries past the interpreter's int/str digit limit ------------------------------
+
+
+def test_pinv_of_entries_past_the_digit_limit(tmp_path, capsys):
+    x = 10**3000
+    a = mat([[x * x, 1], [1, x]])
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(
+        {"rows": 2, "cols": 2, "entries": [["1" + "0" * 6000, "1"], ["1", "1" + "0" * 3000]]}
+    ))
+    code, out, err = run(capsys, ["pinv", "--in", str(path)])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert parse_matrix_document(doc) == inverse(a)
+    assert parse_scalar(doc["denominator"]) == mp_inverse(a).denominator

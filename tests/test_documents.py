@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,7 +16,13 @@ from exactgi import (
     render_scalar,
     render_scalar_decimal,
 )
-from exactgi.documents import matrix_to_document, parse_csv_matrix
+import exactgi
+from exactgi.documents import (
+    MAX_LITERAL_DIGITS,
+    load_matrix,
+    matrix_to_document,
+    parse_csv_matrix,
+)
 
 from cases import mat, sc
 
@@ -99,3 +108,78 @@ def test_csv_real_matrices_only():
 def test_decimal_rendering_validation():
     with pytest.raises(DocumentError):
         render_scalar_decimal(sc(1), -1)
+
+
+# -- literals past the interpreter's int/str digit limit (4300 by default) ----
+
+REPUNIT_5001 = (10**5001 - 1) // 9  # 5001 ones, built without int(str)
+
+
+def test_5001_digit_literal_round_trips():
+    ones = "1" * 5001
+    value = parse_scalar(ones)
+    assert value == sc(REPUNIT_5001)
+    assert render_scalar(value) == ones
+    assert parse_scalar(f"-{ones}.{ones}") == sc(-REPUNIT_5001 - F(REPUNIT_5001, 10**5001))
+    mixed = parse_scalar(f"1/{ones}-{ones}i")
+    assert mixed == sc(F(1, REPUNIT_5001), -REPUNIT_5001)
+    assert parse_scalar(render_scalar(mixed)) == mixed
+
+
+def test_literal_over_the_digit_cap_is_refused():
+    for text in (
+        "7" * (MAX_LITERAL_DIGITS + 1),
+        "1/" + "3" * (MAX_LITERAL_DIGITS + 1),
+        "2+." + "5" * (MAX_LITERAL_DIGITS + 1) + "i",
+    ):
+        with pytest.raises(ScalarParseError) as err:
+            parse_scalar(text)
+        assert f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in str(err.value)
+        assert len(str(err.value)) < 300  # the literal is elided, not echoed
+    assert parse_scalar("9" * MAX_LITERAL_DIGITS) == sc(10**MAX_LITERAL_DIGITS - 1)
+
+
+def test_json_integers_share_the_cap(tmp_path):
+    path = tmp_path / "A.json"
+    path.write_text('{"rows": 1, "cols": 2, "entries": [[-%s, "1"]]}' % ("1" * 5001))
+    assert load_matrix(str(path)) == mat([[-REPUNIT_5001, 1]])
+    path.write_text('{"rows": 1, "cols": 1, "entries": [[%s]]}' % ("1" * (MAX_LITERAL_DIGITS + 1)))
+    with pytest.raises(DocumentError, match="MAX_LITERAL_DIGITS"):
+        load_matrix(str(path))
+
+
+def test_huge_values_render_and_parse_back():
+    x = 10**5000
+    for value in (
+        sc(x),
+        sc(F(-x - 3, x // 10 + 7), F(x + 1, 3)),
+        sc(0, -x),
+        sc(F(1, x + 1), 1),
+    ):
+        assert parse_scalar(render_scalar(value)) == value
+    assert render_scalar_decimal(sc(F(x, 3)), 2) == "3" * 5000 + ".33"
+
+
+def test_digits_convert_whatever_the_interpreter_limit():
+    # The interpreter's least allowed limit is 640 digits; parsing and
+    # rendering must not depend on it (and must not change it).
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from exactgi import parse_scalar, render_scalar
+ones = "1" * 5001
+value = parse_scalar(ones + "/7-" + ones + ".5i")
+repunit = (10**5001 - 1) // 9
+assert value.re == Fraction(repunit, 7) and value.im == -repunit - Fraction(1, 2)
+assert parse_scalar(render_scalar(value)) == value
+assert sys.get_int_max_str_digits() == 640
+"""
+    src = str(Path(exactgi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", code, src],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -339,3 +339,45 @@ def test_trace_and_hermitian():
     assert h.is_hermitian()
     assert h.trace() == sc(5)
     assert not mat([[2, i], [i, 3]]).is_hermitian()
+
+
+def test_scale_matches_scalar_loop(rng):
+    factors = [
+        ExactScalar(F(3, 7), F(-5, 11)),
+        ExactScalar(F(-2, 9)),
+        ExactScalar(0, F(4, 15)),
+        ExactScalar(6),
+        ExactScalar(0),
+        F(-7, 12),
+        5,
+    ]
+    for _ in range(6):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        # 1/13 in one entry: no entry of rand_rational_matrix has 13 in its
+        # denominator, so the cleared denominator q is never 1
+        thirteenth = ExactMatrix(rows, cols, [F(1, 13)] + [0] * (rows * cols - 1))
+        for big in (False, True):
+            m = rand_rational_matrix(rng, rows, cols, big=big) + thirteenth
+            assert clear_denominators(m)[2] % 13 == 0
+            for factor in factors:
+                s = factor if isinstance(factor, ExactScalar) else ExactScalar(factor)
+                assert m.scale(factor) == ExactMatrix(rows, cols, [s * e for e in m.entries])
+
+
+def test_rank_profile_powers_on_demand(rng):
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        core = rng.randint(0, n - 2)
+        a = rand_index_matrix(rng, n, core, rng.randint(1, n - core)).scale(F(2, 3))
+        profile = rank_profile(a)
+        k = profile.index
+        # reads out of order and past 2k+1 extend the same chain
+        for e in (k + 1, 0, 2 * k + 4, k, 1, 2 * k + 2):
+            assert profile.power(e) == a.power(e)
+        assert profile.power(k) is profile.power(k)
+        assert profile.powers[-1] == a.power(2 * k + 1)
+        assert profile.powers[1:3] == (a, a.power(2))
+        with pytest.raises(IndexError):
+            profile.powers[2 * k + 2]
+        with pytest.raises(ValueError):
+            profile.power(-1)
