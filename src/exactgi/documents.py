@@ -5,6 +5,7 @@ Scalar literal grammar (whitespace-insensitive at the seams):
     scalar  := sign? part (sign part)?      at most one part carries "i"
     part    := number "i" | "i" | number
     number  := digits "/" digits | digits "." digits | "." digits | digits
+    digits  := one or more of the ASCII digits 0-9
 
 Examples: "3", "-5/2", "1/2+3i", "-i", "2-0.5i".  Decimal literals convert
 exactly ("-10.5" becomes -21/2).  Rendering produces the same grammar back
@@ -26,15 +27,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .matrix import ExactMatrix
-from .scalar import CHUNK_DIGITS, ExactScalar, int_text
-
-# The most digits one run of digits in a scalar literal (a numerator, a
-# denominator, either side of a decimal point) or one JSON integer may hold.
-MAX_LITERAL_DIGITS = 100_000
+from .scalar import CHUNK_DIGITS, MAX_LITERAL_DIGITS, ExactScalar, _int_of, int_text
 
 
 class DocumentError(ValueError):
@@ -49,82 +47,68 @@ class ScalarParseError(DocumentError):
         super().__init__(f"invalid scalar {shown!r} at position {position}: {reason}")
 
 
-def _int_of(digits: str) -> int:
-    # int(digits) in halves of at most CHUNK_DIGITS digits at the leaves
+# sign-free number: digits, then "." digits or "/" digits; the scan checks
+# which parts are empty.  [0-9], not \d: only ASCII digits are digits here.
+_NUMBER = re.compile(r"([0-9]*)(?:\.([0-9]*)|/([0-9]*))?")
+
+
+def _digits_value(digits: str, text: str, start: int) -> int:
+    """The value of a digit run of text at start, refused over the cap."""
     if len(digits) <= CHUNK_DIGITS:
         return int(digits)
-    k = len(digits) // 2
-    return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
-
-
-def _digits_value(text: str, start: int, end: int) -> int:
-    """The value of the digit run text[start:end], refused over the cap."""
-    if end - start <= CHUNK_DIGITS:
-        return int(text[start:end])
-    if end - start > MAX_LITERAL_DIGITS:
+    if len(digits) > MAX_LITERAL_DIGITS:
         raise ScalarParseError(
             text, start, f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
         )
-    return _int_of(text[start:end])
+    return _int_of(digits)
 
 
 def _json_int(text: str) -> int:
     if text.startswith("-"):
-        return -_digits_value(text, 1, len(text))
-    return _digits_value(text, 0, len(text))
+        return -_digits_value(text[1:], text, 1)
+    return _digits_value(text, text, 0)
 
 
 def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
     """Scan digits/digits | [digits].digits | digits; return (value, next)."""
-    start = pos
-    n = len(text)
-    while pos < n and text[pos].isdigit():
-        pos += 1
-    int_digits = pos - start
-    if pos < n and text[pos] == ".":
-        whole = _digits_value(text, start, pos) if int_digits else 0
-        pos += 1
-        frac_start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == frac_start:
-            raise ScalarParseError(text, pos, "expected digits after decimal point")
-        part = _digits_value(text, frac_start, pos)
-        scale = 10 ** (pos - frac_start)
-        return Fraction(whole * scale + part, scale), pos
-    if int_digits == 0:
+    whole, frac, den = _NUMBER.match(text, pos).groups()
+    after = pos + len(whole) + 1  # just past a "." or "/"
+    if frac is not None:
+        if not frac:
+            raise ScalarParseError(text, after, "expected digits after decimal point")
+        scale = 10 ** len(frac)
+        value = _digits_value(whole, text, pos) * scale if whole else 0
+        return Fraction(value + _digits_value(frac, text, after), scale), after + len(frac)
+    if not whole:
         raise ScalarParseError(text, pos, "expected digits")
-    numerator = _digits_value(text, start, pos)
-    if pos < n and text[pos] == "/":
-        pos += 1
-        den_start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == den_start:
-            raise ScalarParseError(text, pos, "expected denominator digits")
-        denominator = _digits_value(text, den_start, pos)
-        if denominator == 0:
-            raise ScalarParseError(text, den_start, "zero denominator")
-        return Fraction(numerator, denominator), pos
-    return Fraction(numerator), pos
+    numerator = _digits_value(whole, text, pos)
+    if den is None:
+        return Fraction(numerator), after - 1
+    if not den:
+        raise ScalarParseError(text, after, "expected denominator digits")
+    denominator = _digits_value(den, text, after)
+    if denominator == 0:
+        raise ScalarParseError(text, after, "zero denominator")
+    return Fraction(numerator, denominator), after + len(den)
 
 
 def _scan_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
     """Scan sign? (number i | i | number); return (value, imaginary, next)."""
     n = len(text)
-    sign = 1
+    negative = False
     if pos < n and text[pos] in "+-":
-        if text[pos] == "-":
-            sign = -1
+        negative = text[pos] == "-"
         pos += 1
     while pos < n and text[pos] == " ":
         pos += 1
     if pos < n and text[pos] == "i":
-        return Fraction(sign), True, pos + 1
+        return Fraction(-1 if negative else 1), True, pos + 1
     value, pos = _scan_number(text, pos)
+    if negative:
+        value = -value
     if pos < n and text[pos] == "i":
-        return sign * value, True, pos + 1
-    return sign * value, False, pos
+        return value, True, pos + 1
+    return value, False, pos
 
 
 def parse_scalar(text: str) -> ExactScalar:

@@ -118,9 +118,10 @@ def ls_solve_both(
     if r1 == 0 or r2 == 0:
         x = ExactMatrix.zeros(n, p)
         return EqSolution(x, tag, (r1, r2), None, d_rhs - a @ x @ b)
-    gram_a = a.conj_transpose() @ a  # n x n
-    gram_b = b @ b.conj_transpose()  # p x p
-    d_tilde = a.conj_transpose() @ d_rhs @ b.conj_transpose()  # n x p
+    a_star, b_star = a.conj_transpose(), b.conj_transpose()
+    gram_a = a_star @ a  # n x n
+    gram_b = b @ b_star  # p x p
+    d_tilde = a_star @ d_rhs @ b_star  # n x p
     x, inter = _contract_both(gram_a, r1, gram_b, r2, d_tilde, route, budget)
     inter["D_tilde"] = d_tilde
     return EqSolution(x, tag, (r1, r2), None, d_rhs - a @ x @ b, None, inter)

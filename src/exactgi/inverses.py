@@ -27,7 +27,8 @@ from typing import Literal
 
 from .matrix import (
     ExactMatrix,
-    det,
+    clear_denominators,
+    int_det,
     inverse,
     rank,
     rank_profile,
@@ -80,12 +81,11 @@ def is_hermitian_positive_definite(matrix: ExactMatrix) -> bool:
     """Exact test: Hermitian with all leading principal minors positive."""
     if not matrix.is_hermitian():
         return False
+    # the leading minors of the image: q > 0 keeps their signs
+    re, im, _ = clear_denominators(matrix)
     for k in range(1, matrix.rows + 1):
-        leading = ExactMatrix.from_rows(
-            [list(matrix.row(i)[:k]) for i in range(1, k + 1)]
-        )
-        d = det(leading)
-        if d.im != 0 or d.re <= 0:
+        dr, di = int_det([row[:k] for row in re[:k]], [row[:k] for row in im[:k]])
+        if di or dr <= 0:
             return False
     return True
 
@@ -343,57 +343,45 @@ def verify_defining_equations(
     'w_drazin' (needs weight).  Every check is an exact equality.
     """
     a, x = matrix, candidate
-    if kind == "mp":
-        if (x.rows, x.cols) != (a.cols, a.rows):
-            raise ValueError("candidate has the wrong shape for an MP inverse")
-        results = {
-            "AXA=A": a @ x @ a == a,
-            "XAX=X": x @ a @ x == x,
-            "(AX)*=AX": (a @ x).conj_transpose() == a @ x,
-            "(XA)*=XA": (x @ a).conj_transpose() == x @ a,
-        }
-    elif kind == "weighted_mp":
-        if weights is None:
+    if kind in ("mp", "weighted_mp"):
+        if kind == "weighted_mp" and weights is None:
             raise ValueError("weighted_mp verification needs the weight pair")
         if (x.rows, x.cols) != (a.cols, a.rows):
             raise ValueError("candidate has the wrong shape for an MP inverse")
-        max_ = weights.M @ a @ x
-        nxa = weights.N @ x @ a
-        results = {
-            "AXA=A": a @ x @ a == a,
-            "XAX=X": x @ a @ x == x,
-            "(MAX)*=MAX": max_.conj_transpose() == max_,
-            "(NXA)*=NXA": nxa.conj_transpose() == nxa,
-        }
+        ax, xa = a @ x, x @ a
+        results = {"AXA=A": ax @ a == a, "XAX=X": xa @ x == x}
+        if kind == "mp":
+            results["(AX)*=AX"] = ax.conj_transpose() == ax
+            results["(XA)*=XA"] = xa.conj_transpose() == xa
+        else:
+            max_ = weights.M @ ax
+            nxa = weights.N @ xa
+            results["(MAX)*=MAX"] = max_.conj_transpose() == max_
+            results["(NXA)*=NXA"] = nxa.conj_transpose() == nxa
     elif kind in ("drazin", "group"):
         if not a.is_square or x.shape != a.shape:
             raise ValueError("Drazin verification needs square same-size matrices")
+        ax, xa = a @ x, x @ a
         if kind == "group":
-            results = {
-                "AXA=A": a @ x @ a == a,
-                "XAX=X": x @ a @ x == x,
-                "AX=XA": a @ x == x @ a,
-            }
+            results = {"AXA=A": ax @ a == a}
         else:
             profile = rank_profile(a)
             k = profile.index
-            results = {
-                "A^(k+1)X=A^k": profile.power(k + 1) @ x == profile.power(k),
-                "XAX=X": x @ a @ x == x,
-                "AX=XA": a @ x == x @ a,
-            }
+            results = {"A^(k+1)X=A^k": profile.power(k + 1) @ x == profile.power(k)}
+        results["XAX=X"] = xa @ x == x
+        results["AX=XA"] = ax == xa
     elif kind == "w_drazin":
         if weight is None:
             raise ValueError("w_drazin verification needs the weight matrix")
         if x.shape != a.shape:
             raise ValueError("candidate has the wrong shape for a weighted Drazin inverse")
-        aw = a @ weight
+        aw, xw = a @ weight, x @ weight
         profile = rank_profile(aw)
         k = max(profile.index, rank_profile(weight @ a).index)
         results = {
-            "(AW)^(k+1)XW=(AW)^k": profile.power(k + 1) @ x @ weight == profile.power(k),
-            "XWAWX=X": x @ weight @ a @ weight @ x == x,
-            "AWX=XWA": aw @ x == x @ weight @ a,
+            "(AW)^(k+1)XW=(AW)^k": profile.power(k + 1) @ xw == profile.power(k),
+            "XWAWX=X": xw @ aw @ x == x,
+            "AWX=XWA": aw @ x == xw @ a,
         }
     else:
         raise ValueError(f"unknown inverse kind {kind!r}")

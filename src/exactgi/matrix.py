@@ -1,22 +1,32 @@
 """Dense matrices over Gaussian rationals, with exact products, rank,
 determinant, characteristic-polynomial coefficients and matrix index.
 
-Matrix products, scalings and power chains run on cleared Gaussian
-integers, with `ExactScalar` only at their ends.  A product clears each
-operand's denominators once (`clear_denominators`), multiplies the integer
-images row by column (`int_matmul`) and divides by the product of the two
-denominators once per entry; `scale` does the same with the cleared factor.
-Power chains (`power_products`, used by `rank_profile` and the ODE
-solutions) stay in the integers between steps: A^l B is
-A_int^l B_int / (q_A^l q_B), so each new power is one integer product.
-`rank_profile` takes each power's rank on its integer image directly and
-builds a power as an `ExactMatrix` only when a caller reads it.
+An `ExactMatrix` stores one canonical Gaussian-integer image of its value:
+integer real and imaginary rows and the least common denominator q, so that
+the matrix is (re + i*im) / q entrywise and no smaller q would do.  The rows
+are tuples and an image is never changed in place, so `clear_denominators`
+returns the stored image itself.  The `ExactScalar` entries are a view built
+on first read (`entries`, `entry`, `row`, `col`): a product or a sum that no
+caller reads never builds them.  Equal values have equal images, so equality
+and the hash compare images.
 
-Rank and determinant run fraction-free (Bareiss) over Gaussian integers after
-clearing denominators, which bounds intermediate bit growth.  The
-characteristic-polynomial coefficients come from the trace recurrence
-(Faddeev-LeVerrier), an O(n^4) path that never enumerates minors, so it can
-serve as an independent cross-check for the minor-sum primitives.
+Arithmetic runs on the images.  A product is one Gaussian-integer product
+(`int_matmul`) over q_A q_B, a sum or difference brings both images to their
+common denominator, `scale` multiplies by the cleared factor, and transpose,
+conjugation, trace and the Frobenius norm read the image directly.  Each new
+image is reduced to its least q by one gcd pass (`_from_int`).  Power chains
+(`power_products`, used by `rank_profile` and the ODE solutions) stay in the
+integers between steps: A^l B is A_int^l B_int / (q_A^l q_B), so each new
+power is one integer product.  `rank_profile` takes each power's rank on its
+integer image and builds a power as an `ExactMatrix` only when it is read.
+
+Rank, determinant, `inverse` and `rref` share one fraction-free elimination
+on the image (`_eliminate`), which bounds intermediate bit growth: Bareiss
+for rank and determinant, Gauss-Jordan for the other two.  After
+Gauss-Jordan every pivot equals the last pivot p, and the result is divided
+by p once.  The characteristic-polynomial coefficients come from the trace
+recurrence (Faddeev-LeVerrier), an O(n^4) path that never enumerates minors,
+so it can serve as an independent cross-check for the minor-sum primitives.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -26,12 +36,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import mul, neg
 
 from .scalar import ONE, ZERO, ExactScalar, RationalLike
 
 EntryLike = ExactScalar | RationalLike
+Rows = tuple[tuple[int, ...], ...]
 
 
 def _as_scalar(value: EntryLike) -> ExactScalar:
@@ -40,10 +52,19 @@ def _as_scalar(value: EntryLike) -> ExactScalar:
     return ExactScalar(value)
 
 
-class ExactMatrix:
-    """An immutable dense m-by-n matrix of ExactScalar entries."""
+def _scalar(x: int, y: int, q: int) -> ExactScalar:
+    if not (x or y):
+        return ZERO
+    if q == 1:
+        return ExactScalar(x, y)
+    return ExactScalar(Fraction(x, q), Fraction(y, q))
 
-    __slots__ = ("rows", "cols", "entries")
+
+class ExactMatrix:
+    """An immutable dense m-by-n matrix over the Gaussian rationals, stored
+    as its canonical Gaussian-integer image (see the module docstring)."""
+
+    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
         if rows <= 0 or cols <= 0:
@@ -53,9 +74,28 @@ class ExactMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(_as_scalar(e) for e in entries)
+        scalars = tuple(map(_as_scalar, entries))
+        # the parts are canonical fractions, so the lcm of their denominators
+        # is the least common denominator
+        q = lcm(*{part.denominator for e in scalars for part in (e.re, e.im)})
+        re = tuple(e.re.numerator * (q // e.re.denominator) for e in scalars)
+        im = tuple(e.im.numerator * (q // e.im.denominator) for e in scalars)
+        starts = range(0, rows * cols, cols)
+        self.rows, self.cols, self._q, self._entries = rows, cols, q, None
+        self._re = tuple(re[s : s + cols] for s in starts)
+        self._im = tuple(im[s : s + cols] for s in starts)
+
+    @property
+    def entries(self) -> tuple[ExactScalar, ...]:
+        """The entries in row-major order, built on first read."""
+        if self._entries is None:
+            q = self._q
+            self._entries = tuple(
+                _scalar(x, y, q)
+                for row_re, row_im in zip(self._re, self._im)
+                for x, y in zip(row_re, row_im)
+            )
+        return self._entries
 
     # -- construction -----------------------------------------------------
 
@@ -103,20 +143,20 @@ class ExactMatrix:
             raise IndexError(f"column {j} outside 1..{self.cols}")
         return self.entries[j - 1 :: self.cols]
 
-    def replace_col(self, j: int, values: Sequence[ExactScalar]) -> "ExactMatrix":
+    def replace_col(self, j: int, values: Sequence[EntryLike]) -> "ExactMatrix":
+        if not 1 <= j <= self.cols:
+            raise IndexError(f"column {j} outside 1..{self.cols}")
         if len(values) != self.rows:
             raise ValueError("replacement column has the wrong length")
-        data = list(self.entries)
-        for r in range(self.rows):
-            data[r * self.cols + (j - 1)] = _as_scalar(values[r])
-        return ExactMatrix(self.rows, self.cols, data)
+        return _splice(self, ExactMatrix.column(values),
+                       lambda a, b: [x[: j - 1] + y + x[j:] for x, y in zip(a, b)])
 
-    def replace_row(self, i: int, values: Sequence[ExactScalar]) -> "ExactMatrix":
+    def replace_row(self, i: int, values: Sequence[EntryLike]) -> "ExactMatrix":
+        if not 1 <= i <= self.rows:
+            raise IndexError(f"row {i} outside 1..{self.rows}")
         if len(values) != self.cols:
             raise ValueError("replacement row has the wrong length")
-        data = list(self.entries)
-        data[(i - 1) * self.cols : i * self.cols] = [_as_scalar(v) for v in values]
-        return ExactMatrix(self.rows, self.cols, data)
+        return _splice(self, ExactMatrix.row_vector(values), lambda a, b: a[: i - 1] + b + a[i:])
 
     def to_lists(self) -> list[list[ExactScalar]]:
         return [list(self.row(i)) for i in range(1, self.rows + 1)]
@@ -132,7 +172,7 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not (any(map(any, self._re)) or any(map(any, self._im)))
 
     def is_column(self) -> bool:
         return self.cols == 1
@@ -143,28 +183,21 @@ class ExactMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return _image(_negated(self._re), _negated(self._im), self._q)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a_re, a_im, qa = clear_denominators(self)
-        b_re, b_im, qb = clear_denominators(other)
-        return _from_int(*int_matmul(a_re, a_im, b_re, b_im), qa * qb)
+        return _from_int(*int_matmul(self._re, self._im, other._re, other._im),
+                         self._q * other._q)
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
         # (re + i im)/q times (sr + i si)/qs, in Z[i] and divided once
@@ -172,14 +205,14 @@ class ExactMatrix:
         qs = lcm(s.re.denominator, s.im.denominator)
         sr = s.re.numerator * (qs // s.re.denominator)
         si = s.im.numerator * (qs // s.im.denominator)
-        a_re, a_im, q = clear_denominators(self)
+        a_re, a_im = self._re, self._im
         if si:
             out_re = [[x * sr - y * si for x, y in zip(*rows)] for rows in zip(a_re, a_im)]
             out_im = [[x * si + y * sr for x, y in zip(*rows)] for rows in zip(a_re, a_im)]
         else:
             out_re = [[x * sr for x in row] for row in a_re]
             out_im = [[y * sr for y in row] for row in a_im]
-        return _from_int(out_re, out_im, q * qs)
+        return _from_int(out_re, out_im, self._q * qs)
 
     def power(self, exponent: int) -> "ExactMatrix":
         if not self.is_square:
@@ -197,32 +230,23 @@ class ExactMatrix:
         return result
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
-        )
+        return _image(tuple(zip(*self._re)), tuple(zip(*self._im)), self._q)
 
     def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [e.conjugate() for e in self.entries])
+        return _image(self._re, _negated(self._im), self._q)
 
     def conj_transpose(self) -> "ExactMatrix":
-        return self.transpose().conjugate()
+        return _image(tuple(zip(*self._re)), _negated(zip(*self._im)), self._q)
 
     def trace(self) -> ExactScalar:
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.entries[i * self.cols + i]
-        return acc
+        return _scalar(sum(row[i] for i, row in enumerate(self._re)),
+                       sum(row[i] for i, row in enumerate(self._im)), self._q)
 
     def frobenius_norm_sq(self) -> Fraction:
         """Sum of |entry|^2 as an exact rational."""
-        total = Fraction(0)
-        for e in self.entries:
-            total += e.abs_squared()
-        return total
+        return Fraction(sum(x * x for row in self._re + self._im for x in row), self._q**2)
 
     def is_hermitian(self) -> bool:
         return self.is_square and self == self.conj_transpose()
@@ -230,10 +254,10 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return self._q == other._q and self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self._q, self._re, self._im))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -241,61 +265,90 @@ class ExactMatrix:
         )
         return f"ExactMatrix({self.rows}x{self.cols}: [{body}])"
 
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
 
 def conj_transpose(matrix: ExactMatrix) -> ExactMatrix:
     """Conjugate transpose; an involution."""
     return matrix.conj_transpose()
 
 
+# -- the stored image -----------------------------------------------------------
+
+
+def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
+    # a matrix from a canonical image with tuple rows, as it is
+    matrix = object.__new__(ExactMatrix)
+    matrix.rows, matrix.cols = len(re), len(re[0])
+    matrix._re, matrix._im, matrix._q, matrix._entries = re, im, q, None
+    return matrix
+
+
+def _negated(rows) -> Rows:
+    return tuple(tuple(map(neg, row)) for row in rows)
+
+
+def clear_denominators(matrix: ExactMatrix) -> tuple[Rows, Rows, int]:
+    """The stored image: integer real/imaginary rows and the least common
+    denominator q, so that matrix == (re + i*im) / q entrywise."""
+    return matrix._re, matrix._im, matrix._q
+
+
+def _from_int(re_rows, im_rows, q: int) -> ExactMatrix:
+    """The matrix (re + i*im) / q, q > 0, reduced by one gcd pass to its
+    canonical image; the inverse of `clear_denominators`."""
+    g = gcd(q, *chain(*re_rows), *chain(*im_rows)) if q != 1 else 1
+    if g == 1:
+        return _image(tuple(map(tuple, re_rows)), tuple(map(tuple, im_rows)), q)
+    return _image(tuple(tuple(x // g for x in row) for row in re_rows),
+                  tuple(tuple(y // g for y in row) for row in im_rows), q // g)
+
+
+def _over(re_rows, im_rows, pr: int, pi: int, num: int = 1, den: int = 1) -> ExactMatrix:
+    """The matrix num (re + i*im) / (den p), p = pr + i*pi nonzero, divided
+    once per entry: (re + i*im) conj(p) / (den |p|^2)."""
+    return _from_int(
+        [[num * (x * pr + y * pi) for x, y in zip(*rows)] for rows in zip(re_rows, im_rows)],
+        [[num * (y * pr - x * pi) for x, y in zip(*rows)] for rows in zip(re_rows, im_rows)],
+        den * (pr * pr + pi * pi),
+    )
+
+
+def _combine(a: ExactMatrix, b: ExactMatrix, sign: int) -> ExactMatrix:
+    # a + sign * b over the common denominator of the two
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    q = lcm(a._q, b._q)
+    fa, fb = q // a._q, sign * (q // b._q)
+    return _from_int(
+        [[x * fa + y * fb for x, y in zip(*rows)] for rows in zip(a._re, b._re)],
+        [[x * fa + y * fb for x, y in zip(*rows)] for rows in zip(a._im, b._im)],
+        q,
+    )
+
+
+def _splice(a: ExactMatrix, b: ExactMatrix, join) -> ExactMatrix:
+    # join(a part, b part) of the real and the imaginary rows, over the common
+    # denominator of the two
+    q = lcm(a._q, b._q)
+    fa, fb = q // a._q, q // b._q
+    re, im = (
+        join([[x * fa for x in row] for row in ga], [[x * fb for x in row] for row in gb])
+        for ga, gb in ((a._re, b._re), (a._im, b._im))
+    )
+    return _from_int(re, im, q)
+
+
 # -- Gaussian-integer elimination core ----------------------------------------
 
 
-def clear_denominators(matrix: ExactMatrix) -> tuple[list[list[int]], list[list[int]], int]:
-    """Return integer real/imaginary parts and the common denominator q,
-    so that matrix == (re + i*im) / q entrywise."""
-    entries = matrix.entries
-    q = lcm(*{part.denominator for e in entries for part in (e.re, e.im)})
-    if q == 1:
-        re = [e.re.numerator for e in entries]
-        im = [e.im.numerator for e in entries]
-    else:
-        re = [e.re.numerator * (q // e.re.denominator) for e in entries]
-        im = [e.im.numerator * (q // e.im.denominator) for e in entries]
-    cols = matrix.cols
-    starts = range(0, len(entries), cols)
-    return [re[s : s + cols] for s in starts], [im[s : s + cols] for s in starts], q
-
-
-def _from_int(re_rows: list[list[int]], im_rows: list[list[int]], q: int) -> ExactMatrix:
-    """The matrix (re + i*im) / q; the inverse of `clear_denominators`."""
-    entries = []
-    for row_re, row_im in zip(re_rows, im_rows):
-        for x, y in zip(row_re, row_im):
-            if not (x or y):
-                entries.append(ZERO)
-            elif q == 1:
-                entries.append(ExactScalar(x, y))
-            else:
-                entries.append(ExactScalar(Fraction(x, q), Fraction(y, q)))
-    return ExactMatrix(len(re_rows), len(re_rows[0]), entries)
-
-
-def int_matmul(
-    a_re: list[list[int]], a_im: list[list[int]],
-    b_re: list[list[int]], b_im: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
+def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, list]:
     """The product of two Gaussian-integer matrices given as real and
-    imaginary parts."""
+    imaginary rows."""
     cols_re = list(zip(*b_re))
     cols_im = list(zip(*b_im))
     # re = xr.yr - xi.yi and im = xr.yi + xi.yr, each as one dot product of
     # concatenated vectors
-    left_re = [xr + [-v for v in xi] for xr, xi in zip(a_re, a_im)]
-    left_im = [xr + xi for xr, xi in zip(a_re, a_im)]
+    left_re = [(*xr, *map(neg, xi)) for xr, xi in zip(a_re, a_im)]
+    left_im = [(*xr, *xi) for xr, xi in zip(a_re, a_im)]
     right_re = [yr + yi for yr, yi in zip(cols_re, cols_im)]
     right_im = [yi + yr for yr, yi in zip(cols_re, cols_im)]
     out_re = [[sum(map(mul, x, y)) for y in right_re] for x in left_re]
@@ -305,23 +358,21 @@ def int_matmul(
 
 def power_products(
     a: ExactMatrix, b: ExactMatrix, side: str = "left"
-) -> Iterator[tuple[ExactMatrix, list[list[int]], list[list[int]]]]:
+) -> Iterator[tuple[ExactMatrix, Rows, Rows]]:
     """Yield B, A B, A^2 B, ... (side "left") or B, B A, B A^2, ... (side
-    "right"), each with the real and imaginary parts of its cleared image.
+    "right"), each with the real and imaginary rows of an integer image
+    (B's own image first, then A_int^l B_int over q_A^l q_B).
 
-    The chain stays in Z[i]: A^l B == A_int^l B_int / (q_A^l q_B), so each
-    step is one `int_matmul` and A and B are cleared once."""
+    The chain stays in Z[i], so each step is one `int_matmul`."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    a_int = clear_denominators(a)
-    b_int = a_int if b is a else clear_denominators(b)
-    yield b, b_int[0], b_int[1]
-    for p_re, p_im, q in _int_chain(a_int, b_int, side):
+    yield b, b._re, b._im
+    for p_re, p_im, q in _int_chain(clear_denominators(a), clear_denominators(b), side):
         yield _from_int(p_re, p_im, q), p_re, p_im
 
 
 def _int_chain(a_int, b_int, side: str):
-    # The cleared images of A B, A^2 B, ... (or B A, B A^2, ...) with their
+    # The integer images of A B, A^2 B, ... (or B A, B A^2, ...) over the
     # denominators q_B q_A^l; ExactMatrix appears nowhere.
     a_re, a_im, qa = a_int
     p_re, p_im, q = b_int
@@ -334,87 +385,68 @@ def _int_chain(a_int, b_int, side: str):
         yield p_re, p_im, q
 
 
-def _gauss_div(tr: int, ti: int, pr: int, pi: int) -> tuple[int, int]:
-    # Exact division in Z[i]; Bareiss guarantees divisibility.
-    if pi == 0:
-        return tr // pr, ti // pr
-    norm = pr * pr + pi * pi
-    return (tr * pr + ti * pi) // norm, (ti * pr - tr * pi) // norm
+def int_rank(re_rows: Rows, im_rows: Rows) -> int:
+    """Rank of a Gaussian-integer matrix by fraction-free elimination."""
+    return len(_eliminate(re_rows, im_rows, len(re_rows[0]) if re_rows else 0, False)[4])
 
 
-def int_rank(re_rows: list[list[int]], im_rows: list[list[int]]) -> int:
-    """Rank of a Gaussian-integer matrix by fraction-free elimination with
-    full pivoting."""
-    ar = [row[:] for row in re_rows]
-    ai = [row[:] for row in im_rows]
+def int_det(re_rows: Rows, im_rows: Rows) -> tuple[int, int]:
+    """Determinant of a square Gaussian-integer matrix via Bareiss elimination."""
+    n = len(re_rows)
+    _, _, pr, pi, pivots, sign = _eliminate(re_rows, im_rows, n, False)
+    return (sign * pr, sign * pi) if len(pivots) == n else (0, 0)
+
+
+def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
+    """Fraction-free elimination of a Gaussian-integer matrix with row
+    pivoting on its first `width` columns in order: Bareiss on the rows below
+    each pivot, or Gauss-Jordan (`jordan`) on every other row.
+
+    A step on pivot k (row y) turns each row x it reaches into
+    (k x - x[c] y) / p, p the previous pivot, exact by Sylvester's identity:
+    each pivot is a leading minor of the row-permuted matrix, the last one
+    its determinant when every column has a pivot.  Under Gauss-Jordan the
+    earlier pivots become k with each step, so at the end every pivot equals
+    the last one, p, and the reduced echelon form is the result divided by
+    p.  Returns the rows, p, the 0-based pivot columns and the sign of the
+    row permutation."""
+    ar = [list(row) for row in re_rows]
+    ai = [list(row) for row in im_rows]
     m = len(ar)
-    n = len(ar[0]) if m else 0
-    pr, pi = 1, 0
-    rank_found = 0
-    for k in range(min(m, n)):
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if ar[i][j] or ai[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
+    pr, pi, sign = 1, 0, 1
+    pivots: list[int] = []
+    for col in range(width):
+        row = len(pivots)
+        for found in range(row, m):
+            if ar[found][col] or ai[found][col]:
                 break
-        if pivot is None:
+        else:
+            continue
+        if found != row:
+            ar[row], ar[found], ai[row], ai[found] = ar[found], ar[row], ai[found], ai[row]
+            sign = -sign
+        yr, yi = ar[row], ai[row]
+        kr, ki = yr[col], yi[col]
+        # (k x - m y) / p = (k' x - m' y) / |p|^2 with k' = k conj(p), m' = m conj(p)
+        if pi:
+            norm, ur, ui = pr * pr + pi * pi, kr * pr + ki * pi, ki * pr - kr * pi
+        else:
+            norm, ur, ui = pr, kr, ki
+        for i in range(0 if jordan else row + 1, m):
+            if i == row:
+                continue
+            xr, xi = ar[i], ai[i]
+            mr, mi = xr[col], xi[col]
+            vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
+            ar[i] = [(a * ur - b * ui - vr * c + vi * d) // norm
+                     for a, b, c, d in zip(xr, xi, yr, yi)]
+            ai[i] = [(a * ui + b * ur - vr * d - vi * c) // norm
+                     for a, b, c, d in zip(xr, xi, yr, yi)]
+        pr, pi = kr, ki
+        pivots.append(col)
+        if row + 1 == m:
             break
-        pi_row, pj_col = pivot
-        if pi_row != k:
-            ar[k], ar[pi_row] = ar[pi_row], ar[k]
-            ai[k], ai[pi_row] = ai[pi_row], ai[k]
-        if pj_col != k:
-            for row in ar:
-                row[k], row[pj_col] = row[pj_col], row[k]
-            for row in ai:
-                row[k], row[pj_col] = row[pj_col], row[k]
-        rank_found += 1
-        kr, ki = ar[k][k], ai[k][k]
-        for i in range(k + 1, m):
-            air, aii = ar[i][k], ai[i][k]
-            for j in range(k + 1, n):
-                tr = ar[i][j] * kr - ai[i][j] * ki - (air * ar[k][j] - aii * ai[k][j])
-                ti = ar[i][j] * ki + ai[i][j] * kr - (air * ai[k][j] + aii * ar[k][j])
-                ar[i][j], ai[i][j] = _gauss_div(tr, ti, pr, pi)
-            ar[i][k] = ai[i][k] = 0
-        pr, pi = kr, ki
-    return rank_found
-
-
-def int_det(ar_in: list[list[int]], ai_in: list[list[int]]) -> tuple[int, int]:
-    """Determinant of a Gaussian-integer matrix via Bareiss elimination."""
-    ar = [row[:] for row in ar_in]
-    ai = [row[:] for row in ai_in]
-    n = len(ar)
-    if n == 0:
-        return 1, 0
-    if n == 1:
-        return ar[0][0], ai[0][0]
-    sign = 1
-    pr, pi = 1, 0
-    for k in range(n - 1):
-        if not (ar[k][k] or ai[k][k]):
-            for s in range(k + 1, n):
-                if ar[s][k] or ai[s][k]:
-                    ar[k], ar[s] = ar[s], ar[k]
-                    ai[k], ai[s] = ai[s], ai[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, 0
-        kr, ki = ar[k][k], ai[k][k]
-        for i in range(k + 1, n):
-            air, aii = ar[i][k], ai[i][k]
-            for j in range(k + 1, n):
-                tr = ar[i][j] * kr - ai[i][j] * ki - (air * ar[k][j] - aii * ai[k][j])
-                ti = ar[i][j] * ki + ai[i][j] * kr - (air * ai[k][j] + aii * ar[k][j])
-                ar[i][j], ai[i][j] = _gauss_div(tr, ti, pr, pi)
-            ar[i][k] = ai[i][k] = 0
-        pr, pi = kr, ki
-    return sign * ar[n - 1][n - 1], sign * ai[n - 1][n - 1]
+    return ar, ai, pr, pi, pivots, sign
 
 
 # -- rank / determinant / characteristic polynomial ---------------------------
@@ -422,18 +454,15 @@ def int_det(ar_in: list[list[int]], ai_in: list[list[int]]) -> tuple[int, int]:
 
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank via fraction-free elimination."""
-    re_rows, im_rows, _ = clear_denominators(matrix)
-    return int_rank(re_rows, im_rows)
+    return int_rank(matrix._re, matrix._im)
 
 
 def det(matrix: ExactMatrix) -> ExactScalar:
     """Exact determinant via Bareiss elimination."""
     if not matrix.is_square:
         raise ValueError("determinant needs a square matrix")
-    re_rows, im_rows, q = clear_denominators(matrix)
-    dr, di = int_det(re_rows, im_rows)
-    scale = Fraction(1, q) ** matrix.rows
-    return ExactScalar(dr * scale, di * scale)
+    dr, di = int_det(matrix._re, matrix._im)
+    return _scalar(dr, di, matrix._q**matrix.rows)
 
 
 def char_poly_coeffs(matrix: ExactMatrix) -> tuple[ExactScalar, ...]:
@@ -461,89 +490,46 @@ def char_poly_coeffs(matrix: ExactMatrix) -> tuple[ExactScalar, ...]:
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by fraction-free Gauss-Jordan elimination.
 
     Raises ZeroDivisionError if the matrix is singular.
     """
     if not matrix.is_square:
         raise ValueError("inverse needs a square matrix")
     n = matrix.rows
-    a = matrix.to_lists()
-    b = ExactMatrix.identity(n).to_lists()
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is singular")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        b[col] = [x / pivot for x in b[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-    return ExactMatrix.from_rows(b)
+    eye = ExactMatrix.identity(n)._re
+    zero = (0,) * n
+    re, im, pr, pi, pivots, _ = _eliminate(
+        [row + e for row, e in zip(matrix._re, eye)], [row + zero for row in matrix._im], n, True
+    )
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    # [A_int | I] became [p I | p A_int^(-1)], and A^(-1) = q A_int^(-1)
+    return _over([row[n:] for row in re], [row[n:] for row in im], pr, pi, matrix._q)
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the 1-based pivot columns."""
-    a = matrix.to_lists()
-    m, n = matrix.rows, matrix.cols
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(row, m):
-            if not a[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        pivot = a[row][col]
-        a[row] = [x / pivot for x in a[row]]
-        for r in range(m):
-            if r == row or a[r][col].is_zero():
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col + 1)
-        row += 1
-        if row == m:
-            break
-    return ExactMatrix.from_rows(a), tuple(pivots)
+    re, im, pr, pi, pivots, _ = _eliminate(matrix._re, matrix._im, matrix.cols, True)
+    return _over(re, im, pr, pi), tuple(c + 1 for c in pivots)
 
 
 def column_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
     """Exact membership of candidate's columns in the column space."""
     if candidate.rows != matrix.rows:
         raise ValueError("column counts do not line up for membership test")
-    augmented = ExactMatrix(
-        matrix.rows,
-        matrix.cols + candidate.cols,
-        [
-            e
-            for i in range(1, matrix.rows + 1)
-            for e in (*matrix.row(i), *candidate.row(i))
-        ],
-    )
-    return rank(augmented) == rank(matrix)
+    # scaling a block of columns keeps the rank, so the images join as they are
+    augmented = [a + c for a, c in zip(matrix._re, candidate._re)]
+    augmented_im = [a + c for a, c in zip(matrix._im, candidate._im)]
+    return int_rank(augmented, augmented_im) == rank(matrix)
 
 
 def row_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
     """Exact membership of candidate's rows in the row space."""
     if candidate.cols != matrix.cols:
         raise ValueError("row lengths do not line up for membership test")
-    stacked = ExactMatrix.from_rows(matrix.to_lists() + candidate.to_lists())
-    return rank(stacked) == rank(matrix)
+    stacked = matrix._re + candidate._re, matrix._im + candidate._im
+    return int_rank(*stacked) == rank(matrix)
 
 
 # -- index and cached powers ---------------------------------------------------

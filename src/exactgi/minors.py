@@ -54,9 +54,7 @@ from math import comb
 from operator import mul
 from typing import Iterator, Sequence
 
-from .matrix import (
-    ExactMatrix, _from_int, _gauss_div, clear_denominators, int_det, int_matmul,
-)
+from .matrix import ExactMatrix, _from_int, _over, clear_denominators, int_det, int_matmul
 from .scalar import ONE, ExactScalar
 
 DEFAULT_WORK_BUDGET = 10**8
@@ -263,6 +261,14 @@ def kernel_work(n: int, r: int, s: int) -> int:
     return comb(n, r) * 2 * r**3 + n * n * s
 
 
+def _gauss_div(tr: int, ti: int, pr: int, pi: int) -> tuple[int, int]:
+    # Exact division in Z[i]; Sylvester's identity guarantees divisibility.
+    if pi == 0:
+        return tr // pr, ti // pr
+    norm = pr * pr + pi * pi
+    return (tr * pr + ti * pi) // norm, (ti * pr - tr * pi) // norm
+
+
 def _step(ar, ai, pivot, col, pr, pi):
     """One fraction-free Gauss-Jordan step in place, on row `pivot` and
     column col; returns the pivot k = y[col].  Every other row x becomes
@@ -437,7 +443,8 @@ def _adjugate_sum(re_rows, im_rows, r):
         return (l_re, l_im, sum(row[i] for i, row in enumerate(re_rows)),
                 sum(row[i] for i, row in enumerate(im_rows)))
     det = [0, 0]
-    stack = [_visit((re_rows, im_rows, list(range(n)), 0, [], 1, 0), r, l_re, l_im, det)]
+    root = ([list(row) for row in re_rows], [list(row) for row in im_rows], list(range(n)))
+    stack = [_visit((*root, 0, [], 1, 0), r, l_re, l_im, det)]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -503,11 +510,8 @@ def cramer_ratio(
     """The Cramer solution N / d_r over one base, and d_r (see
     `adjugate_product`)."""
     n_re, n_im, d_re, d_im, q, qv = _kernel(base, r, vectors, side, budget)
-    norm = d_re * d_re + d_im * d_im
-    if not norm:
+    if not (d_re or d_im):
         raise ZeroDivisionError("division by zero scalar")
-    # N / d_r = N_int q conj(d_int) / (q_V |d_int|^2), divided once per entry
-    x_re = [[q * (a * d_re + b * d_im) for a, b in zip(ra, rb)] for ra, rb in zip(n_re, n_im)]
-    x_im = [[q * (b * d_re - a * d_im) for a, b in zip(ra, rb)] for ra, rb in zip(n_re, n_im)]
+    # N / d_r = N_int q / (q_V d_int), divided once per entry
     d = ExactScalar(Fraction(d_re, q**r), Fraction(d_im, q**r))
-    return _from_int(x_re, x_im, qv * norm), d
+    return _over(n_re, n_im, d_re, d_im, q, qv), d

@@ -16,6 +16,7 @@ equation telescopes to B exactly, which `substitute_check` certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm
 from typing import Literal
@@ -150,37 +151,37 @@ def _ode_partial(
     base = profile.power(k + 1)
     if r == 0:
         drazin = [ExactMatrix.zeros(n, n)] * (k + 1)
-    elif side == "left":
-        stacked = ExactMatrix.from_rows(
-            [[e for p in sources for e in p.row(i)] for i in range(1, n + 1)]
-        )
-        rows = cramer_ratio(base, r, stacked, "column", budget)[0].to_lists()
+    else:
+        # the blocks on top of each other (right) or, through transposes,
+        # side by side (left); the result splits into blocks the same way
+        turn = ExactMatrix.transpose if side == "left" else (lambda m: m)
+        stacked = turn(_on_top([turn(p) for p in sources]))
+        solved = cramer_ratio(base, r, stacked, "column" if side == "left" else "row", budget)
+        x_re, x_im, q = clear_denominators(turn(solved[0]))
         drazin = [
-            ExactMatrix.from_rows([row[j * n : (j + 1) * n] for row in rows])
+            turn(_from_int(x_re[j * n : (j + 1) * n], x_im[j * n : (j + 1) * n], q))
             for j in range(k + 1)
         ]
-    else:
-        stacked = ExactMatrix(n * (k + 1), n, [e for p in sources for e in p.entries])
-        entries = cramer_ratio(base, r, stacked, "row", budget)[0].entries
-        drazin = [
-            ExactMatrix(n, n, entries[j * n * n : (j + 1) * n * n]) for j in range(k + 1)
-        ]
 
-    # C_j = ((-1)^(j-1)/j!) (B^(j-1) - drazin[j]), taken on cleared images
-    # and divided once per entry
+    # C_j = ((-1)^(j-1)/j!) (B^(j-1) - drazin[j])
     coefficients = [drazin[0]]
     for j in range(1, k + 1):
-        p_re, p_im, qp = clear_denominators(products[j - 1])
-        d_re, d_im, qd = clear_denominators(drazin[j])
-        q = lcm(qp, qd)
-        sign = (-1) ** (j - 1)
-        fp, fd = sign * (q // qp), sign * (q // qd)
-        coefficients.append(_from_int(
-            [[x * fp - y * fd for x, y in zip(*rows)] for rows in zip(p_re, d_re)],
-            [[x * fp - y * fd for x, y in zip(*rows)] for rows in zip(p_im, d_im)],
-            q * factorial(j),
-        ))
+        coefficients.append(
+            (products[j - 1] - drazin[j]).scale(Fraction((-1) ** (j - 1), factorial(j)))
+        )
     return MatrixPoly(coefficients)
+
+
+def _on_top(blocks: list[ExactMatrix]) -> ExactMatrix:
+    # the blocks stacked on top of each other, over their common denominator
+    q = lcm(*(clear_denominators(block)[2] for block in blocks))
+    re: list = []
+    im: list = []
+    for block in blocks:
+        b_re, b_im, qb = clear_denominators(block)
+        re += [[x * (q // qb) for x in row] for row in b_re]
+        im += [[y * (q // qb) for y in row] for row in b_im]
+    return _from_int(re, im, q)
 
 
 def substitute_check(

@@ -19,10 +19,24 @@ RationalLike = int | Fraction
 # limit (sys.get_int_max_str_digits(); the least it can be set to is 640).
 CHUNK_DIGITS = 512
 
+# The most digits one run of digits in a scalar literal (a numerator, a
+# denominator, either side of a decimal point) or one JSON integer may hold;
+# a longer run is refused before any conversion.
+MAX_LITERAL_DIGITS = 100_000
+
 # A real number of the scalar literal grammar (see exactgi.documents):
 # sign? (digits/digits | digits.digits | .digits | digits).  Fraction(str)
 # alone would also take exponents, underscores and surrounding whitespace.
-_REAL_LITERAL = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]*\.[0-9]+|[0-9]+)")
+_REAL_LITERAL = re.compile(r"([+-]?)(?:([0-9]+)/([0-9]+)|([0-9]*)\.([0-9]+)|([0-9]+))")
+
+
+def _int_of(digits: str) -> int:
+    # int(digits) for a run of ASCII digits of any length, in halves of at
+    # most CHUNK_DIGITS digits at the leaves
+    if len(digits) <= CHUNK_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
 
 
 def _as_fraction(value: RationalLike | str) -> Fraction:
@@ -31,9 +45,21 @@ def _as_fraction(value: RationalLike | str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        if _REAL_LITERAL.fullmatch(value) is None:
+        match = _REAL_LITERAL.fullmatch(value)
+        if match is None:
             raise ValueError(f"invalid rational literal {value!r}")
-        return Fraction(value)
+        sign, *runs = match.groups()
+        if any(run and len(run) > MAX_LITERAL_DIGITS for run in runs):
+            raise ValueError(f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
+        num, den, whole, frac, integer = runs
+        if integer is not None:
+            result = Fraction(_int_of(integer))
+        elif num is not None:
+            result = Fraction(_int_of(num), _int_of(den))
+        else:
+            scale = 10 ** len(frac)
+            result = Fraction(_int_of(whole or "0") * scale + _int_of(frac), scale)
+        return -result if sign == "-" else result
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
@@ -41,8 +67,10 @@ class ExactScalar:
     """A complex number with Fraction real and imaginary parts.
 
     Each part is an int, a Fraction or a string in the real-number form of
-    the scalar literal grammar ("-5/2", "0.5", ".5"); any other string raises
-    ValueError, and bool is not a number here (TypeError).
+    the scalar literal grammar ("-5/2", "0.5", ".5"); any other string, or a
+    run of more than MAX_LITERAL_DIGITS digits, raises ValueError, and bool
+    is not a number here (TypeError).  Digit runs of any length below the cap
+    convert whatever the interpreter's int/str digit limit.
     """
 
     __slots__ = ("re", "im")

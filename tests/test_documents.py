@@ -183,3 +183,20 @@ assert sys.get_int_max_str_digits() == 640
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+# -- only ASCII digits are digits ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("²", 0), ("1/²", 2), ("1.²", 2), ("٣", 0), ("٣/2", 0), ("1+٣i", 2), ("1/٣", 2)],
+)
+def test_non_ascii_digits_are_refused(text, position):
+    # str.isdigit() takes superscripts and other scripts' digits; int()
+    # rejects the first and takes the second, the grammar neither
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar(text)
+    assert err.value.position == position
+    with pytest.raises(DocumentError):
+        parse_matrix_document({"rows": 1, "cols": 1, "entries": [[text]]})

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import islice
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -381,3 +381,125 @@ def test_rank_profile_powers_on_demand(rng):
             profile.powers[2 * k + 2]
         with pytest.raises(ValueError):
             profile.power(-1)
+
+
+# -- the stored Gaussian-integer image -----------------------------------------------
+
+
+def reference_gauss_jordan(a, b=None):
+    """Gauss-Jordan on ExactScalar rows, pivoting in column order: the
+    reduced echelon form of a (with b carried along) and the pivot columns.
+    The reference for `inverse` and `rref`."""
+    a = a.to_lists()
+    b = b.to_lists() if b is not None else [[] for _ in a]
+    pivots = []
+    for col in range(len(a[0])):
+        row = len(pivots)
+        found = next((r for r in range(row, len(a)) if not a[r][col].is_zero()), None)
+        if found is None:
+            continue
+        a[row], a[found], b[row], b[found] = a[found], a[row], b[found], b[row]
+        pivot = a[row][col]
+        a[row] = [x / pivot for x in a[row]]
+        b[row] = [x / pivot for x in b[row]]
+        for r in range(len(a)):
+            factor = a[r][col]
+            if r != row and not factor.is_zero():
+                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+                b[r] = [x - factor * y for x, y in zip(b[r], b[row])]
+        pivots.append(col + 1)
+        if len(pivots) == len(a):
+            break
+    return ExactMatrix.from_rows(a), ExactMatrix.from_rows(b) if b[0] else None, tuple(pivots)
+
+
+def assert_same_value(m, reference):
+    """Equal, hash-equal, and equal to the matrix rebuilt from its own
+    entries, with the entries equal too."""
+    assert m == reference and hash(m) == hash(reference)
+    rebuilt = ExactMatrix(m.rows, m.cols, m.entries)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert m.entries == reference.entries
+
+
+_small_rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9]))
+_small_gaussian = st.builds(ExactScalar, _small_rationals, _small_rationals)
+
+
+def _small_matrices(rows, cols):
+    # small parts, so that sums and products cancel and reduce often
+    return st.lists(_small_gaussian, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: ExactMatrix(rows, cols, entries)
+    )
+
+
+@given(st.data())
+def test_products_and_sums_equal_and_hash_like_entry_built_values(data):
+    p, q, r = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(_small_matrices(p, q))
+    b, b2 = data.draw(_small_matrices(q, r)), data.draw(_small_matrices(q, r))
+    assert_same_value(a @ b, reference_matmul(a, b))
+    assert_same_value(b + b2, ExactMatrix(q, r, [x + y for x, y in zip(b.entries, b2.entries)]))
+    assert_same_value(b - b2, ExactMatrix(q, r, [x - y for x, y in zip(b.entries, b2.entries)]))
+    # the sum's denominators cancel back to b's own
+    assert_same_value((b + b2) - b2, b)
+    assert_same_value(-b, ExactMatrix(q, r, [-x for x in b.entries]))
+    assert_same_value(b.transpose(), ExactMatrix(r, q, [e for col in zip(*b.to_lists()) for e in col]))
+    assert_same_value(b.conjugate(), ExactMatrix(q, r, [x.conjugate() for x in b.entries]))
+    assert_same_value(b.conj_transpose(), b.transpose().conjugate())
+
+
+@given(st.data())
+def test_inverse_and_rref_match_the_scalar_elimination(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(_small_matrices(n, data.draw(st.integers(1, 4))))
+    reduced, _, pivots = reference_gauss_jordan(m)
+    assert rref(m)[1] == pivots
+    assert_same_value(rref(m)[0], reduced)
+    square = data.draw(_small_matrices(n, n))
+    if rank(square) < n:
+        with pytest.raises(ZeroDivisionError):
+            inverse(square)
+    else:
+        _, inv, _ = reference_gauss_jordan(square, ExactMatrix.identity(n))
+        assert_same_value(inverse(square), inv)
+
+
+@given(st.data())
+def test_clear_denominators_returns_the_least_q(data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    for m in (data.draw(_small_matrices(rows, cols)), data.draw(_matrices(rows, cols))):
+        for value in (m, m @ m.conj_transpose(), m + m, m.scale(F(3, 2))):
+            re, im, q = clear_denominators(value)
+            parts = [p for e in value.entries for p in (e.re, e.im)]
+            assert q == lcm(*(p.denominator for p in parts))
+            assert gcd(q, *(x for row in re + im for x in row)) == 1
+            assert [F(x, q) for row in re for x in row] == parts[0::2]
+            assert [F(y, q) for row in im for y in row] == parts[1::2]
+
+
+def test_a_returned_image_cannot_change_the_matrix(rng):
+    m = rand_rational_matrix(rng, 3, 3) + ExactMatrix.identity(3)
+    copy = ExactMatrix(3, 3, m.entries)
+    re, im, q = clear_denominators(m)
+    assert isinstance(re, tuple) and all(isinstance(row, tuple) for row in re + im)
+    with pytest.raises(TypeError):
+        re[0][0] = 0
+    with pytest.raises(TypeError):
+        im[0] = (1, 2, 3)
+    # the eliminations and products work on copies of the image
+    rank(m), det(m), rref(m), char_poly_coeffs(m), m @ m, m.power(3)
+    if rank(m) == 3:
+        inverse(m)
+    next(islice(power_products(m, m), 1, None))
+    assert clear_denominators(m) == (re, im, q)
+    assert m == copy and m.entries == copy.entries
+
+
+def test_replace_checks_the_index():
+    m = mat([[1, 2], [3, 4]])
+    with pytest.raises(IndexError):
+        m.replace_col(3, [sc(1), sc(1)])
+    with pytest.raises(IndexError):
+        m.replace_row(0, [sc(1), sc(1)])
+    assert m.replace_col(1, [F(1, 2), sc(0, 1)]) == mat([[F(1, 2), 2], [sc(0, 1), 4]])

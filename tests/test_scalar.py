@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactgi import ExactScalar
+from exactgi.scalar import MAX_LITERAL_DIGITS
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -110,3 +111,24 @@ def test_string_forms():
     assert str(ExactScalar(0, -1)) == "-i"
     assert str(ExactScalar(2, -1)) == "2-i"
     assert str(ExactScalar(0, F(3, 4))) == "3/4i"
+
+
+# -- string parts past the interpreter's int/str digit limit --------------------------
+
+REPUNIT_5001 = (10**5001 - 1) // 9  # 5001 ones, built without int(str)
+
+
+def test_5001_digit_string_parts():
+    ones = "1" * 5001
+    assert ExactScalar(ones) == ExactScalar(REPUNIT_5001)
+    assert ExactScalar("-" + ones, f"1/{ones}") == ExactScalar(-REPUNIT_5001, F(1, REPUNIT_5001))
+    assert ExactScalar(f"{ones}.{ones}").re == REPUNIT_5001 + F(REPUNIT_5001, 10**5001)
+    assert ExactScalar(f".{ones}").re == F(REPUNIT_5001, 10**5001)
+
+
+def test_string_part_over_the_digit_cap_is_refused():
+    for text in ("7" * (MAX_LITERAL_DIGITS + 1), "1/" + "3" * (MAX_LITERAL_DIGITS + 1),
+                 "-." + "5" * (MAX_LITERAL_DIGITS + 1)):
+        with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
+            ExactScalar(text)
+    assert ExactScalar("9" * MAX_LITERAL_DIGITS) == ExactScalar(10**MAX_LITERAL_DIGITS - 1)
