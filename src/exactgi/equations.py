@@ -2,7 +2,9 @@
 
 Least squares variants produce the minimum-norm least squares solution
 (A+B, BA+, A+DB+); Drazin variants produce A^D B, B A^D and A^D D B^D.
-Every entry of X is a ratio of minor sums; no inverse is ever formed.
+Every entry of X is a ratio of minor sums; no inverse is ever formed.  Each
+solver evaluates the Cramer rule of its inverse (`inverses._CramerRule`) on
+B, or, for AXB=D, the column rule of A and the row rule of B on D.
 
 For AXB=D the rank pattern of (A, B) picks one of four formula branches.
 All four run through the same minor-sum code path (a full-rank side makes
@@ -23,14 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .matrix import (
-    ExactMatrix,
-    column_space_contains,
-    rank,
-    rank_profile,
-    row_space_contains,
-)
-from .minors import adjugate_product, cramer_ratio
+from .inverses import _CramerRule, _drazin_rule, _mp_rule
+from .matrix import ExactMatrix, column_space_contains, rank_profile, row_space_contains
+from .minors import adjugate_product
 from .scalar import ONE
 
 Route = Literal["auto", "dB", "dA"]
@@ -52,6 +49,17 @@ class EqSolution:
 # -- least squares ------------------------------------------------------------------
 
 
+def _solve_one(rule: _CramerRule, a: ExactMatrix, b: ExactMatrix, budget: int | None):
+    """X = G B (column rule) or B G (row rule), the residual of A X = B or
+    X A = B, and the replacement block as the intermediate."""
+    x, _, block = rule.apply(b, budget)
+    if block is None:  # X = 0
+        return x, b, {}
+    if rule.side == "column":
+        return x, b - a @ x, {"B_hat": block}
+    return x, b - x @ a, {"B_check": block}
+
+
 def ls_solve_left(
     a: ExactMatrix, b: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
@@ -59,16 +67,11 @@ def ls_solve_left(
     m, n = a.shape
     if b.rows != m:
         raise ValueError(f"B must have {m} rows, got {b.rows}")
-    s = b.cols
-    r = rank(a)
-    if r == 0:
-        x = ExactMatrix.zeros(n, s)
-        return EqSolution(x, "zero_rank", (r,), None, b - a @ x)
-    a_star = a.conj_transpose()
-    b_hat = a_star @ b
-    x, _ = cramer_ratio(a_star @ a, r, b_hat, "column", budget)
-    tag = "full_column_rank" if r == n else "rank_deficient"
-    return EqSolution(x, tag, (r,), None, b - a @ x, None, {"B_hat": b_hat})
+    rule = _mp_rule(a, "column")
+    r = rule.r
+    tag = "zero_rank" if r == 0 else "full_column_rank" if r == n else "rank_deficient"
+    x, residual, inter = _solve_one(rule, a, b, budget)
+    return EqSolution(x, tag, (r,), None, residual, None, inter)
 
 
 def ls_solve_right(
@@ -78,16 +81,11 @@ def ls_solve_right(
     m, n = a.shape
     if b.cols != n:
         raise ValueError(f"B must have {n} columns, got {b.cols}")
-    s = b.rows
-    r = rank(a)
-    if r == 0:
-        x = ExactMatrix.zeros(s, m)
-        return EqSolution(x, "zero_rank", (r,), None, b - x @ a)
-    a_star = a.conj_transpose()
-    b_check = b @ a_star
-    x, _ = cramer_ratio(a @ a_star, r, b_check, "row", budget)
-    tag = "full_row_rank" if r == m else "rank_deficient"
-    return EqSolution(x, tag, (r,), None, b - x @ a, None, {"B_check": b_check})
+    rule = _mp_rule(a, "row")
+    r = rule.r
+    tag = "zero_rank" if r == 0 else "full_row_rank" if r == m else "rank_deficient"
+    x, residual, inter = _solve_one(rule, a, b, budget)
+    return EqSolution(x, tag, (r,), None, residual, None, inter)
 
 
 def _axb_case_tag(r1: int, n: int, r2: int, p: int) -> str:
@@ -112,46 +110,43 @@ def ls_solve_both(
     p, q = b.shape
     if d_rhs.shape != (m, q):
         raise ValueError(f"D must be {m}x{q}, got {d_rhs.shape}")
-    r1 = rank(a)
-    r2 = rank(b)
-    tag = _axb_case_tag(r1, n, r2, p)
-    if r1 == 0 or r2 == 0:
-        x = ExactMatrix.zeros(n, p)
-        return EqSolution(x, tag, (r1, r2), None, d_rhs - a @ x @ b)
-    a_star, b_star = a.conj_transpose(), b.conj_transpose()
-    gram_a = a_star @ a  # n x n
-    gram_b = b @ b_star  # p x p
-    d_tilde = a_star @ d_rhs @ b_star  # n x p
-    x, inter = _contract_both(gram_a, r1, gram_b, r2, d_tilde, route, budget)
-    inter["D_tilde"] = d_tilde
-    return EqSolution(x, tag, (r1, r2), None, d_rhs - a @ x @ b, None, inter)
+    left, right = _mp_rule(a, "column"), _mp_rule(b, "row")
+    x, inter = _contract_both(left, right, d_rhs, route, budget)
+    tag = _axb_case_tag(left.r, n, right.r, p)
+    residual = d_rhs - a @ x @ b if inter else d_rhs
+    return EqSolution(x, tag, (left.r, right.r), None, residual, None, inter)
 
 
 def _contract_both(
-    left: ExactMatrix,
-    r1: int,
-    right: ExactMatrix,
-    r2: int,
-    d_tilde: ExactMatrix,
+    left: _CramerRule,
+    right: _CramerRule,
+    d_rhs: ExactMatrix,
     route: Route,
     budget: int | None,
 ) -> tuple[ExactMatrix, dict[str, ExactMatrix]]:
-    """Shared two-stage contraction for the AXB solvers: X = L1 D~ L2 / (d1 d2).
+    """Shared two-stage contraction for the AXB solvers: X = L1 D~ L2 / (d1 d2)
+    with D~ = F1 D F2, from the column rule (L1, d1, F1) of the A side and the
+    row rule (L2, d2, F2) of the B side.
 
-    left is the n x n matrix whose column-replaced sums give the A side,
-    right the p x p matrix whose row-replaced sums give the B side.  The
-    first stage's undivided sums are returned as the intermediate.
+    The intermediates are D~ and the first stage's undivided sums; there are
+    none when a side has rank 0, and X is zero.
     """
     if route not in ("auto", "dB", "dA"):
         raise ValueError(f"unknown route {route!r}")
+    if left.r == 0 or right.r == 0:
+        return ExactMatrix.zeros(left.shape[0], right.shape[1]), {}
+    left_base, left_factor = left.parts()
+    right_base, right_factor = right.parts()
+    d_tilde = left_factor @ d_rhs @ right_factor
     if route == "dA":
-        d_a, d_left = adjugate_product(left, r1, d_tilde, "column", budget)
-        x, d_right = adjugate_product(right, r2, d_a, "row", budget)
+        d_a, d_left = adjugate_product(left_base, left.r, d_tilde, "column", budget)
+        x, d_right = adjugate_product(right_base, right.r, d_a, "row", budget)
         inter = {"d_A": d_a}
     else:
-        d_b, d_right = adjugate_product(right, r2, d_tilde, "row", budget)
-        x, d_left = adjugate_product(left, r1, d_b, "column", budget)
+        d_b, d_right = adjugate_product(right_base, right.r, d_tilde, "row", budget)
+        x, d_left = adjugate_product(left_base, left.r, d_b, "column", budget)
         inter = {"d_B": d_b}
+    inter["D_tilde"] = d_tilde
     return x.scale(ONE / (d_left * d_right)), inter
 
 
@@ -167,18 +162,13 @@ def dz_solve_left(
     n = a.rows
     if b.rows != n:
         raise ValueError(f"B must have {n} rows, got {b.rows}")
-    s = b.cols
     profile = rank_profile(a)
     k = profile.index
-    r = profile.core_rank
     constraint = column_space_contains(profile.power(k), b)
-    if r == 0:
-        x = ExactMatrix.zeros(n, s)
-        return EqSolution(x, "nilpotent", (r,), (k,), b - a @ x, constraint)
-    b_hat = profile.power(k) @ b
-    x, _ = cramer_ratio(profile.power(k + 1), r, b_hat, "column", budget)
-    tag = "nonsingular" if k == 0 else "singular"
-    return EqSolution(x, tag, (r,), (k,), b - a @ x, constraint, {"B_hat": b_hat})
+    rule = _drazin_rule(profile, "column")
+    tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
+    x, residual, inter = _solve_one(rule, a, b, budget)
+    return EqSolution(x, tag, (rule.r,), (k,), residual, constraint, inter)
 
 
 def dz_solve_right(
@@ -190,18 +180,13 @@ def dz_solve_right(
     m = a.rows
     if b.cols != m:
         raise ValueError(f"B must have {m} columns, got {b.cols}")
-    s = b.rows
     profile = rank_profile(a)
     k = profile.index
-    r = profile.core_rank
     constraint = row_space_contains(profile.power(k), b)
-    if r == 0:
-        x = ExactMatrix.zeros(s, m)
-        return EqSolution(x, "nilpotent", (r,), (k,), b - x @ a, constraint)
-    b_check = b @ profile.power(k)
-    x, _ = cramer_ratio(profile.power(k + 1), r, b_check, "row", budget)
-    tag = "nonsingular" if k == 0 else "singular"
-    return EqSolution(x, tag, (r,), (k,), b - x @ a, constraint, {"B_check": b_check})
+    rule = _drazin_rule(profile, "row")
+    tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
+    x, residual, inter = _solve_one(rule, a, b, budget)
+    return EqSolution(x, tag, (rule.r,), (k,), residual, constraint, inter)
 
 
 def dz_solve_both(
@@ -221,17 +206,11 @@ def dz_solve_both(
     pa = rank_profile(a)
     pb = rank_profile(b)
     k1, k2 = pa.index, pb.index
-    r1, r2 = pa.core_rank, pb.core_rank
     constraint = column_space_contains(pa.power(k1), d_rhs) and row_space_contains(
         pb.power(k2), d_rhs
     )
-    if r1 == 0 or r2 == 0:
-        x = ExactMatrix.zeros(n, m)
-        return EqSolution(x, "nilpotent", (r1, r2), (k1, k2), d_rhs - a @ x @ b, constraint)
-    d_tilde = pa.power(k1) @ d_rhs @ pb.power(k2)
-    x, inter = _contract_both(
-        pa.power(k1 + 1), r1, pb.power(k2 + 1), r2, d_tilde, route, budget
-    )
-    inter["D_tilde"] = d_tilde
-    tag = "nonsingular" if k1 == 0 and k2 == 0 else "singular"
-    return EqSolution(x, tag, (r1, r2), (k1, k2), d_rhs - a @ x @ b, constraint, inter)
+    left, right = _drazin_rule(pa, "column"), _drazin_rule(pb, "row")
+    x, inter = _contract_both(left, right, d_rhs, route, budget)
+    tag = "nilpotent" if not inter else "singular" if k1 or k2 else "nonsingular"
+    residual = d_rhs - a @ x @ b if inter else d_rhs
+    return EqSolution(x, tag, (left.r, right.r), (k1, k2), residual, constraint, inter)

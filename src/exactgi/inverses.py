@@ -4,15 +4,18 @@ Moore-Penrose, weighted Moore-Penrose, Drazin, group and weighted Drazin
 inverses, the four projector formulas, independent oracles built on exact
 rank factorization, and the defining-equation verifiers.
 
-Each inverse entry is a ratio of minor sums over a single Gram-like square
-matrix, so full-rank inputs route through the same code path (the constrained
-subset family degenerates to a singleton and the formula becomes the
-classical adjugate ratio).  Rank-0 and nilpotent inputs return the zero
-matrix, matching the unique solutions of the defining equations.
+Every generalized inverse G here is one Cramer rule: the generalized
+adjugate L_r of a square base (`minors.cramer_ratio`), applied to a factor
+times the block B and divided once by the principal-minor sum d_r,
 
-Every formula is one call of the generalized-adjugate kernel
-(`minors.cramer_ratio`) on its base matrix and replacement block,
-divided once by the principal-minor sum d_r.
+    G B = L_r(base) (factor B) / d_r      on the column side,
+    B G = (B factor) L_r(base) / d_r      on the row side,
+
+and G itself when B is left out.  `_CramerRule` states it once per G for the
+inverses, the projectors and the solvers of `solve` and `equations`.  A
+full-rank input takes the same path (the subset family is a singleton: the
+classical adjugate ratio).  Rank-0 and nilpotent inputs give the zero matrix,
+the unique solution of the defining equations, building no base or factor.
 
 All functions are pure.  The `threads` parameter is accepted for
 compatibility and ignored: evaluation is sequential, because the kernel
@@ -22,11 +25,13 @@ pure-Python arithmetic under the interpreter lock.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .matrix import (
     ExactMatrix,
+    RankProfile,
     clear_denominators,
     int_det,
     inverse,
@@ -91,13 +96,93 @@ def is_hermitian_positive_definite(matrix: ExactMatrix) -> bool:
 
 
 def _resolve_form(form: Form, column_cost: int, row_cost: int) -> str:
-    if form == "column":
-        return "column"
-    if form == "row":
-        return "row"
-    if form != "auto":
+    if form == "auto":
+        return "column" if column_cost <= row_cost else "row"
+    if form not in ("column", "row"):
         raise ValueError(f"unknown form {form!r}")
-    return "column" if column_cost <= row_cost else "row"
+    return form
+
+
+class _CramerRule(NamedTuple):
+    """The Cramer rule of one generalized inverse G (see the module
+    docstring): its side, the order r of the minor sums, the index k, the
+    shape of G, and `parts()`, which builds (base, factor), so that a rank-0
+    rule builds neither."""
+
+    side: str
+    r: int
+    k: int
+    shape: tuple[int, int]
+    parts: Callable[[], tuple[ExactMatrix, ExactMatrix]]
+
+    @property
+    def order(self) -> int:
+        """The order of the base."""
+        return self.shape[0] if self.side == "column" else self.shape[1]
+
+    def apply(self, block: ExactMatrix | None = None, budget: int | None = None):
+        """(G B, d_r, factor B) on the column side, (B G, d_r, B factor) on the
+        row side, with G in place of G B when `block` is None.  At rank 0 the
+        product is zero, d_r is 1 and the replacement block is None."""
+        if self.r == 0:
+            rows, cols = self.shape
+            if block is not None:
+                rows, cols = (rows, block.cols) if self.side == "column" else (block.rows, cols)
+            return ExactMatrix.zeros(rows, cols), ONE, None
+        base, vectors = self.parts()
+        if block is not None:
+            vectors = vectors @ block if self.side == "column" else block @ vectors
+        return (*cramer_ratio(base, self.r, vectors, self.side, budget), vectors)
+
+    def report(self, budget: int | None) -> GiReport:
+        x, d, _ = self.apply(None, budget)
+        if self.r == self.order:
+            rep = FULL_RANK_ADJOINT
+        else:
+            rep = ROW_FORM if self.side == "row" and self.r else COLUMN_FORM
+        return GiReport(x, self.r, self.k, rep, d)
+
+
+def _mp_rule(matrix: ExactMatrix, form: Form) -> _CramerRule:
+    m, n = matrix.shape
+    r = rank(matrix)
+    side = _resolve_form(form, kernel_work(n, r, m), kernel_work(m, r, n))
+
+    def parts():
+        a_star = matrix.conj_transpose()
+        return (a_star @ matrix if side == "column" else matrix @ a_star), a_star
+
+    return _CramerRule(side, r, 0, (n, m), parts)
+
+
+def _drazin_rule(profile: RankProfile, form: Form) -> _CramerRule:
+    k = profile.index
+    n = profile.matrix.rows
+    side = _resolve_form(form, 0, 0)  # both sides cost the same
+    return _CramerRule(
+        side, profile.core_rank, k, (n, n), lambda: (profile.power(k + 1), profile.power(k))
+    )
+
+
+def _w_drazin_rule(
+    matrix: ExactMatrix, weight: ExactMatrix, form: Form
+) -> tuple[_CramerRule, RankProfile]:
+    """The rule of the W-weighted Drazin inverse, and the rank profile of WA."""
+    m, n = matrix.shape
+    if weight.shape != (n, m):
+        raise ValueError(f"weight must be {n}x{m} for a {m}x{n} matrix")
+    aw = rank_profile(matrix @ weight)
+    wa = rank_profile(weight @ matrix)
+    k = max(aw.index, wa.index)
+    r = aw.core_rank  # rank((AW)^k): k >= Ind(AW)
+    side = _resolve_form(form, kernel_work(m, r, n), kernel_work(n, r, m))
+
+    def parts():
+        if side == "column":
+            return aw.power(k + 2), aw.power(k) @ matrix
+        return wa.power(k + 2), matrix @ wa.power(k)
+
+    return _CramerRule(side, r, k, (m, n), parts), wa
 
 
 # -- Moore-Penrose ---------------------------------------------------------------
@@ -111,19 +196,7 @@ def mp_inverse(
 ) -> GiReport:
     """Moore-Penrose inverse by minor sums over A*A (column form) or AA*
     (row form)."""
-    m, n = matrix.shape
-    r = rank(matrix)
-    if r == 0:
-        return GiReport(ExactMatrix.zeros(n, m), 0, 0, COLUMN_FORM, ONE)
-    chosen = _resolve_form(form, kernel_work(n, r, m), kernel_work(m, r, n))
-    a_star = matrix.conj_transpose()
-    if chosen == "column":
-        x, d = cramer_ratio(a_star @ matrix, r, a_star, "column", budget)
-        rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
-    else:
-        x, d = cramer_ratio(matrix @ a_star, r, a_star, "row", budget)
-        rep = FULL_RANK_ADJOINT if r == m else ROW_FORM
-    return GiReport(x, r, 0, rep, d)
+    return _mp_rule(matrix, form).report(budget)
 
 
 def mp_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
@@ -162,13 +235,12 @@ def weighted_mp_inverse(
         raise ValueError(
             f"weights must be {m}x{m} and {n}x{n} for a {m}x{n} matrix"
         )
-    r = rank(matrix)
-    if r == 0:
-        return GiReport(ExactMatrix.zeros(n, m), 0, 0, COLUMN_FORM, ONE)
-    a_sharp = inverse(weights.N) @ matrix.conj_transpose() @ weights.M
-    x, d = cramer_ratio(a_sharp @ matrix, r, a_sharp, "column", budget)
-    rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
-    return GiReport(x, r, 0, rep, d)
+
+    def parts():
+        a_sharp = inverse(weights.N) @ matrix.conj_transpose() @ weights.M
+        return a_sharp @ matrix, a_sharp
+
+    return _CramerRule("column", rank(matrix), 0, (n, m), parts).report(budget)
 
 
 # -- Drazin and group -----------------------------------------------------------
@@ -184,20 +256,7 @@ def drazin_inverse(
     taken from A^k, k = Ind(A)."""
     if not matrix.is_square:
         raise ValueError("the Drazin inverse needs a square matrix")
-    profile = rank_profile(matrix)
-    n = matrix.rows
-    k = profile.index
-    r = profile.core_rank
-    if r == 0:
-        return GiReport(ExactMatrix.zeros(n, n), 0, k, COLUMN_FORM, ONE)
-    cost = kernel_work(n, r, n)
-    chosen = _resolve_form(form, cost, cost)
-    x, d = cramer_ratio(profile.power(k + 1), r, profile.power(k), chosen, budget)
-    if r == n:
-        rep = FULL_RANK_ADJOINT
-    else:
-        rep = COLUMN_FORM if chosen == "column" else ROW_FORM
-    return GiReport(x, r, k, rep, d)
+    return _drazin_rule(rank_profile(matrix), form).report(budget)
 
 
 def drazin_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
@@ -233,13 +292,10 @@ def group_inverse(
             f"group inverse does not exist: index is {profile.index} > 1"
         )
     n = matrix.rows
-    square = profile.power(2)
-    r = profile.core_rank  # rank(A^2): the index is at most 1
-    if r == 0:
-        return GiReport(ExactMatrix.zeros(n, n), 0, profile.index, COLUMN_FORM, ONE)
-    x, d = cramer_ratio(square, r, matrix, "column", budget)
-    rep = FULL_RANK_ADJOINT if r == n else COLUMN_FORM
-    return GiReport(x, r, profile.index, rep, d)
+    # core_rank is rank(A^2): the index is at most 1
+    return _CramerRule(
+        "column", profile.core_rank, profile.index, (n, n), lambda: (profile.power(2), matrix)
+    ).report(budget)
 
 
 # -- weighted Drazin ---------------------------------------------------------------
@@ -255,23 +311,7 @@ def w_drazin_inverse(
     """Weighted Drazin inverse of a rectangular A with respect to W, by minor
     sums over (AW)^(k+2) with columns of (AW)^k A, or over (WA)^(k+2) with
     rows of A(WA)^k; k = max(Ind(AW), Ind(WA))."""
-    m, n = matrix.shape
-    if weight.shape != (n, m):
-        raise ValueError(f"weight must be {n}x{m} for a {m}x{n} matrix")
-    aw = rank_profile(matrix @ weight)
-    wa = rank_profile(weight @ matrix)
-    k = max(aw.index, wa.index)
-    r = aw.core_rank  # rank((AW)^k): k >= Ind(AW)
-    if r == 0:
-        return GiReport(ExactMatrix.zeros(m, n), 0, k, COLUMN_FORM, ONE)
-    chosen = _resolve_form(form, kernel_work(m, r, n), kernel_work(n, r, m))
-    if chosen == "column":
-        x, d = cramer_ratio(aw.power(k + 2), r, aw.power(k) @ matrix, "column", budget)
-        rep = FULL_RANK_ADJOINT if r == m else COLUMN_FORM
-    else:
-        x, d = cramer_ratio(wa.power(k + 2), r, matrix @ wa.power(k), "row", budget)
-        rep = FULL_RANK_ADJOINT if r == n else ROW_FORM
-    return GiReport(x, r, k, rep, d)
+    return _w_drazin_rule(matrix, weight, form)[0].report(budget)
 
 
 # -- projectors ---------------------------------------------------------------------
@@ -296,23 +336,17 @@ def projector(
     * ``drazin_right`` A^D A
     """
     if which in ("in", "out"):
-        r = rank(matrix)
-        if which == "in":
-            base, side = matrix.conj_transpose() @ matrix, "column"
-        else:
-            base, side = matrix @ matrix.conj_transpose(), "row"
+        rule = _mp_rule(matrix, "column" if which == "in" else "row")
     elif which in ("drazin_left", "drazin_right"):
         if not matrix.is_square:
             raise ValueError("Drazin projectors need a square matrix")
-        profile = rank_profile(matrix)
-        r = profile.core_rank
-        base = profile.power(profile.index + 1)
-        side = "row" if which == "drazin_left" else "column"
+        rule = _drazin_rule(rank_profile(matrix), "row" if which == "drazin_left" else "column")
     else:
         raise ValueError(f"unknown projector kind {which!r}")
-    if r == 0:
-        return ExactMatrix.zeros(base.rows, base.rows)
-    return cramer_ratio(base, r, base, side, budget)[0]
+    if rule.r == 0:
+        return ExactMatrix.zeros(rule.order, rule.order)
+    base, _ = rule.parts()
+    return cramer_ratio(base, rule.r, base, rule.side, budget)[0]
 
 
 # -- defining-equation verification ---------------------------------------------------
