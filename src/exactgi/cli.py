@@ -86,10 +86,12 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _check_threads(args: argparse.Namespace) -> None:
+def _check_options(args: argparse.Namespace) -> None:
     # --threads is accepted for compatibility only; evaluation is sequential.
     if args.threads is not None and args.threads < 1:
         raise DocumentError("--threads must be at least 1")
+    if args.budget is not None and args.budget < 0:
+        raise DocumentError("--budget must not be negative")
 
 
 @functools.cache
@@ -186,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> dict:
     decimal = args.decimal
     budget = args.budget
-    _check_threads(args)
+    _check_options(args)
     a = load_matrix(args.matrix)
 
     if args.command == "pinv":

@@ -205,7 +205,8 @@ def parse_matrix_document(obj: Any) -> ExactMatrix:
         if key not in obj:
             raise DocumentError(f"matrix document lacks {key!r}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    # type, not isinstance: JSON true and false are bools, which are ints too
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise DocumentError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise DocumentError(f"expected {rows} entry rows")

@@ -12,19 +12,28 @@ times the block B and divided once by the principal-minor sum d_r,
     B G = (B factor) L_r(base) / d_r      on the row side,
 
 and G itself when B is left out.  `_CramerRule` states it once per G for the
-inverses, the projectors and the solvers of `solve` and `equations`.  A
-full-rank input takes the same path (the subset family is a singleton: the
+inverses, the projectors and the solvers of `solve` and `equations`:
+
+    inverse               column side: base, factor   row side: base, factor
+    A+                    A*A, A*                     AA*, A*
+    weighted A+ (M, N)    A#A, A# = N^-1 A* M         none
+    A^D, k = Ind(A)       A^(k+1), A^k                A^(k+1), A^k
+    group (index <= 1)    A^2, A                      none
+    W-weighted Drazin     (AW)^(k+2), (AW)^k A        (WA)^(k+2), A (WA)^k
+
+A full-rank input takes the same path (the subset family is a singleton: the
 classical adjugate ratio).  Rank-0 and nilpotent inputs give the zero matrix,
 the unique solution of the defining equations, building no base or factor.
 
-All functions are pure.  The `threads` parameter is accepted for
-compatibility and ignored: evaluation is sequential, because the kernel
-works per subset rather than per entry, and threads gave no speedup on
-pure-Python arithmetic under the interpreter lock.
+All functions are pure.  The `threads` parameter is deprecated and ignored,
+and passing it warns: evaluation is sequential, because the kernel works per
+subset rather than per entry, and threads gave no speedup on pure-Python
+arithmetic under the interpreter lock.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -101,6 +110,15 @@ def _resolve_form(form: Form, column_cost: int, row_cost: int) -> str:
     if form not in ("column", "row"):
         raise ValueError(f"unknown form {form!r}")
     return form
+
+
+def _warn_threads(threads: int | None, name: str) -> None:
+    if threads is not None:
+        warnings.warn(
+            f"{name}: threads= is deprecated and ignored; evaluation is sequential",
+            DeprecationWarning,
+            stacklevel=3,
+        )
 
 
 class _CramerRule(NamedTuple):
@@ -192,10 +210,11 @@ def mp_inverse(
     matrix: ExactMatrix,
     form: Form = "auto",
     budget: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GiReport:
     """Moore-Penrose inverse by minor sums over A*A (column form) or AA*
     (row form)."""
+    _warn_threads(threads, "mp_inverse")
     return _mp_rule(matrix, form).report(budget)
 
 
@@ -225,11 +244,12 @@ def weighted_mp_inverse(
     matrix: ExactMatrix,
     weights: WeightPair,
     budget: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GiReport:
     """Weighted Moore-Penrose inverse by minor sums over the weighted Gram
     matrix built from N^(-1)A*M.  Only the column-style representation
     exists; there is no row analogue."""
+    _warn_threads(threads, "weighted_mp_inverse")
     m, n = matrix.shape
     if weights.M.shape != (m, m) or weights.N.shape != (n, n):
         raise ValueError(
@@ -250,10 +270,11 @@ def drazin_inverse(
     matrix: ExactMatrix,
     form: Form = "auto",
     budget: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GiReport:
     """Drazin inverse by minor sums over A^(k+1) with replacement vectors
     taken from A^k, k = Ind(A)."""
+    _warn_threads(threads, "drazin_inverse")
     if not matrix.is_square:
         raise ValueError("the Drazin inverse needs a square matrix")
     return _drazin_rule(rank_profile(matrix), form).report(budget)
@@ -280,10 +301,11 @@ def drazin_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
 
 
 def group_inverse(
-    matrix: ExactMatrix, budget: int | None = None, threads: int = 1
+    matrix: ExactMatrix, budget: int | None = None, threads: int | None = None
 ) -> GiReport:
     """Group inverse (index at most 1) by minor sums over A^2 with
     replacement vectors from A itself."""
+    _warn_threads(threads, "group_inverse")
     if not matrix.is_square:
         raise ValueError("the group inverse needs a square matrix")
     profile = rank_profile(matrix)
@@ -306,11 +328,12 @@ def w_drazin_inverse(
     weight: ExactMatrix,
     form: Form = "auto",
     budget: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GiReport:
     """Weighted Drazin inverse of a rectangular A with respect to W, by minor
     sums over (AW)^(k+2) with columns of (AW)^k A, or over (WA)^(k+2) with
     rows of A(WA)^k; k = max(Ind(AW), Ind(WA))."""
+    _warn_threads(threads, "w_drazin_inverse")
     return _w_drazin_rule(matrix, weight, form)[0].report(budget)
 
 
@@ -324,7 +347,7 @@ def projector(
     matrix: ExactMatrix,
     which: ProjectorKind,
     budget: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ExactMatrix:
     """Projection matrices computed directly by minor sums, never by
     multiplying inverses; the replacement vectors are the base's own
@@ -335,6 +358,7 @@ def projector(
     * ``drazin_left``  AA^D
     * ``drazin_right`` A^D A
     """
+    _warn_threads(threads, "projector")
     if which in ("in", "out"):
         rule = _mp_rule(matrix, "column" if which == "in" else "row")
     elif which in ("drazin_left", "drazin_right"):

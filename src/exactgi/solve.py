@@ -47,8 +47,7 @@ class SolveReport:
 def _as_vector(values: VectorLike, shape: tuple[int, int]) -> ExactMatrix:
     """The right-hand side as a column (shape (n, 1)) or row (shape (1, n))."""
     if not isinstance(values, ExactMatrix):
-        column = shape[1] == 1
-        values = (ExactMatrix.column if column else ExactMatrix.row_vector)(list(values))
+        values = (ExactMatrix.column if shape[1] == 1 else ExactMatrix.row_vector)(list(values))
     if values.shape != shape:
         raise ValueError(f"right-hand side must be {shape[0]}x{shape[1]}, got {values.shape}")
     return values

@@ -161,6 +161,15 @@ def test_budget_exceeded_exits_3(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_negative_budget_exits_2(tmp_path, capsys):
+    a_path = write(tmp_path, "A.json", LS_A)
+    code, out, err = run(capsys, ["pinv", "--in", a_path, "--budget", "-1"])
+    assert (code, out) == (2, "")
+    assert "--budget" in err
+    code, _, _ = run(capsys, ["pinv", "--in", a_path, "--budget", "0"])
+    assert code == 3
+
+
 def test_wpinv_rejects_row_form(tmp_path, capsys):
     from exactgi import ExactMatrix
 

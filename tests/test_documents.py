@@ -96,6 +96,13 @@ def test_matrix_document_rejects_floats_and_bad_shapes():
         parse_matrix_document({"rows": 0, "cols": 1, "entries": []})
 
 
+def test_matrix_document_rejects_boolean_dimensions():
+    # JSON true is an int to Python, yet it is no more a dimension than an entry
+    for rows, cols in ((True, True), (True, 1), (1, True), (False, 1)):
+        with pytest.raises(DocumentError, match="rows and cols"):
+            parse_matrix_document({"rows": rows, "cols": cols, "entries": [["1"]]})
+
+
 def test_csv_real_matrices_only():
     m = parse_csv_matrix("1,2\n-1/2,0.25\n")
     assert m == mat([[1, 2], [F(-1, 2), F(1, 4)]])

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,10 @@ from exactgi import (
     WeightPair,
     drazin_inverse,
     drazin_inverse_oracle,
+    dz_solve_both,
     group_inverse,
     is_hermitian_positive_definite,
+    ls_solve_both,
     mp_inverse,
     mp_inverse_oracle,
     principal_minor_sum,
@@ -341,3 +344,52 @@ def test_drazin_oracle_verification_gate():
     drazin_inverse_oracle(DZ_A)
     with pytest.raises(ValueError):
         drazin_inverse_oracle(mat([[1, 2, 3], [4, 5, 6]]))
+
+
+# -- argument validation ------------------------------------------------------------
+
+
+NILPOTENT = mat([[0, 1], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mp_inverse(ExactMatrix.zeros(2, 3), form="diagonal"),
+        lambda: drazin_inverse(NILPOTENT, form="diagonal"),
+        lambda: w_drazin_inverse(
+            ExactMatrix.zeros(2, 3), mat([[1, 0], [0, 1], [1, 1]]), form="diagonal"
+        ),
+        lambda: ls_solve_both(
+            ExactMatrix.zeros(2, 3), ExactMatrix.identity(2), ExactMatrix.zeros(2, 2),
+            route="sideways",
+        ),
+        lambda: dz_solve_both(NILPOTENT, NILPOTENT, ExactMatrix.zeros(2, 2), route="sideways"),
+    ],
+    ids=["mp_inverse", "drazin_inverse", "w_drazin_inverse", "ls_solve_both", "dz_solve_both"],
+)
+def test_unknown_form_or_route_is_refused_on_degenerate_inputs(call):
+    # rank 0 and nilpotent inputs take the zero exit; the option is checked first
+    with pytest.raises(ValueError, match="unknown"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (mp_inverse, (LS_A,)),
+        (weighted_mp_inverse, (LS_A, WeightPair(ExactMatrix.identity(4), ExactMatrix.identity(4)))),
+        (drazin_inverse, (DZ_A,)),
+        (group_inverse, (ExactMatrix.identity(2),)),
+        (w_drazin_inverse, (LS_A, ExactMatrix.identity(4))),
+        (projector, (LS_A, "in")),
+    ],
+    ids=["mp_inverse", "weighted_mp_inverse", "drazin_inverse", "group_inverse",
+         "w_drazin_inverse", "projector"],
+)
+def test_threads_parameter_is_deprecated(fn, args):
+    with pytest.warns(DeprecationWarning, match=fn.__name__):
+        warned = fn(*args, threads=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fn(*args) == warned

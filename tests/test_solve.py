@@ -206,22 +206,49 @@ def test_w_drazin_forced_range_membership(rng):
 def test_single_column_reduction_matches_matrix_equation(rng):
     from exactgi import dz_solve_right, ls_solve_right
 
+    def agrees(report, solution, residual):
+        # the whole report: solution, rank, index, residual and range verdict
+        assert report.solution == solution.X
+        assert report.rank_used == solution.ranks[0]
+        assert report.index_used == (solution.indices[0] if solution.indices else 0)
+        assert report.residual_norm_sq == sc(residual.frobenius_norm_sq())
+        assert report.residual_norm_sq == sc(solution.residual.frobenius_norm_sq())
+        assert report.in_prescribed_range == solution.constraint_satisfied
+
+    zero = ExactMatrix.zeros
     for _ in range(6):
         a = rand_low_rank(rng, 4, 3, 2)
         y = rand_matrix(rng, 4, 1)
         assert ls_min_norm_solve(a, y).solution == ls_solve_left(a, y).X
+    for a in [rand_low_rank(rng, 4, 3, 2) for _ in range(3)] + [zero(4, 3)]:
+        y = rand_matrix(rng, 4, 1)
+        report = ls_min_norm_solve(a, y)
+        agrees(report, ls_solve_left(a, y), a @ report.solution - y)
     for _ in range(6):
         a = rand_matrix(rng, 3, 3, span=1)
         y = rand_matrix(rng, 3, 1)
         assert drazin_solve(a, y).solution == dz_solve_left(a, y).X
+    square = [rand_matrix(rng, 3, 3, span=1), rand_index_matrix(rng, 3, 1, 2)]
+    for a in square + [zero(3, 3), rand_index_matrix(rng, 3, 0, 3)]:
+        y = rand_matrix(rng, 3, 1)
+        report = drazin_solve(a, y)
+        agrees(report, dz_solve_left(a, y), a @ report.solution - y)
     for _ in range(6):
         a = rand_low_rank(rng, 3, 4, 2)
         y = rand_matrix(rng, 1, 4)
         assert ls_min_norm_solve_row(y, a).solution == ls_solve_right(a, y).X
+    for a in [rand_low_rank(rng, 3, 4, 2) for _ in range(3)] + [zero(3, 4)]:
+        y = rand_matrix(rng, 1, 4)
+        report = ls_min_norm_solve_row(y, a)
+        agrees(report, ls_solve_right(a, y), report.solution @ a - y)
     for _ in range(6):
         a = rand_matrix(rng, 3, 3, span=1)
         y = rand_matrix(rng, 1, 3)
         assert drazin_solve_row(y, a).solution == dz_solve_right(a, y).X
+    for a in square + [zero(3, 3), rand_index_matrix(rng, 3, 0, 3)]:
+        y = rand_matrix(rng, 1, 3)
+        report = drazin_solve_row(y, a)
+        agrees(report, dz_solve_right(a, y), report.solution @ a - y)
 
 
 def test_solver_input_validation(rng):
