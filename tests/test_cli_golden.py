@@ -18,9 +18,8 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
-
 from fractions import Fraction
+from pathlib import Path
 
 from exactgi import ExactMatrix, ExactScalar, inverse, mp_inverse_oracle, rank, rank_profile
 from exactgi.cli import main
