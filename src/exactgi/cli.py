@@ -87,9 +87,6 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    # --threads is accepted for compatibility only; evaluation is sequential.
-    if args.threads is not None and args.threads < 1:
-        raise DocumentError("--threads must be at least 1")
     if args.budget is not None and args.budget < 0:
         raise DocumentError("--budget must not be negative")
 
@@ -113,11 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         help="override the minor-sum work guard (entry operations)",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="accepted for compatibility and ignored; evaluation is sequential",
     )
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument(

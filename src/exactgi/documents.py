@@ -170,11 +170,11 @@ def render_scalar_decimal(value: ExactScalar, digits: int) -> str:
     re_text = _round_fraction(value.re, digits)
     if value.im == 0:
         return re_text
-    im_text = _round_fraction(abs(value.im), digits)
-    sign = "-" if value.im < 0 else "+"
+    # the sign comes from the rounded text, so a part that rounds to zero has none
+    im_text = _round_fraction(value.im, digits)
     if value.re == 0:
-        return f"{'-' if value.im < 0 else ''}{im_text}i"
-    return f"{re_text}{sign}{im_text}i"
+        return f"{im_text}i"
+    return f"{re_text}{'' if im_text[0] == '-' else '+'}{im_text}i"
 
 
 # -- matrix documents ---------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .inverses import _CramerRule, _drazin_rule, _mp_rule
-from .matrix import ExactMatrix, column_space_contains, rank_profile, row_space_contains
+from .matrix import ExactMatrix, _spans, rank_profile
 from .minors import adjugate_product
 from .scalar import ONE
 
@@ -164,7 +164,7 @@ def dz_solve_left(
         raise ValueError(f"B must have {n} rows, got {b.rows}")
     profile = rank_profile(a)
     k = profile.index
-    constraint = column_space_contains(profile.power(k), b)
+    constraint = _spans(profile.power(k), b, "column", profile.core_rank)
     rule = _drazin_rule(profile, "column")
     tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
     x, residual, inter = _solve_one(rule, a, b, budget)
@@ -182,7 +182,7 @@ def dz_solve_right(
         raise ValueError(f"B must have {m} columns, got {b.cols}")
     profile = rank_profile(a)
     k = profile.index
-    constraint = row_space_contains(profile.power(k), b)
+    constraint = _spans(profile.power(k), b, "row", profile.core_rank)
     rule = _drazin_rule(profile, "row")
     tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
     x, residual, inter = _solve_one(rule, a, b, budget)
@@ -206,8 +206,8 @@ def dz_solve_both(
     pa = rank_profile(a)
     pb = rank_profile(b)
     k1, k2 = pa.index, pb.index
-    constraint = column_space_contains(pa.power(k1), d_rhs) and row_space_contains(
-        pb.power(k2), d_rhs
+    constraint = _spans(pa.power(k1), d_rhs, "column", pa.core_rank) and _spans(
+        pb.power(k2), d_rhs, "row", pb.core_rank
     )
     left, right = _drazin_rule(pa, "column"), _drazin_rule(pb, "row")
     x, inter = _contract_both(left, right, d_rhs, route, budget)

@@ -516,20 +516,28 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
 
 def column_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
     """Exact membership of candidate's columns in the column space."""
-    if candidate.rows != matrix.rows:
-        raise ValueError("column counts do not line up for membership test")
-    # scaling a block of columns keeps the rank, so the images join as they are
-    augmented = [a + c for a, c in zip(matrix._re, candidate._re)]
-    augmented_im = [a + c for a, c in zip(matrix._im, candidate._im)]
-    return int_rank(augmented, augmented_im) == rank(matrix)
+    return _spans(matrix, candidate, "column", rank(matrix))
 
 
 def row_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
     """Exact membership of candidate's rows in the row space."""
-    if candidate.cols != matrix.cols:
-        raise ValueError("row lengths do not line up for membership test")
-    stacked = matrix._re + candidate._re, matrix._im + candidate._im
-    return int_rank(*stacked) == rank(matrix)
+    return _spans(matrix, candidate, "row", rank(matrix))
+
+
+def _spans(matrix: ExactMatrix, candidate: ExactMatrix, side: str, matrix_rank: int) -> bool:
+    """Whether the matrix, of rank `matrix_rank`, spans candidate's columns
+    (side "column") or rows (side "row")."""
+    # scaling a block keeps the rank, so the images join as they are
+    if side == "column":
+        if candidate.rows != matrix.rows:
+            raise ValueError("column counts do not line up for membership test")
+        joined = ([a + c for a, c in zip(matrix._re, candidate._re)],
+                  [a + c for a, c in zip(matrix._im, candidate._im)])
+    else:
+        if candidate.cols != matrix.cols:
+            raise ValueError("row lengths do not line up for membership test")
+        joined = matrix._re + candidate._re, matrix._im + candidate._im
+    return int_rank(*joined) == matrix_rank
 
 
 # -- index and cached powers ---------------------------------------------------

@@ -6,11 +6,18 @@ solution is the degree-<=k matrix polynomial
 
     X(t) = A^D B + sum_{j=1..k} ((-1)^(j-1)/j!) (A^(j-1)B - A^D A^j B) t^j
 
-(mirrored on the right for X' + XA = B).  The Drazin products A^D A^j B
-(or B A^j A^D), j = 0..k, are computed together by minor sums over A^(k+1)
-with replacement vectors drawn from the power products A^l B (or B A^l),
-never by forming A^D itself.  Substituting the polynomial back into the
-equation telescopes to B exactly, which `substitute_check` certifies.
+(mirrored on the right for X' + XA = B).  Only its constant term needs a
+Cramer evaluation: X0 = A^D B is the Drazin solution of A X = B, the Drazin
+rule (`inverses._CramerRule`) applied to B, and its residual E = B - A X0
+is (I - A A^D) B.  Because A^D commutes with A,
+
+    A^(j-1)B - A^D A^j B = A^(j-1) (B - A A^D B) = A^(j-1) E,
+
+so the higher coefficients C_j = ((-1)^(j-1)/j!) A^(j-1) E, j = 1..k, are
+the power chain on E, exactly (E A^(j-1) on the right, with X0 = B A^D and
+E = B - X0 A).  A nonsingular A has k = 0 and E = 0, leaving X = A^(-1) B;
+a nilpotent one has X0 = 0 and E = B.  Substituting the polynomial back into
+the equation telescopes to B exactly, which `substitute_check` certifies.
 """
 
 from __future__ import annotations
@@ -18,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial, lcm
+from math import factorial
 from typing import Literal
 
-from .matrix import (
-    ExactMatrix, _from_int, clear_denominators, inverse, power_products, rank_profile,
-)
-from .minors import cramer_ratio
+from .equations import _solve_one
+from .inverses import _drazin_rule
+from .matrix import ExactMatrix, power_products, rank_profile
 from .scalar import ExactScalar
 
 Side = Literal["left", "right"]
@@ -136,52 +142,14 @@ def _ode_partial(
 ) -> MatrixPoly:
     if not a.is_square or a.shape != b.shape:
         raise ValueError("coefficient and right-hand side must be square, same size")
-    n = a.rows
-    profile = rank_profile(a)
-    k = profile.index
-    if k == 0:
-        a_inv = inverse(a)
-        return MatrixPoly([a_inv @ b if side == "left" else b @ a_inv])
-    r = profile.core_rank
-    # power products B^(l): A^l B on the left, B A^l on the right, l = 0..2k
-    products = [p for p, _, _ in islice(power_products(a, b, side), 2 * k + 1)]
-    # drazin[j] = A^D A^j B (left) or B A^j A^D (right), j = 0..k: one kernel
-    # call on the blocks B^(k+j) side by side (left) or on top (right)
-    sources = products[k:]
-    base = profile.power(k + 1)
-    if r == 0:
-        drazin = [ExactMatrix.zeros(n, n)] * (k + 1)
-    else:
-        # the blocks on top of each other (right) or, through transposes,
-        # side by side (left); the result splits into blocks the same way
-        turn = ExactMatrix.transpose if side == "left" else (lambda m: m)
-        stacked = turn(_on_top([turn(p) for p in sources]))
-        solved = cramer_ratio(base, r, stacked, "column" if side == "left" else "row", budget)
-        x_re, x_im, q = clear_denominators(turn(solved[0]))
-        drazin = [
-            turn(_from_int(x_re[j * n : (j + 1) * n], x_im[j * n : (j + 1) * n], q))
-            for j in range(k + 1)
-        ]
-
-    # C_j = ((-1)^(j-1)/j!) (B^(j-1) - drazin[j])
-    coefficients = [drazin[0]]
-    for j in range(1, k + 1):
-        coefficients.append(
-            (products[j - 1] - drazin[j]).scale(Fraction((-1) ** (j - 1), factorial(j)))
-        )
-    return MatrixPoly(coefficients)
-
-
-def _on_top(blocks: list[ExactMatrix]) -> ExactMatrix:
-    # the blocks stacked on top of each other, over their common denominator
-    q = lcm(*(clear_denominators(block)[2] for block in blocks))
-    re: list = []
-    im: list = []
-    for block in blocks:
-        b_re, b_im, qb = clear_denominators(block)
-        re += [[x * (q // qb) for x in row] for row in b_re]
-        im += [[y * (q // qb) for y in row] for row in b_im]
-    return _from_int(re, im, q)
+    rule = _drazin_rule(rank_profile(a), "column" if side == "left" else "row")
+    # X0 = A^D B and E = B - A X0 (left), or X0 = B A^D and E = B - X0 A (right)
+    x0, e, _ = _solve_one(rule, a, b, budget)
+    # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k
+    chain = islice(power_products(a, e, side), rule.k)
+    return MatrixPoly(
+        [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, (p, _, _) in enumerate(chain)]
+    )
 
 
 def substitute_check(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .equations import EqSolution, dz_solve_left, dz_solve_right, ls_solve_left, ls_solve_right
 from .inverses import _w_drazin_rule
-from .matrix import ExactMatrix, column_space_contains
+from .matrix import ExactMatrix, _spans
 from .scalar import ExactScalar
 
 # collections.abc, not typing: a typing.Union would sit in typing's cache and
@@ -111,7 +111,7 @@ def w_drazin_solve(
     """
     rule, wa = _w_drazin_rule(matrix, weight, "column")
     y = _as_vector(rhs, (matrix.cols, 1))
-    in_range = column_space_contains(wa.power(wa.index), y)
+    in_range = _spans(wa.power(wa.index), y, "column", wa.core_rank)
     x, _, block = rule.apply(y, budget)
     residual = y if block is None else weight @ matrix @ weight @ x - y
     residual_sq = ExactScalar(residual.frobenius_norm_sq())

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import exactgi
-from exactgi import inverse, mp_inverse, parse_matrix_document, parse_scalar
+from exactgi import ExactMatrix, inverse, mp_inverse, parse_matrix_document, parse_scalar
 from exactgi.cli import _build_parser, main
 
 from cases import (
@@ -170,6 +170,19 @@ def test_negative_budget_exits_2(tmp_path, capsys):
     assert code == 3
 
 
+def test_ode_on_a_nonsingular_matrix_is_budgeted(tmp_path, capsys):
+    # a nonsingular A runs the guarded Cramer rule of A^D = A^(-1)
+    a_path = write(tmp_path, "A.json", mat([[2, 1], [1, 1]]))
+    b_path = write(tmp_path, "B.json", ExactMatrix.identity(2))
+    argv = ["ode", "--side", "left", "--in", a_path, "--B", b_path]
+    code, out, err = run(capsys, argv + ["--budget", "0"])
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["coefficients"] == [matrix_to_document(mat([[1, -1], [-1, 2]]))]
+
+
 def test_wpinv_rejects_row_form(tmp_path, capsys):
     from exactgi import ExactMatrix
 
@@ -207,12 +220,12 @@ def test_group_inverse_error_exits_2(tmp_path, capsys):
     assert "index" in err
 
 
-def test_threads_flag_is_deterministic(tmp_path, capsys):
+def test_threads_flag_is_refused(tmp_path, capsys):
     a_path = write(tmp_path, "A.json", LS_A)
-    code1, out1, _ = run(capsys, ["pinv", "--in", a_path, "--threads", "1"])
-    code2, out2, _ = run(capsys, ["pinv", "--in", a_path, "--threads", "4"])
-    assert code1 == code2 == 0
-    assert out1 == out2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pinv", "--in", a_path, "--threads", "2"])
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 # -- one parser per process ------------------------------------------------------

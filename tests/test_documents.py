@@ -68,6 +68,14 @@ def test_decimal_rendering_correctly_rounded():
     assert render_scalar_decimal(sc(5), 0) == "5"
     assert render_scalar_decimal(sc(F(1, 2), F(-1, 3)), 3) == "0.500-0.333i"
     assert render_scalar_decimal(sc(0, 2), 2) == "2.00i"
+    # a part that rounds to zero loses its sign, imaginary as well as real
+    assert render_scalar_decimal(sc(F(-1, 10000)), 2) == "0.00"
+    assert render_scalar_decimal(sc(1, F(-1, 10000)), 2) == "1.00+0.00i"
+    assert render_scalar_decimal(sc(0, F(-1, 10000)), 2) == "0.00i"
+    assert render_scalar_decimal(sc(F(-1, 10000), F(-1, 10000)), 2) == "0.00+0.00i"
+    assert render_scalar_decimal(sc(1, F(-1, 200)), 2) == "1.00+0.00i"  # tie -> even
+    assert render_scalar_decimal(sc(1, F(-1, 100)), 2) == "1.00-0.01i"
+    assert render_scalar_decimal(sc(0, F(-1, 100)), 2) == "-0.01i"
 
 
 def test_matrix_document_round_trip():

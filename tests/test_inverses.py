@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -387,9 +386,6 @@ def test_unknown_form_or_route_is_refused_on_degenerate_inputs(call):
     ids=["mp_inverse", "weighted_mp_inverse", "drazin_inverse", "group_inverse",
          "w_drazin_inverse", "projector"],
 )
-def test_threads_parameter_is_deprecated(fn, args):
-    with pytest.warns(DeprecationWarning, match=fn.__name__):
-        warned = fn(*args, threads=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert fn(*args) == warned
+def test_threads_parameter_is_gone(fn, args):
+    with pytest.raises(TypeError, match="threads"):
+        fn(*args, threads=2)

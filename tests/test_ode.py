@@ -4,9 +4,13 @@ from math import factorial
 import pytest
 
 from exactgi import (
+    BudgetExceededError,
     ExactMatrix,
     MatrixPoly,
+    det,
     drazin_inverse_oracle,
+    dz_solve_left,
+    dz_solve_right,
     index_of,
     ode_left_partial,
     ode_right_partial,
@@ -139,15 +143,43 @@ def test_substitution_identity_fuzz(rng):
 
 
 def test_minor_sum_path_matches_product_construction(rng):
+    coefficients = []
     for _ in range(6):
         n = rng.randint(2, 4)
         k = rng.randint(1, 2)
         if k >= n:
             continue
-        a = rand_index_matrix(rng, n, rng.randint(1, n - k), k)
-        b = rand_matrix(rng, n, n, span=1)
-        assert ode_left_partial(a, b) == product_construction(a, b, "left")
-        assert ode_right_partial(a, b) == product_construction(a, b, "right")
+        coefficients.append(rand_index_matrix(rng, n, rng.randint(1, n - k), k))
+    # index 3, nilpotent, nonsingular and complex coefficients
+    coefficients += [rand_index_matrix(rng, n, rng.randint(1, n - 3), 3) for n in (4, 5, 6)]
+    coefficients += [rand_index_matrix(rng, 4, 0, 3), mat([[0, 1], [0, 0]])]
+    coefficients += [_nonsingular(rng, 3), _nonsingular(rng, 4)]
+    coefficients += [rand_index_matrix(rng, 5, 2, 2).scale(sc(1, 1)), ODE_A]
+    for a in coefficients:
+        b = rand_matrix(rng, a.rows, a.rows, span=1)
+        left, right = ode_left_partial(a, b), ode_right_partial(a, b)
+        assert left == product_construction(a, b, "left")
+        assert right == product_construction(a, b, "right")
+        # the constant term is the Drazin solution of A X = B (X A = B)
+        assert left.coefficient(0) == dz_solve_left(a, b).X
+        assert right.coefficient(0) == dz_solve_right(a, b).X
+
+
+def _nonsingular(rng, n):
+    while True:
+        a = rand_matrix(rng, n, n)
+        if not det(a).is_zero():
+            return a
+
+
+def test_nonsingular_coefficient_is_budgeted(rng):
+    # a nonsingular A runs the guarded Cramer rule of A^D = A^(-1)
+    a = _nonsingular(rng, 3)
+    b = rand_matrix(rng, 3, 3)
+    with pytest.raises(BudgetExceededError):
+        ode_left_partial(a, b, budget=0)
+    with pytest.raises(BudgetExceededError):
+        ode_right_partial(a, b, budget=0)
 
 
 def test_right_left_transpose_duality(rng):
