@@ -51,13 +51,18 @@ class EqSolution:
 
 def _solve_one(rule: _CramerRule, a: ExactMatrix, b: ExactMatrix, budget: int | None):
     """X = G B (column rule) or B G (row rule), the residual of A X = B or
-    X A = B, and the replacement block as the intermediate."""
+    X A = B, and the replacement block as the intermediate.  When r is A's
+    row count (column rule) or column count (row rule), AG = I (GA = I), so
+    the residual is zero and no product is formed."""
     x, _, block = rule.apply(b, budget)
     if block is None:  # X = 0
         return x, b, {}
-    if rule.side == "column":
-        return x, b - a @ x, {"B_hat": block}
-    return x, b - x @ a, {"B_check": block}
+    column = rule.side == "column"
+    if rule.r == (a.rows if column else a.cols):
+        residual = ExactMatrix.zeros(*b.shape)
+    else:
+        residual = b - a @ x if column else b - x @ a
+    return x, residual, {"B_hat" if column else "B_check": block}
 
 
 def ls_solve_left(

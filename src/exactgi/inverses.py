@@ -25,7 +25,8 @@ A full-rank input takes the same path (the subset family is a singleton: the
 classical adjugate ratio).  Rank-0 and nilpotent inputs give the zero matrix,
 the unique solution of the defining equations, building no base or factor.
 The projectors A+A, AA+, AA^D and A^D A are the rules of A+ and A^D applied
-to A itself.  All functions are pure.
+to A itself; factor A (A factor on the row side) is the base, so the base
+serves as its own replacement block.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -339,7 +340,11 @@ def projector(
         rule = _drazin_rule(rank_profile(matrix), "row" if which == "drazin_left" else "column")
     else:
         raise ValueError(f"unknown projector kind {which!r}")
-    return rule.apply(matrix, budget)[0]
+    if rule.r == 0:
+        return rule.apply(matrix, budget)[0]
+    # factor A (A factor on the row side) is the base itself: A*A, AA*, A^(k+1)
+    base, _ = rule.parts()
+    return cramer_ratio(base, rule.r, base, rule.side, budget)[0]
 
 
 # -- defining-equation verification ---------------------------------------------------

@@ -25,8 +25,10 @@ on the image (`_eliminate`), which bounds intermediate bit growth: Bareiss
 for rank and determinant, Gauss-Jordan for the other two.  After
 Gauss-Jordan every pivot equals the last pivot p, and the result is divided
 by p once.  The characteristic-polynomial coefficients come from the trace
-recurrence (Faddeev-LeVerrier), an O(n^4) path that never enumerates minors,
-so it can serve as an independent cross-check for the minor-sum primitives.
+recurrence (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer
+products that never enumerate minors, so it serves as an independent
+cross-check for the minor-sum primitives; the same run gives the
+generalized-adjugate kernel of `minors` its matrices.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -469,24 +471,52 @@ def char_poly_coeffs(matrix: ExactMatrix) -> tuple[ExactScalar, ...]:
     """Coefficients d_1..d_n where d_r is the sum of all principal minors of
     order r, so det(tI - M) = t^n - d_1 t^(n-1) + ... + (-1)^n d_n.
 
-    Computed by the trace recurrence, independent of any minor enumeration.
+    Computed by the trace recurrence on the integer image, independent of
+    any minor enumeration: M = M_int / q gives d_k(M) = d_k(M_int) / q^k.
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = matrix.rows
-    coeffs: list[ExactScalar] = []
-    work = ExactMatrix.identity(n)
-    c = ONE
-    for k in range(1, n + 1):
-        work = matrix @ work
-        c = (work.trace() * ExactScalar(Fraction(-1, k)))
-        # d_k = (-1)^k c_k for det(tI - M) = t^n + c_1 t^(n-1) + ...
-        sign = ONE if k % 2 == 0 else -ONE
-        coeffs.append(sign * c)
-        if k < n:
-            shift = ExactMatrix.identity(n).scale(c)
-            work = work + shift
-    return tuple(coeffs)
+    _, coeffs = _trace_recurrence(matrix._re, matrix._im, matrix.rows)
+    q = matrix._q
+    # d_k = (-1)^k c_k for det(tI - M) = t^n + c_1 t^(n-1) + ...
+    return tuple(_scalar((-1) ** k * cr, (-1) ** k * ci, q**k)
+                 for k, (cr, ci) in enumerate(coeffs, 1))
+
+
+def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
+    """B_(r-1) and c_1..c_r of the trace (Faddeev-LeVerrier) recurrence on a
+    Gaussian-integer n-by-n matrix M, 1 <= r <= n: B_0 = I and
+
+        c_k = -tr(M B_(k-1)) / k,    B_k = M B_(k-1) + c_k I,
+
+    so that det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n.  A Gaussian-integer
+    matrix has Gaussian-integer characteristic coefficients, so each division
+    by k is exact and everything stays in Z[i].  M B_0 is M itself and c_r
+    is read as a sum of entry products, so the run takes r - 2 products.
+    Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
+    """
+    n = len(re_rows)
+    b_re = [[int(i == j) for j in range(n)] for i in range(n)]
+    b_im = [[0] * n for _ in range(n)]
+    coeffs = []
+    for k in range(1, r):
+        if k == 1:
+            b_re, b_im = [list(row) for row in re_rows], [list(row) for row in im_rows]
+        else:
+            b_re, b_im = int_matmul(re_rows, im_rows, b_re, b_im)
+        cr = -sum(row[i] for i, row in enumerate(b_re)) // k
+        ci = -sum(row[i] for i, row in enumerate(b_im)) // k
+        for i in range(n):
+            b_re[i][i] += cr
+            b_im[i][i] += ci
+        coeffs.append((cr, ci))
+    # tr(M B) = sum over i, j of m_ij b_ji, against the columns of B
+    tr_re = tr_im = 0
+    for mr, mi, br, bi in zip(re_rows, im_rows, zip(*b_re), zip(*b_im)):
+        tr_re += sum(map(mul, mr, br)) - sum(map(mul, mi, bi))
+        tr_im += sum(map(mul, mr, bi)) + sum(map(mul, mi, br))
+    coeffs.append((-tr_re // r, -tr_im // r))
+    return (b_re, b_im), coeffs
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:

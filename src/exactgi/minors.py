@@ -19,30 +19,32 @@ themselves are order-independent.
 The library's operations instead call `adjugate_product`.  By Laplace
 expansion along the replaced line, the replaced sums are the entries of
 L_r(M) v and v L_r(M), where L_r(M) is the sum over all r-subsets S of
-adj(M_S) embedded at the rows and columns S.  A fraction-free Gauss-Jordan
-elimination of [M_S | I] gives adj(M_S) and det(M_S) at once, and the kernel
-shares those eliminations between subsets: it walks the lexicographic tree
-of r-subsets on an explicit stack, a node being a prefix P.  With pivots in
-index order, the entries left after eliminating P are bordered minors of M
-on P (Sylvester's identity), whatever the rest of S, so a node holds that
-state once for every subset below it: the rows P and the later indices
-against the later columns and the identity columns of P, an eliminated
-column's storage reused for its pivot row's identity column.  A child takes
-one pivot step.  The subsets below one node of depth r - 2 share their last
-step too, as one trace and one matrix product.  A zero pivot holds its
-index: the row and column ride along, and each leaf below finishes them
-with row pivoting by a resumable in-place elimination.  That routine takes a
-rank-(r-1) leaf's last step on a zero pivot, which no later step divides by,
-and drops a leaf of rank r - 2 or less.  Leaves whose shared step would cost
-more than the steps it saves go to it directly.
+adj(M_S) embedded at the rows and columns S.  The kernel never enumerates
+those subsets.  For r < n it runs the trace (Faddeev-LeVerrier) recurrence
+of `matrix._trace_recurrence` on the Gaussian-integer image,
 
-A work guard protects against the intrinsic C(n, r) blow-up: any call whose
-estimated cost exceeds the budget fails fast with BudgetExceededError instead
-of grinding for hours.  The primitives count "submatrix entries touched",
-(number of minors) * r^2.  The kernel counts entry updates
-(`kernel_work`): C(n, r) * 2r^3, the cost of eliminating every r-by-2r block
-[M_S | I] on its own and an upper bound of the walk's updates, plus n^2 * s
-for the contraction with s replacement vectors.
+    B_0 = I,  c_k = -tr(M B_(k-1)) / k,  B_k = M B_(k-1) + c_k I,
+
+and reads L_r = (-1)^(r-1) B_(r-1) and d_r = (-1)^r c_r (Decell, SIAM
+Rev. 7, 1965): r - 2 integer products, each division by k exact because a
+Gaussian-integer matrix has Gaussian-integer characteristic coefficients.
+At r = n the one subset is M itself, and one fraction-free Gauss-Jordan
+elimination of [M | I] gives adj(M) and det(M), also at rank n - 1 (adj
+nonzero, det 0) and below (adj 0); that is cheaper than running the
+recurrence to its end.
+
+A work guard protects against the intrinsic C(n, r) blow-up of the
+enumeration: any call whose estimated cost exceeds the budget fails fast
+with BudgetExceededError instead of grinding for hours.  The primitives
+count "submatrix entries touched", (number of minors) * r^2.  The kernel
+counts entry updates (`kernel_work`): C(n, r) * 2r^3, the cost of
+eliminating every r-by-2r block [M_S | I] on its own, plus n^2 * s for the
+contraction with s replacement vectors.  That is what the enumeration would
+cost, and an upper bound of the kernel's own work: the recurrence makes
+(r - 2) n^3 + 2n^2 multiply-adds for 1 < r < n (n at r = 1, the trace),
+and the elimination 2n^3 at r = n.  The bound is loose by a factor that
+grows like C(n, r), so the guard also refuses inputs the kernel itself
+would finish quickly.
 """
 
 from __future__ import annotations
@@ -51,10 +53,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import mul
 from typing import Iterator, Sequence
 
-from .matrix import ExactMatrix, _from_int, _over, clear_denominators, int_det, int_matmul
+from .matrix import (
+    ExactMatrix,
+    _from_int,
+    _over,
+    _trace_recurrence,
+    clear_denominators,
+    int_det,
+    int_matmul,
+)
 from .scalar import ONE, ExactScalar
 
 DEFAULT_WORK_BUDGET = 10**8
@@ -261,14 +270,6 @@ def kernel_work(n: int, r: int, s: int) -> int:
     return comb(n, r) * 2 * r**3 + n * n * s
 
 
-def _gauss_div(tr: int, ti: int, pr: int, pi: int) -> tuple[int, int]:
-    # Exact division in Z[i]; Sylvester's identity guarantees divisibility.
-    if pi == 0:
-        return tr // pr, ti // pr
-    norm = pr * pr + pi * pi
-    return (tr * pr + ti * pi) // norm, (ti * pr - tr * pi) // norm
-
-
 def _step(ar, ai, pivot, col, pr, pi):
     """One fraction-free Gauss-Jordan step in place, on row `pivot` and
     column col; returns the pivot k = y[col].  Every other row x becomes
@@ -301,28 +302,31 @@ def _step(ar, ai, pivot, col, pr, pi):
     return kr, ki
 
 
-def _finish(ar, ai, held, pr, pi, at, l_re, l_im, det):
-    """Add det and adj of an r-by-r elimination state, the block of M at the
-    indices `at`, to det and L: the elimination resumes in place on the held
-    columns, pivoting on the rows not used yet; p is the last pivot taken.
+def _adjugate(re_rows, im_rows):
+    """adj(M) and det(M) of a square Gaussian-integer matrix by one
+    fraction-free Gauss-Jordan elimination, pivoting on the rows not used
+    yet.
 
     An eliminated column holds its pivot row's identity column, so tau
     (column -> pivot row) permutes the final [D | T]: det = sgn(tau) D and
     adj[a][b] = sgn(tau) T[tau(a)] at the slot of b's identity column.  A
-    column with no pivot left (rank r-1) is eliminated last, on the zero
+    column with no pivot left (rank n-1) is eliminated last, on the zero
     pivot of the one unused row: no later step divides by it, so the entries
     are still the minors of [M | I] and adj comes out the same way, with
-    D = 0.  A second such column means rank r-2 or less, and adj = 0.
+    D = 0.  A second such column means rank n-2 or less, and adj = 0.
     """
-    r = len(ar)
-    rows = list(held)
-    tau = list(range(r))
+    ar, ai = [list(row) for row in re_rows], [list(row) for row in im_rows]
+    n = len(ar)
+    rows = list(range(n))
+    tau = list(range(n))
     free = None
-    for col in held:
+    pr, pi = 1, 0
+    for col in range(n):
         pivot = next((s for s in rows if ar[s][col] or ai[s][col]), None)
         if pivot is None:
             if free is not None:
-                return
+                zero = [[0] * n for _ in range(n)]
+                return zero, zero, 0, 0
             free = col
             continue
         rows.remove(pivot)
@@ -332,126 +336,28 @@ def _finish(ar, ai, held, pr, pi, at, l_re, l_im, det):
         tau[free] = rows[0]
         pr, pi = _step(ar, ai, rows[0], free, pr, pi)
     sign = -1 if sum(x > y for i, x in enumerate(tau) for y in tau[i + 1:]) % 2 else 1
-    det[0] += sign * pr
-    det[1] += sign * pi
-    slot = sorted(range(r), key=tau.__getitem__)
-    for a, row in zip(at, tau):
-        xr, xi, t_re, t_im = ar[row], ai[row], l_re[a], l_im[a]
-        for b, j in zip(at, slot):
-            t_re[b] += sign * xr[j]
-            t_im[b] += sign * xi[j]
-
-
-def _visit(node, r, l_re, l_im, det):
-    """Walk one node: yield the children to descend into, and add the leaves
-    finished here to L and det.
-
-    A child takes one pivot step on its next index t, or holds t when the
-    pivot is zero.  At depth r - 2 the leaf on (t, c) has prefix block
-    (z_cc Z - Z[:, c] Z[c, :]) / x_tt, Z the state after the step on t, so
-    the leaves below t sum as one trace and one product; the rest of a leaf
-    is row c, column c and x_tt itself, and only those parts of Z are
-    formed.  Leaves below a held index or a zero pivot at that depth, and
-    leaves whose shared step would cost more than the steps it saves, go to
-    `_finish` one by one.
-    """
-    ar, ai, idx, k, held, pr, pi = node
-    size = len(idx)
-    m = r - k
-    for t in range(k, size - m + 1):
-        kr, ki = ar[t][t], ai[t][t]
-        later = size - t - 1
-        if k < r - 2:
-            shared = (k + later) * (k + later + 1) < comb(later, m - 1) * (r - 1) * r
-        else:
-            shared = later > 1 and not held and (kr or ki)
-        if not shared:
-            head, unpivoted = [*range(k), t], held + list(range(k, r))
-            for rest in combinations(range(t + 1, size), m - 1):
-                pos = head + list(rest)
-                _finish([[ar[i][j] for j in pos] for i in pos],
-                        [[ai[i][j] for j in pos] for i in pos], unpivoted, pr, pi,
-                        [idx[i] for i in pos], l_re, l_im, det)
-        elif k < r - 2:
-            rows = [*range(k), *range(t, size)]
-            xs_re = [ar[i][:k] + ar[i][t:] for i in rows]
-            xs_im = [ai[i][:k] + ai[i][t:] for i in rows]
-            if kr or ki:
-                state = (held, *_step(xs_re, xs_im, k, k, pr, pi))
-            else:
-                state = (held + [k], pr, pi)
-            yield (xs_re, xs_im, idx[:k] + idx[t:], k + 1, *state)
-        else:
-            _last_steps(ar, ai, idx, k, t, pr, pi, l_re, l_im, det)
-
-
-def _last_steps(ar, ai, idx, k, t, pr, pi, l_re, l_im, det):
-    """The leaves (t, c), c > t, below a node of depth k = r - 2 with no held
-    index and a nonzero pivot on t (see `_visit`)."""
-    size = len(idx)
-    below = range(t + 1, size)
-    kr, ki = ar[t][t], ai[t][t]
-    # the trace: sum over c of (x_tt x_cc - x_ct x_tc) / p
-    cr, ci = [ar[c][t] for c in below], [ai[c][t] for c in below]
-    gr, gi = ar[t][t + 1:], ai[t][t + 1:]
-    xr, xi = sum(ar[c][c] for c in below), sum(ai[c][c] for c in below)
-    sr, si = _gauss_div(
-        xr * kr - xi * ki - sum(map(mul, cr, gr)) + sum(map(mul, ci, gi)),
-        xr * ki + xi * kr - sum(map(mul, cr, gi)) - sum(map(mul, ci, gr)),
-        pr, pi,
-    )
-    det[0] += sr
-    det[1] += si
-    top_re = [ar[i][:k] + ar[i][t:] for i in [*range(k), t]]
-    top_im = [ai[i][:k] + ai[i][t:] for i in [*range(k), t]]
-    side_re = [ar[c][:k] + [ar[c][t]] for c in [*below, t]]
-    side_im = [ai[c][:k] + [ai[c][t]] for c in [*below, t]]
-    _step(top_re, top_im, k, k, pr, pi)
-    _step(side_re, side_im, size - t - 1, k, pr, pi)
-    del side_re[-1], side_im[-1]
-    p_re, p_im = int_matmul([x[k + 1:] for x in top_re], [x[k + 1:] for x in top_im],
-                            side_re, side_im)
-    pre, post = idx[:k] + [idx[t]], idx[t + 1:]
-    for a, x_re, x_im, z_re, z_im in zip(pre, top_re, top_im, p_re, p_im):
-        t_re, t_im = l_re[a], l_im[a]
-        for b, xr, xi, zr, zi in zip(pre, x_re, x_im, z_re, z_im):
-            qr, qi = _gauss_div(xr * sr - xi * si - zr, xr * si + xi * sr - zi, kr, ki)
-            t_re[b] += qr
-            t_im[b] += qi
-        for b, xr, xi in zip(post, x_re[k + 1:], x_im[k + 1:]):
-            t_re[b] -= xr
-            t_im[b] -= xi
-    for c, x_re, x_im in zip(post, side_re, side_im):
-        t_re, t_im = l_re[c], l_im[c]
-        for b, xr, xi in zip(pre, x_re, x_im):
-            t_re[b] += xr
-            t_im[b] += xi
-        t_re[c] += kr
-        t_im[c] += ki
+    slot = sorted(range(n), key=tau.__getitem__)
+    return ([[sign * ar[row][j] for j in slot] for row in tau],
+            [[sign * ai[row][j] for j in slot] for row in tau], sign * pr, sign * pi)
 
 
 def _adjugate_sum(re_rows, im_rows, r):
     """L_r (sum over the r-subsets S of adj(M_S) embedded at S) and d_r (sum
-    of det(M_S)) of a Gaussian-integer matrix, by the subset-tree walk on an
-    explicit stack (its depth is at most r)."""
+    of det(M_S)) of a Gaussian-integer matrix: L_1 = I and d_1 the trace,
+    L_r = (-1)^(r-1) B_(r-1) and d_r = (-1)^r c_r of the trace recurrence for
+    1 < r < n, adj(M) and det(M) at r = n."""
     n = len(re_rows)
-    l_re = [[0] * n for _ in range(n)]
-    l_im = [[0] * n for _ in range(n)]
+    if r == n:
+        return _adjugate(re_rows, im_rows)
     if r == 1:  # adj of a 1-by-1 block is 1, det its entry
-        for i in range(n):
-            l_re[i][i] = 1
-        return (l_re, l_im, sum(row[i] for i, row in enumerate(re_rows)),
+        return ([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)],
+                sum(row[i] for i, row in enumerate(re_rows)),
                 sum(row[i] for i, row in enumerate(im_rows)))
-    det = [0, 0]
-    root = ([list(row) for row in re_rows], [list(row) for row in im_rows], list(range(n)))
-    stack = [_visit((*root, 0, [], 1, 0), r, l_re, l_im, det)]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        else:
-            stack.append(_visit(node, r, l_re, l_im, det))
-    return l_re, l_im, det[0], det[1]
+    (b_re, b_im), coeffs = _trace_recurrence(re_rows, im_rows, r)
+    cr, ci = coeffs[-1]
+    if r % 2:
+        return b_re, b_im, -cr, -ci
+    return [[-x for x in row] for row in b_re], [[-x for x in row] for row in b_im], cr, ci
 
 
 def _kernel(base, r, vectors, side, budget):

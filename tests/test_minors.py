@@ -12,19 +12,24 @@ from exactgi import (
     ExactMatrix,
     IndexSubset,
     char_poly_coeffs,
+    drazin_inverse,
+    drazin_inverse_oracle,
     enumerate_subsets,
     mp_inverse,
+    mp_inverse_oracle,
     principal_minor_sum,
     rank,
     replaced_col_minor_sum,
     replaced_row_minor_sum,
     subset_count,
 )
-from exactgi.minors import adjugate_product, cramer_ratio
+import exactgi.matrix
+import exactgi.minors
+from exactgi.minors import adjugate_product, cramer_ratio, kernel_work
 from exactgi.scalar import ExactScalar
 
 from cases import AXB_LS_A, AXB_LS_B, AXB_LS_D, DZ_A, mat, sc
-from conftest import rand_index_matrix, rand_matrix
+from conftest import rand_index_matrix, rand_low_rank, rand_matrix
 
 
 def perm_expansion_det(matrix: ExactMatrix) -> ExactScalar:
@@ -563,3 +568,71 @@ def test_cramer_ratio_divides_exactly_and_refuses_zero_denominator(rng):
             assert ratio == product.scale(ExactScalar(1) / d)
     with pytest.raises(ZeroDivisionError):
         cramer_ratio(ExactMatrix.zeros(3, 3), 2, rational_matrix(rng, 3, 1), "column")
+
+
+# -- the trace recurrence: polynomial cost where enumeration cannot finish ---------
+
+
+def test_kernel_finishes_beyond_enumeration(rng):
+    # C(24, 12) = 2.7M and C(16, 8) = 12870 subsets: the estimates are far
+    # above the default budget, and the kernel still finishes in well under 1 s
+    a = rand_low_rank(rng, 24, 24, 12)
+    assert rank(a) == 12
+    assert mp_inverse(a, budget=10**12).inverse == mp_inverse_oracle(a)
+    d = rand_index_matrix(rng, 16, 8, 3)
+    report = drazin_inverse(d, budget=10**12)
+    assert (report.rank_used, report.index_used) == (8, 3)
+    assert report.inverse == drazin_inverse_oracle(d)
+
+
+def test_recurrence_takes_r_minus_2_products(rng, monkeypatch):
+    # r - 2 products in the recurrence plus the contraction with the vectors
+    calls = []
+    product = exactgi.matrix.int_matmul
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(exactgi.minors, "int_matmul", counted)
+    monkeypatch.setattr(exactgi.matrix, "int_matmul", counted)
+    for n in (3, 5, 8):
+        m = rational_matrix(rng, n, n)
+        for r in range(2, n):
+            for side, v in (("column", rational_matrix(rng, n, 2)),
+                            ("row", rational_matrix(rng, 2, n))):
+                calls.clear()
+                adjugate_product(m, r, v, side)
+                assert 1 <= len(calls) <= r - 1
+
+
+def test_kernel_work_bounds_the_recurrence():
+    # the guard's enumeration estimate stays an upper bound of the
+    # recurrence's (r - 2) n^3 + 2n^2 multiply-adds plus the contraction
+    for n in range(3, 65):
+        for r in range(2, n):
+            for s in (1, n):
+                assert kernel_work(n, r, s) >= (r - 2) * n**3 + 2 * n * n + n * n * s
+
+
+bases = st.sampled_from(("complex_rational", "nilpotent", "rank_deficient"))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), bases, st.integers(0, 2**32 - 1))
+def test_char_poly_matches_enumeration_property(n, kind, seed):
+    # two independent algorithms for d_r: the trace recurrence and one
+    # determinant per r-subset
+    import random
+
+    rng = random.Random(seed)
+    if kind == "complex_rational":
+        m = rational_matrix(rng, n, n)
+    elif kind == "nilpotent":
+        m = rand_index_matrix(rng, n, 0, rng.randint(1, n)).scale(sc(F(1, 3), F(1, 2)))
+    else:
+        m = rand_low_rank(rng, n, n, rng.randint(0, n - 1)) @ rational_matrix(rng, n, n)
+    coeffs = char_poly_coeffs(m)
+    assert len(coeffs) == n
+    for r in range(1, n + 1):
+        assert coeffs[r - 1] == principal_minor_sum(m, r)
