@@ -31,7 +31,7 @@ from .documents import (
 )
 from .inverses import GiReport, VerificationError, WeightPair
 from .minors import BudgetExceededError
-from .scalar import ExactScalar
+from .scalar import MAX_LITERAL_DIGITS, ExactScalar
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,6 +89,9 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
 def _check_options(args: argparse.Namespace) -> None:
     if args.budget is not None and args.budget < 0:
         raise DocumentError("--budget must not be negative")
+    # K digits scale every rendered entry by 10**K
+    if args.decimal is not None and not 0 <= args.decimal <= MAX_LITERAL_DIGITS:
+        raise DocumentError(f"--decimal must be between 0 and {MAX_LITERAL_DIGITS}")
 
 
 @functools.cache

@@ -20,15 +20,20 @@ integers between steps: A^l B is A_int^l B_int / (q_A^l q_B), so each new
 power is one integer product.  `rank_profile` takes each power's rank on its
 integer image and builds a power as an `ExactMatrix` only when it is read.
 
-Rank, determinant, `inverse` and `rref` share one fraction-free elimination
-on the image (`_eliminate`), which bounds intermediate bit growth: Bareiss
-for rank and determinant, Gauss-Jordan for the other two.  After
-Gauss-Jordan every pivot equals the last pivot p, and the result is divided
-by p once.  The characteristic-polynomial coefficients come from the trace
-recurrence (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer
-products that never enumerate minors, so it serves as an independent
-cross-check for the minor-sum primitives; the same run gives the
-generalized-adjugate kernel of `minors` its matrices.
+Rank, determinant, adjugate, `inverse` and `rref` share one fraction-free
+elimination on the image (`_eliminate`), which bounds intermediate bit
+growth: Bareiss for rank and determinant, Gauss-Jordan for the rest.
+Gauss-Jordan runs in place on [M | I] without storing I: the slot of each
+eliminated column takes over its pivot row's identity column, so n columns
+end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
+det(M) off T and p; `inverse` divides the one by the other once, and the
+generalized-adjugate kernel of `minors` uses both at full order.  `rref`
+puts p e_i back into the pivot columns and divides by p once.  The
+characteristic-polynomial coefficients come from the trace recurrence
+(Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products that
+never enumerate minors, so it serves as an independent cross-check for the
+minor-sum primitives; the same run gives the kernel its matrices below full
+order.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -395,8 +400,25 @@ def int_rank(re_rows: Rows, im_rows: Rows) -> int:
 def int_det(re_rows: Rows, im_rows: Rows) -> tuple[int, int]:
     """Determinant of a square Gaussian-integer matrix via Bareiss elimination."""
     n = len(re_rows)
-    _, _, pr, pi, pivots, sign = _eliminate(re_rows, im_rows, n, False)
+    _, _, pr, pi, pivots, sign, _ = _eliminate(re_rows, im_rows, n, False)
     return (sign * pr, sign * pi) if len(pivots) == n else (0, 0)
+
+
+def int_adjugate(re_rows: Rows, im_rows: Rows):
+    """adj(M) and det(M) of a square Gaussian-integer matrix M, as real and
+    imaginary row lists and the two parts of det(M), or None when M is
+    singular.
+
+    One in-place Gauss-Jordan run turns slot c into column orig[c] of
+    T = p M^(-1), p the last pivot, and det(M) = sign p, so
+    adj(M) = det(M) M^(-1) = sign T."""
+    n = len(re_rows)
+    ar, ai, pr, pi, pivots, sign, orig = _eliminate(re_rows, im_rows, n, True)
+    if len(pivots) < n:
+        return None
+    slot = sorted(range(n), key=orig.__getitem__)  # orig[slot[j]] == j
+    return ([[sign * row[c] for c in slot] for row in ar],
+            [[sign * row[c] for c in slot] for row in ai], sign * pr, sign * pi)
 
 
 def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
@@ -407,14 +429,18 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
     A step on pivot k (row y) turns each row x it reaches into
     (k x - x[c] y) / p, p the previous pivot, exact by Sylvester's identity:
     each pivot is a leading minor of the row-permuted matrix, the last one
-    its determinant when every column has a pivot.  Under Gauss-Jordan the
-    earlier pivots become k with each step, so at the end every pivot equals
-    the last one, p, and the reduced echelon form is the result divided by
-    p.  Returns the rows, p, the 0-based pivot columns and the sign of the
-    row permutation."""
+    its determinant when every column has a pivot.  Gauss-Jordan runs in
+    place on [M | I] without storing I: once column c is eliminated its
+    values are known (k in the pivot row, 0 elsewhere), so slot c holds the
+    pivot row's identity column instead, -x[c] in the other rows and p in
+    the pivot row, and later steps update it like any other column.  At the
+    end every pivot equals the last one, p.  Returns the rows, p, the
+    0-based pivot columns, the sign of the row permutation and `orig`, the
+    input row now at each position."""
     ar = [list(row) for row in re_rows]
     ai = [list(row) for row in im_rows]
     m = len(ar)
+    orig = list(range(m))
     pr, pi, sign = 1, 0, 1
     pivots: list[int] = []
     for col in range(width):
@@ -426,6 +452,7 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
             continue
         if found != row:
             ar[row], ar[found], ai[row], ai[found] = ar[found], ar[row], ai[found], ai[row]
+            orig[row], orig[found] = orig[found], orig[row]
             sign = -sign
         yr, yi = ar[row], ai[row]
         kr, ki = yr[col], yi[col]
@@ -440,15 +467,20 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
             xr, xi = ar[i], ai[i]
             mr, mi = xr[col], xi[col]
             vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
-            ar[i] = [(a * ur - b * ui - vr * c + vi * d) // norm
-                     for a, b, c, d in zip(xr, xi, yr, yi)]
-            ai[i] = [(a * ui + b * ur - vr * d - vi * c) // norm
-                     for a, b, c, d in zip(xr, xi, yr, yi)]
+            nr = [(a * ur - b * ui - vr * c + vi * d) // norm
+                  for a, b, c, d in zip(xr, xi, yr, yi)]
+            ni = [(a * ui + b * ur - vr * d - vi * c) // norm
+                  for a, b, c, d in zip(xr, xi, yr, yi)]
+            if jordan:
+                nr[col], ni[col] = -mr, -mi
+            ar[i], ai[i] = nr, ni
+        if jordan:
+            yr[col], yi[col] = pr, pi
         pr, pi = kr, ki
         pivots.append(col)
         if row + 1 == m:
             break
-    return ar, ai, pr, pi, pivots, sign
+    return ar, ai, pr, pi, pivots, sign, orig
 
 
 # -- rank / determinant / characteristic polynomial ---------------------------
@@ -520,27 +552,26 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination.
+    """Exact inverse, q adj(A_int) / det(A_int) for A = A_int / q, by one
+    fraction-free Gauss-Jordan elimination.
 
     Raises ZeroDivisionError if the matrix is singular.
     """
     if not matrix.is_square:
         raise ValueError("inverse needs a square matrix")
-    n = matrix.rows
-    eye = ExactMatrix.identity(n)._re
-    zero = (0,) * n
-    re, im, pr, pi, pivots, _ = _eliminate(
-        [row + e for row, e in zip(matrix._re, eye)], [row + zero for row in matrix._im], n, True
-    )
-    if len(pivots) < n:
+    adjugate = int_adjugate(matrix._re, matrix._im)
+    if adjugate is None:
         raise ZeroDivisionError("matrix is singular")
-    # [A_int | I] became [p I | p A_int^(-1)], and A^(-1) = q A_int^(-1)
-    return _over([row[n:] for row in re], [row[n:] for row in im], pr, pi, matrix._q)
+    return _over(*adjugate, matrix._q)
 
 
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the 1-based pivot columns."""
-    re, im, pr, pi, pivots, _ = _eliminate(matrix._re, matrix._im, matrix.cols, True)
+    re, im, pr, pi, pivots, _, _ = _eliminate(matrix._re, matrix._im, matrix.cols, True)
+    # the in-place run left identity columns in the pivot slots; put back p e_i
+    for i, col in enumerate(pivots):
+        for j, (xr, xi) in enumerate(zip(re, im)):
+            xr[col], xi[col] = (pr, pi) if i == j else (0, 0)
     return _over(re, im, pr, pi), tuple(c + 1 for c in pivots)
 
 

@@ -28,10 +28,12 @@ of `matrix._trace_recurrence` on the Gaussian-integer image,
 and reads L_r = (-1)^(r-1) B_(r-1) and d_r = (-1)^r c_r (Decell, SIAM
 Rev. 7, 1965): r - 2 integer products, each division by k exact because a
 Gaussian-integer matrix has Gaussian-integer characteristic coefficients.
-At r = n the one subset is M itself, and one fraction-free Gauss-Jordan
-elimination of [M | I] gives adj(M) and det(M), also at rank n - 1 (adj
-nonzero, det 0) and below (adj 0); that is cheaper than running the
-recurrence to its end.
+At r = n the one subset is M itself.  A nonsingular M takes adj(M) and
+det(M) from `matrix.int_adjugate`, the fraction-free Gauss-Jordan
+elimination that also serves `inverse`, which is cheaper than running the
+recurrence to its end.  A singular M runs the recurrence to B_(n-1), a
+nonzero adj(M) at rank n - 1 and zero below; no rule reaches that case,
+since each runs at r = rank of its base.
 
 A work guard protects against the intrinsic C(n, r) blow-up of the
 enumeration: any call whose estimated cost exceeds the budget fails fast
@@ -41,10 +43,11 @@ counts entry updates (`kernel_work`): C(n, r) * 2r^3, the cost of
 eliminating every r-by-2r block [M_S | I] on its own, plus n^2 * s for the
 contraction with s replacement vectors.  That is what the enumeration would
 cost, and an upper bound of the kernel's own work: the recurrence makes
-(r - 2) n^3 + 2n^2 multiply-adds for 1 < r < n (n at r = 1, the trace),
-and the elimination 2n^3 at r = n.  The bound is loose by a factor that
+(r - 2) n^3 + 2n^2 multiply-adds for 1 < r < n (n^2 at r = 1), and the
+elimination about 2n^3 at r = n.  The bound is loose by a factor that
 grows like C(n, r), so the guard also refuses inputs the kernel itself
-would finish quickly.
+would finish quickly.  It does not bound the recurrence on a singular base
+at r = n, which no rule runs.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .matrix import (
     _over,
     _trace_recurrence,
     clear_denominators,
+    int_adjugate,
     int_det,
     int_matmul,
 )
@@ -270,89 +274,16 @@ def kernel_work(n: int, r: int, s: int) -> int:
     return comb(n, r) * 2 * r**3 + n * n * s
 
 
-def _step(ar, ai, pivot, col, pr, pi):
-    """One fraction-free Gauss-Jordan step in place, on row `pivot` and
-    column col; returns the pivot k = y[col].  Every other row x becomes
-    (k x - x[col] y) / p, p the previous pivot, exact by Sylvester's
-    identity.  Column col then holds the pivot row's identity column: -x[col]
-    in the other rows and p in the pivot row."""
-    yr, yi = ar[pivot], ai[pivot]
-    kr, ki = yr[col], yi[col]
-    # (k x - m y) / p = (k' x - m' y) / |p|^2 with k' = k conj(p), m' = m conj(p)
-    norm = pr * pr + pi * pi
-    ur, ui = kr * pr + ki * pi, ki * pr - kr * pi
-    for i, xr, xi in zip(range(len(ar)), ar, ai):
-        if i == pivot:
-            continue
-        mr, mi = xr[col], xi[col]
-        if pi == 0:
-            nr = [(a * kr - b * ki - mr * c + mi * d) // pr
-                  for a, b, c, d in zip(xr, xi, yr, yi)]
-            ni = [(a * ki + b * kr - mr * d - mi * c) // pr
-                  for a, b, c, d in zip(xr, xi, yr, yi)]
-        else:
-            vr, vi = mr * pr + mi * pi, mi * pr - mr * pi
-            nr = [(a * ur - b * ui - vr * c + vi * d) // norm
-                  for a, b, c, d in zip(xr, xi, yr, yi)]
-            ni = [(a * ui + b * ur - vr * d - vi * c) // norm
-                  for a, b, c, d in zip(xr, xi, yr, yi)]
-        nr[col], ni[col] = -mr, -mi
-        ar[i], ai[i] = nr, ni
-    yr[col], yi[col] = pr, pi
-    return kr, ki
-
-
-def _adjugate(re_rows, im_rows):
-    """adj(M) and det(M) of a square Gaussian-integer matrix by one
-    fraction-free Gauss-Jordan elimination, pivoting on the rows not used
-    yet.
-
-    An eliminated column holds its pivot row's identity column, so tau
-    (column -> pivot row) permutes the final [D | T]: det = sgn(tau) D and
-    adj[a][b] = sgn(tau) T[tau(a)] at the slot of b's identity column.  A
-    column with no pivot left (rank n-1) is eliminated last, on the zero
-    pivot of the one unused row: no later step divides by it, so the entries
-    are still the minors of [M | I] and adj comes out the same way, with
-    D = 0.  A second such column means rank n-2 or less, and adj = 0.
-    """
-    ar, ai = [list(row) for row in re_rows], [list(row) for row in im_rows]
-    n = len(ar)
-    rows = list(range(n))
-    tau = list(range(n))
-    free = None
-    pr, pi = 1, 0
-    for col in range(n):
-        pivot = next((s for s in rows if ar[s][col] or ai[s][col]), None)
-        if pivot is None:
-            if free is not None:
-                zero = [[0] * n for _ in range(n)]
-                return zero, zero, 0, 0
-            free = col
-            continue
-        rows.remove(pivot)
-        tau[col] = pivot
-        pr, pi = _step(ar, ai, pivot, col, pr, pi)
-    if free is not None:
-        tau[free] = rows[0]
-        pr, pi = _step(ar, ai, rows[0], free, pr, pi)
-    sign = -1 if sum(x > y for i, x in enumerate(tau) for y in tau[i + 1:]) % 2 else 1
-    slot = sorted(range(n), key=tau.__getitem__)
-    return ([[sign * ar[row][j] for j in slot] for row in tau],
-            [[sign * ai[row][j] for j in slot] for row in tau], sign * pr, sign * pi)
-
-
 def _adjugate_sum(re_rows, im_rows, r):
     """L_r (sum over the r-subsets S of adj(M_S) embedded at S) and d_r (sum
-    of det(M_S)) of a Gaussian-integer matrix: L_1 = I and d_1 the trace,
-    L_r = (-1)^(r-1) B_(r-1) and d_r = (-1)^r c_r of the trace recurrence for
-    1 < r < n, adj(M) and det(M) at r = n."""
-    n = len(re_rows)
-    if r == n:
-        return _adjugate(re_rows, im_rows)
-    if r == 1:  # adj of a 1-by-1 block is 1, det its entry
-        return ([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)],
-                sum(row[i] for i, row in enumerate(re_rows)),
-                sum(row[i] for i, row in enumerate(im_rows)))
+    of det(M_S)) of a Gaussian-integer matrix: adj(M) and det(M) at r = n
+    when M is nonsingular, otherwise L_r = (-1)^(r-1) B_(r-1) and
+    d_r = (-1)^r c_r of the trace recurrence (L_1 = B_0 = I, d_1 = -c_1 the
+    trace)."""
+    if r == len(re_rows):
+        adjugate = int_adjugate(re_rows, im_rows)
+        if adjugate is not None:
+            return adjugate
     (b_re, b_im), coeffs = _trace_recurrence(re_rows, im_rows, r)
     cr, ci = coeffs[-1]
     if r % 2:

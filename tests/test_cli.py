@@ -24,6 +24,7 @@ from cases import (
     mat,
 )
 from exactgi.documents import matrix_to_document
+from exactgi.scalar import MAX_LITERAL_DIGITS
 
 
 def write(tmp_path, name, matrix):
@@ -168,6 +169,26 @@ def test_negative_budget_exits_2(tmp_path, capsys):
     assert "--budget" in err
     code, _, _ = run(capsys, ["pinv", "--in", a_path, "--budget", "0"])
     assert code == 3
+
+
+def test_decimal_out_of_range_exits_2_on_every_command(tmp_path, capsys):
+    # checked before any input is read, also where nothing is rendered as
+    # decimals (verify), and above the cap before 10**K is formed per entry
+    a_path = write(tmp_path, "A.json", LS_A)
+    x_path = write(tmp_path, "X.json", LS_PINV)
+    verify = ["verify", "--kind", "mp", "--in", a_path, "--X", x_path]
+    for argv in (["pinv", "--in", a_path], verify):
+        for k in ("-1", str(MAX_LITERAL_DIGITS + 1)):
+            code, out, err = run(capsys, argv + ["--decimal", k])
+            assert (code, out) == (2, "")
+            assert "--decimal" in err
+    code, out, err = run(capsys, verify + ["--decimal", "0"])
+    assert code == 0, err
+    assert json.loads(out)["all_satisfied"] is True
+    code, out, err = run(capsys, ["pinv", "--in", write(tmp_path, "I.json", mat([[1]])),
+                                  "--decimal", str(MAX_LITERAL_DIGITS)])
+    assert code == 0, err
+    assert json.loads(out)["entries"] == [["1." + "0" * MAX_LITERAL_DIGITS]]
 
 
 def test_ode_on_a_nonsingular_matrix_is_budgeted(tmp_path, capsys):

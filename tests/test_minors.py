@@ -25,6 +25,7 @@ from exactgi import (
 )
 import exactgi.matrix
 import exactgi.minors
+from exactgi.matrix import _from_int, _trace_recurrence, clear_denominators
 from exactgi.minors import adjugate_product, cramer_ratio, kernel_work
 from exactgi.scalar import ExactScalar
 
@@ -414,10 +415,10 @@ def test_kernel_work_guard_estimate():
     assert f"n = {n}, r = {r}, s = {m}: C(n, r) = {comb(n, r)} subsets" in str(err.value)
 
 
-# -- the subset-tree walk: held indices, rank-deficient leaves, depth ----------------
+# -- structured bases: zero pivots, rank-deficient blocks, large orders ---------------
 #
-# A zero pivot in index order makes the walk hold that index until the leaf;
-# these bases put zero pivots at every depth.
+# Zero diagonal entries and zero leading minors make the r = n elimination
+# swap rows, and leave many principal blocks singular at every order r.
 
 
 def zero_diagonal_blocks(rng, n):
@@ -463,7 +464,7 @@ def with_repeated_columns(rng, m):
     return ExactMatrix.from_rows(rows)
 
 
-def test_walk_held_zero_diagonal_blocks(rng):
+def test_kernel_zero_diagonal_blocks(rng):
     for n in (2, 3, 4, 5, 6):
         m = zero_diagonal_blocks(rng, n)
         assert_kernel_matches_enumeration(
@@ -471,7 +472,7 @@ def test_walk_held_zero_diagonal_blocks(rng):
         )
 
 
-def test_walk_held_zero_lines_and_repeated_columns(rng):
+def test_kernel_zero_lines_and_repeated_columns(rng):
     for _ in range(6):
         n = rng.randint(2, 6)
         for m in (with_zero_lines(rng, rational_matrix(rng, n, n)),
@@ -481,7 +482,7 @@ def test_walk_held_zero_lines_and_repeated_columns(rng):
             )
 
 
-def test_walk_core_plus_nilpotent_bases(rng):
+def test_kernel_core_plus_nilpotent_bases(rng):
     # A^(k+1) of a core-plus-nilpotent matrix, the Drazin base, at every
     # order r, not only at the core rank
     for n, core, index in ((5, 2, 3), (6, 3, 2), (7, 3, 3), (6, 1, 4)):
@@ -492,16 +493,16 @@ def test_walk_core_plus_nilpotent_bases(rng):
         )
 
 
-def test_walk_rank_deficient_leaf_after_held_index():
-    # index 1 has a zero pivot and is held from the root; the 3-subset
-    # {1, 2, 3} has rank 2, so its adjugate is the nonzero sigma u w^T / D
+def test_kernel_rank_deficient_blocks_behind_zero_pivots():
+    # the (1,1) entry is 0; the principal block {1, 2, 3} has rank 2, so its
+    # adjugate is nonzero
     m = mat([[0, 1, 1, 2, 1], [1, 0, 1, -1, 0], [1, 1, 2, 0, 1],
              [1, 0, 2, 1, -1], [0, 1, 1, 1, 2]])
     block = mat([[0, 1, 1], [1, 0, 1], [1, 1, 2]])
     assert rank(block) == 2
     assert not adjugate_product(block, 3, ExactMatrix.identity(3), "column")[0].is_zero()
-    # index 2 is held after a nonzero pivot on 1 (the leading 2x2 minor is
-    # 0); column 4 = column 1 + column 3 makes {1, 2, 3, 4} rank 3
+    # the (1,1) entry is nonzero but the leading 2x2 minor is 0; column 4 =
+    # column 1 + column 3 makes {1, 2, 3, 4} rank 3
     rows = [[1, 1, 2, 0, 1, 1], [1, 1, 0, 1, 1, 0], [0, 1, 1, 2, 0, 1],
             [2, 0, 1, 1, 1, 1], [1, 2, 0, 1, 1, 1], [0, 1, 1, 0, 2, 1]]
     for row in rows:
@@ -515,8 +516,9 @@ def test_walk_rank_deficient_leaf_after_held_index():
         )
 
 
-def test_walk_depth_half_order(rng):
-    # n = 7..9: at r = n/2 the walk descends several levels before the leaves
+def test_kernel_half_order_n7_to_n9(rng):
+    # n = 7..9 at every order, r = n/2 among them, on unit entries and a
+    # rank-5 product at n = 8
     for n in (7, 8, 9):
         m = small_unit_matrix(rng, n, n)
         if n == 8:
@@ -524,9 +526,8 @@ def test_walk_depth_half_order(rng):
         assert_kernel_matches_enumeration(m, rand_matrix(rng, n, 1), rand_matrix(rng, 1, n))
 
 
-def test_walk_deep_order_does_not_recurse():
-    # the walk keeps its own stack, so r is not bounded by the interpreter's
-    # recursion limit
+def test_kernel_identity_40_at_order_39():
+    # a large order: L_39(I_40) = 39 I and d_39 = C(40, 39) = 40
     n = 40
     m = ExactMatrix.identity(n)
     product, d = adjugate_product(m, n - 1, m, "column")
@@ -539,7 +540,7 @@ structured = st.sampled_from(("plain", "zero_diagonal", "zero_lines", "repeated"
 
 @settings(deadline=None)
 @given(st.integers(1, 5), structured, st.integers(0, 2**32 - 1))
-def test_walk_matches_enumeration_property(n, kind, seed):
+def test_kernel_structured_bases_match_enumeration_property(n, kind, seed):
     import random
 
     rng = random.Random(seed)
@@ -636,3 +637,30 @@ def test_char_poly_matches_enumeration_property(n, kind, seed):
     assert len(coeffs) == n
     for r in range(1, n + 1):
         assert coeffs[r - 1] == principal_minor_sum(m, r)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_full_order_adjugate_matches_recurrence_property(n, zero_corner, seed):
+    # two independent paths for adj(M) and det(M) of a nonsingular base, past
+    # the n <= 6 that enumeration covers: the r = n elimination inside
+    # adjugate_product, and the trace recurrence run to its end.  A zero
+    # (1,1) entry makes the elimination swap rows.
+    import random
+
+    rng = random.Random(seed)
+    while True:
+        m = rational_matrix(rng, n, n)
+        if zero_corner and n > 1:
+            m = m.replace_row(1, [sc(0), *m.row(1)[1:]])
+        d = char_poly_coeffs(m)[-1]
+        if not d.is_zero():
+            break
+    re_rows, im_rows, q = clear_denominators(m)
+    (b_re, b_im), _ = _trace_recurrence(re_rows, im_rows, n)
+    sign = (-1) ** (n - 1)  # adj(M_int) = (-1)^(n-1) B_(n-1), adj(M) = that / q^(n-1)
+    adj = _from_int([[sign * x for x in row] for row in b_re],
+                    [[sign * x for x in row] for row in b_im], q ** (n - 1))
+    eye = ExactMatrix.identity(n)
+    for side in ("column", "row"):
+        assert adjugate_product(m, n, eye, side) == (adj, d)
