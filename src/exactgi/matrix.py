@@ -14,11 +14,15 @@ Arithmetic runs on the images.  A product is one Gaussian-integer product
 (`int_matmul`) over q_A q_B, a sum or difference brings both images to their
 common denominator, `scale` multiplies by the cleared factor, and transpose,
 conjugation, trace and the Frobenius norm read the image directly.  Each new
-image is reduced to its least q by one gcd pass (`_from_int`).  Power chains
+image is reduced to its least q by one gcd pass (`_from_int`).  A product
+A B with at least 2 rows and 5 columns packs each row of B into two integers
+with a bit field per real and imaginary part, so that a row of the result is
+one dot product of length 2n (`_packed_matmul`).  Power chains
 (`power_products`, used by `rank_profile` and the ODE solutions) stay in the
 integers between steps: A^l B is A_int^l B_int / (q_A^l q_B), so each new
-power is one integer product.  `rank_profile` takes each power's rank on its
-integer image and builds a power as an `ExactMatrix` only when it is read.
+power is one integer product.  `rank_profile` ranks A^(e+1) on the r-by-r
+block of the rows and columns where A^e has its pivots, r = rank(A^e), and
+builds a power as an `ExactMatrix` only when it is read.
 
 Rank, determinant, adjugate, `inverse` and `rref` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
@@ -45,7 +49,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul, neg
+from operator import lshift, mul, neg
 
 from .scalar import ONE, ZERO, ExactScalar, RationalLike
 
@@ -347,9 +351,16 @@ def _splice(a: ExactMatrix, b: ExactMatrix, join) -> ExactMatrix:
 # -- Gaussian-integer elimination core ----------------------------------------
 
 
+# Products with fewer columns than this, or a single row, keep the dot-product
+# loop: replaying the products of the bench/ workloads, packing lost there.
+_PACKED_MIN_COLS = 5
+
+
 def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, list]:
     """The product of two Gaussian-integer matrices given as real and
     imaginary rows."""
+    if len(b_re[0]) >= _PACKED_MIN_COLS and len(a_re) > 1:
+        return _packed_matmul(a_re, a_im, b_re, b_im)
     cols_re = list(zip(*b_re))
     cols_im = list(zip(*b_im))
     # re = xr.yr - xi.yi and im = xr.yi + xi.yr, each as one dot product of
@@ -360,6 +371,35 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, li
     right_im = [yi + yr for yr, yi in zip(cols_re, cols_im)]
     out_re = [[sum(map(mul, x, y)) for y in right_re] for x in left_re]
     out_im = [[sum(map(mul, x, y)) for y in right_im] for x in left_im]
+    return out_re, out_im
+
+
+def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, list]:
+    """`int_matmul` with each row of B packed into two integers, so that a
+    row of the product is one dot product of length 2n.
+
+    Row k of B becomes P_k, holding (re b_kj, im b_kj) in the w-bit slots
+    (2j, 2j + 1), and Q_k, holding (-im b_kj, re b_kj) there.  Then
+    sum_k re a_ik P_k + im a_ik Q_k holds (re c_ij, im c_ij) in the same
+    slots.  Each of those is at most 2n max|A| max|B| < 2^(w-1) in absolute
+    value, so with 2^(w-1) added to every slot no slot borrows from or
+    carries into the next, and each reads off exactly."""
+    n, p = len(b_re), len(b_re[0])
+    top_a = max(max(map(max, chain(a_re, a_im))), -min(map(min, chain(a_re, a_im))))
+    top_b = max(max(map(max, chain(b_re, b_im))), -min(map(min, chain(b_re, b_im))))
+    w = (2 * n * top_a * top_b).bit_length() + 1
+    even, odd = range(0, 2 * p * w, 2 * w), range(w, 2 * p * w, 2 * w)
+    packs_re = [sum(map(lshift, row, even)) for row in b_re]
+    packs_im = [sum(map(lshift, row, even)) for row in b_im]
+    packs = [x + (y << w) for x, y in zip(packs_re, packs_im)]
+    packs += [(x << w) - y for x, y in zip(packs_re, packs_im)]
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    bias = ((1 << (2 * p * w)) - 1) // mask * half  # half in each of the 2p slots
+    out_re, out_im = [], []
+    for xr, xi in zip(a_re, a_im):
+        row = sum(map(mul, (*xr, *xi), packs), bias)
+        out_re.append([((row >> s) & mask) - half for s in even])
+        out_im.append([((row >> s) & mask) - half for s in odd])
     return out_re, out_im
 
 
@@ -681,17 +721,31 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     a_int = clear_denominators(matrix)
     chain = _int_chain(a_int, a_int, "right")  # A^2, A^3, ...
     images = [a_int[:2]]
-    ranks = [int_rank(*a_int[:2])]
-    k = 0
-    prev_rank = n
-    while ranks[-1] != prev_rank:
-        prev_rank = ranks[-1]
-        p_re, p_im, _ = next(chain)
-        images.append((p_re, p_im))
-        ranks.append(int_rank(p_re, p_im))
-        k += 1
-    # ranks[k] == ranks[k-1] now holds; k is the index.
-    return RankProfile(matrix, tuple(ranks), k, images, chain, a_int[2])
+    rows, cols = _spanning_lines(*a_int[:2], range(n), range(n))
+    ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
+    while ranks[-1] != ranks[-2]:
+        # A^e = 0 gives A^(e+1) = 0, which power() builds only when read
+        if rows:
+            p_re, p_im, _ = next(chain)
+            images.append((p_re, p_im))
+            rows, cols = _spanning_lines(p_re, p_im, rows, cols)
+        ranks.append(len(rows))
+    # ranks[k + 1] == ranks[k] now holds; k is the index.
+    return RankProfile(matrix, tuple(ranks[1:]), len(ranks) - 2, images, chain, a_int[2])
+
+
+def _spanning_lines(re_rows: Rows, im_rows: Rows, rows, cols) -> tuple[list, list]:
+    """Rows and columns of A^(e+1) that are bases of its row and column
+    spaces, from rows S and columns T of A^e that span A^e's.
+
+    Rows S of A^(e+1) = A^e A span its row space, and columns T of
+    A^(e+1) = A A^e span its column space, so rank(A^(e+1)) is the rank of
+    the block A^(e+1)[S, T], and the rows and columns of the block's pivots
+    are bases.  For A^1, S and T are every row and column."""
+    block_re = [[re_rows[i][j] for j in cols] for i in rows]
+    block_im = [[im_rows[i][j] for j in cols] for i in rows]
+    _, _, _, _, pivots, _, orig = _eliminate(block_re, block_im, len(cols), False)
+    return [rows[i] for i in orig[: len(pivots)]], [cols[j] for j in pivots]
 
 
 def index_of(matrix: ExactMatrix) -> int:

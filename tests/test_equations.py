@@ -248,16 +248,16 @@ def test_intermediates_exposed():
 
 @pytest.mark.parametrize("solver, side", [(dz_solve_left, "column"), (dz_solve_right, "row")])
 def test_drazin_solvers_rank_the_core_power_once(rng, monkeypatch, solver, side):
-    # the rank profile ranks A and A^2; the range check joins B to A^k and
-    # reuses the profile's rank of A^k instead of ranking A^k again
+    # the rank profile ranks A and a block of A^2; the range check joins B to
+    # A^k and reuses the profile's rank of A^k instead of ranking A^k again
     a = rand_index_matrix(rng, 5, 3, 1)
     inside = a @ rand_matrix(rng, 5, 2) if side == "column" else rand_matrix(rng, 2, 5) @ a
     outside = rand_matrix(rng, 5, 2) if side == "column" else rand_matrix(rng, 2, 5)
-    int_rank = matrix_module.int_rank
+    eliminate = matrix_module._eliminate
     for b, in_range in ((inside, True), (outside, False)):
         calls = []
         monkeypatch.setattr(
-            matrix_module, "int_rank", lambda *rows: calls.append(1) or int_rank(*rows)
+            matrix_module, "_eliminate", lambda *args: calls.append(1) or eliminate(*args)
         )
         result = solver(a, b)
         assert (result.ranks, result.indices) == ((3,), (1,))

@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 from itertools import islice
 from math import comb, gcd, lcm
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import exactgi.matrix as matrix_module
 from exactgi import (
     ExactMatrix,
     ExactScalar,
@@ -20,13 +22,14 @@ from exactgi import (
 from exactgi.matrix import (
     clear_denominators,
     column_space_contains,
+    int_matmul,
     power_products,
     row_space_contains,
     rref,
 )
 
 from cases import DZ_A, DZ_INDEX, LS_A, mat, sc
-from conftest import rand_index_matrix, rand_matrix, rand_low_rank
+from conftest import rand_index_matrix, rand_matrix, rand_low_rank, rand_unimodular
 
 
 def reference_matmul(a, b):
@@ -507,3 +510,114 @@ def test_replace_checks_the_index():
     with pytest.raises(IndexError):
         m.replace_row(0, [sc(1), sc(1)])
     assert m.replace_col(1, [F(1, 2), sc(0, 1)]) == mat([[F(1, 2), 2], [sc(0, 1), 4]])
+
+
+# -- the integer product and the index profile ---------------------------------------
+
+
+def schoolbook_matmul(a_re, a_im, b_re, b_im):
+    """(a_re + i a_im)(b_re + i b_im) by the triple loop, entry by entry."""
+    out_re = [[0] * len(b_re[0]) for _ in a_re]
+    out_im = [[0] * len(b_re[0]) for _ in a_re]
+    for i, (xr, xi) in enumerate(zip(a_re, a_im)):
+        for j in range(len(b_re[0])):
+            for k, (yr, yi) in enumerate(zip(b_re, b_im)):
+                out_re[i][j] += xr[k] * yr[j] - xi[k] * yi[j]
+                out_im[i][j] += xr[k] * yi[j] + xi[k] * yr[j]
+    return out_re, out_im
+
+
+@given(
+    st.integers(1, 14), st.integers(1, 14), st.integers(1, 14),
+    st.sampled_from(["small", "huge", "extreme", "bound", "zero"]),
+    st.integers(0, 2**32),
+)
+@example(2, 3, 6, "bound", 0)
+@example(3, 1, 5, "bound", 1)
+def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
+    # shapes on both sides of the packing threshold.  "extreme" makes every
+    # entry +-M; "bound" picks the signs so that every real part in an even
+    # column and every imaginary part in an odd one is +-2n M^2, the largest
+    # a product of such factors can hold
+    rng = random.Random(seed)
+    top = {"small": 9, "zero": 9}.get(kind, rng.choice([1, 3, 2**20, 10**40]))
+
+    def grid(rows, cols, entry):
+        return tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
+
+    if kind == "bound":
+        signs = [rng.choice([-1, 1]) for _ in range(m)]
+        a_re = a_im = grid(m, n, lambda i, k: signs[i] * top)
+        b_re = grid(n, p, lambda k, j: top)
+        b_im = grid(n, p, lambda k, j: top if j % 2 else -top)
+    else:
+        def entry(i, j):
+            return rng.choice([-top, top]) if kind == "extreme" else rng.randint(-top, top)
+
+        a_re, a_im = grid(m, n, entry), grid(m, n, entry)
+        b_re, b_im = grid(n, p, entry), grid(n, p, entry)
+        if kind == "zero" and seed % 2:
+            b_re = b_im = grid(n, p, lambda k, j: 0)
+        elif kind == "zero":
+            a_re = a_im = grid(m, n, lambda i, k: 0)
+    assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+
+def core_plus_jordan(rng, n, core, blocks):
+    """An invertible triangular Gaussian-integer core of order `core` and
+    nilpotent Jordan blocks of the given sizes, conjugated by unit shears."""
+    rows = [[ExactScalar(0)] * n for _ in range(n)]
+    for i in range(core):
+        rows[i][i] = ExactScalar(rng.choice([-2, -1, 1, 2]), rng.randint(-1, 1))
+        for j in range(i):
+            rows[i][j] = ExactScalar(rng.randint(-1, 1), rng.randint(-1, 1))
+    start = core
+    for size in blocks:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = ExactScalar(1)
+        start += size
+    shear = rand_unimodular(rng, n)
+    return shear @ ExactMatrix.from_rows(rows) @ inverse(shear)
+
+
+@given(st.sampled_from([1, *range(6, 13)]), st.sampled_from(["mixed", "zero", "nonsingular"]),
+       st.booleans(), st.integers(0, 2**32))
+def test_rank_profile_matches_full_power_ranks_property(n, kind, rational, seed):
+    # the profile ranks each power on a block; every rank up to A^(k+1) must
+    # equal the rank of the whole power, and both must follow from the blocks
+    rng = random.Random(seed)
+    core = {"zero": 0, "nonsingular": n}.get(kind, rng.randint(0, n))
+    blocks = [1] * n if kind == "zero" else []
+    while sum(blocks) < n - core:
+        blocks.append(rng.randint(1, min(8, n - core - sum(blocks))))
+    a = ExactMatrix.zeros(n, n) if kind == "zero" else core_plus_jordan(rng, n, core, blocks)
+    if rational:
+        a = a.scale(ExactScalar(F(rng.choice([1, 2, 5]), rng.choice([3, 4, 7])), F(1, 2)))
+    profile = rank_profile(a)
+    k = max(blocks, default=0)
+    assert profile.index == k
+    power = ExactMatrix.identity(n)
+    for e in range(1, k + 2):
+        power = power @ a
+        expected = core + sum(max(size - e, 0) for size in blocks)
+        assert profile.rank_of_power[e - 1] == rank(power) == expected
+    assert len(profile.rank_of_power) == k + 1
+
+
+def test_nilpotent_profile_stops_the_chain_at_the_zero_power(rng, monkeypatch):
+    # once A^k = 0 its rank is 0 and A^(k+1) = 0 is not formed, so a nilpotent
+    # matrix of index k makes k - 1 chain products and the zero matrix none
+    cases = [(rand_index_matrix(rng, n, 0, k), k) for n, k in ((6, 6), (8, 5), (10, 8), (3, 2))]
+    cases += [(ExactMatrix.zeros(n, n), 1) for n in (1, 4)]
+    product = matrix_module.int_matmul
+    for a, k in cases:
+        calls = []
+        monkeypatch.setattr(
+            matrix_module, "int_matmul", lambda *rows: calls.append(1) or product(*rows)
+        )
+        profile = rank_profile(a)
+        assert (profile.index, len(calls)) == (k, k - 1)
+        assert profile.rank_of_power[-2:] == (0, 0)
+        monkeypatch.setattr(matrix_module, "int_matmul", product)
+        assert profile.power(k + 1) == ExactMatrix.zeros(a.rows, a.rows)
+        assert profile.power(k) == a.power(k)
