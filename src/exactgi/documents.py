@@ -20,6 +20,14 @@ Matrix documents are JSON objects {"rows": m, "cols": n, "entries": [[...]]}
 whose entries are scalar literals (strings) or JSON integers.  JSON floats
 are rejected: exactness must survive transport.  CSV input is accepted for
 real matrices only.
+
+Entries parse straight to the matrix's canonical Gaussian-integer image (see
+exactgi.matrix): the scanner yields each part as an unreduced integer pair
+(num, den), every part is brought over Q, the lcm of the denominators, and
+one gcd pass reduces Q to the least common denominator.  Rendering reads
+each part x/q off the image and reduces it by one gcd; no Fraction or
+ExactScalar is built per entry either way.  How parts join into a literal
+is defined once, in exactgi.scalar, and shared with ExactScalar.__str__.
 """
 
 from __future__ import annotations
@@ -28,11 +36,22 @@ import csv
 import io
 import json
 import re
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Any
 
-from .matrix import ExactMatrix
-from .scalar import CHUNK_DIGITS, MAX_LITERAL_DIGITS, ExactScalar, _int_of, int_text
+from .matrix import ExactMatrix, _from_int, clear_denominators
+from .scalar import (
+    CHUNK_DIGITS,
+    MAX_LITERAL_DIGITS,
+    ExactScalar,
+    _int_of,
+    int_text,
+    join_parts,
+    literal,
+)
 
 
 class DocumentError(ValueError):
@@ -69,8 +88,9 @@ def _json_int(text: str) -> int:
     return _digits_value(text, text, 0)
 
 
-def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
-    """Scan digits/digits | [digits].digits | digits; return (value, next)."""
+def _scan_number(text: str, pos: int) -> tuple[int, int, int]:
+    """Scan digits/digits | [digits].digits | digits; return (num, den, next),
+    den > 0 and not reduced."""
     whole, frac, den = _NUMBER.match(text, pos).groups()
     after = pos + len(whole) + 1  # just past a "." or "/"
     if frac is not None:
@@ -78,22 +98,22 @@ def _scan_number(text: str, pos: int) -> tuple[Fraction, int]:
             raise ScalarParseError(text, after, "expected digits after decimal point")
         scale = 10 ** len(frac)
         value = _digits_value(whole, text, pos) * scale if whole else 0
-        return Fraction(value + _digits_value(frac, text, after), scale), after + len(frac)
+        return value + _digits_value(frac, text, after), scale, after + len(frac)
     if not whole:
         raise ScalarParseError(text, pos, "expected digits")
     numerator = _digits_value(whole, text, pos)
     if den is None:
-        return Fraction(numerator), after - 1
+        return numerator, 1, after - 1
     if not den:
         raise ScalarParseError(text, after, "expected denominator digits")
     denominator = _digits_value(den, text, after)
     if denominator == 0:
         raise ScalarParseError(text, after, "zero denominator")
-    return Fraction(numerator, denominator), after + len(den)
+    return numerator, denominator, after + len(den)
 
 
-def _scan_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
-    """Scan sign? (number i | i | number); return (value, imaginary, next)."""
+def _scan_term(text: str, pos: int) -> tuple[int, int, bool, int]:
+    """Scan sign? (number i | i | number); return (num, den, imaginary, next)."""
     n = len(text)
     negative = False
     if pos < n and text[pos] in "+-":
@@ -102,46 +122,46 @@ def _scan_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
     while pos < n and text[pos] == " ":
         pos += 1
     if pos < n and text[pos] == "i":
-        return Fraction(-1 if negative else 1), True, pos + 1
-    value, pos = _scan_number(text, pos)
+        return -1 if negative else 1, 1, True, pos + 1
+    num, den, pos = _scan_number(text, pos)
     if negative:
-        value = -value
+        num = -num
     if pos < n and text[pos] == "i":
-        return value, True, pos + 1
-    return value, False, pos
+        return num, den, True, pos + 1
+    return num, den, False, pos
+
+
+def _scan_scalar(text: str) -> tuple[int, int, int, int]:
+    """Scan a scalar literal; return (a, b, c, d) for a/b + (c/d) i, b, d > 0
+    and not reduced."""
+    stripped = text.strip()
+    if not stripped:
+        raise ScalarParseError(text, 0, "empty literal")
+    num, den, imag, pos = _scan_term(stripped, 0)
+    a, b, c, d = (0, 1, num, den) if imag else (num, den, 0, 1)
+    while pos < len(stripped) and stripped[pos] == " ":
+        pos += 1
+    if pos < len(stripped):
+        if stripped[pos] not in "+-":
+            raise ScalarParseError(text, pos, "expected '+' or '-'")
+        c, d, second, pos = _scan_term(stripped, pos)
+        if not second:
+            raise ScalarParseError(text, pos, "second part must be imaginary")
+        if imag:
+            raise ScalarParseError(text, pos, "two imaginary parts")
+        while pos < len(stripped) and stripped[pos] == " ":
+            pos += 1
+        if pos < len(stripped):
+            raise ScalarParseError(text, pos, "trailing characters")
+    return a, b, c, d
 
 
 def parse_scalar(text: str) -> ExactScalar:
     """Parse a scalar literal into canonical form."""
     if not isinstance(text, str):
         raise ScalarParseError(str(text), 0, "literal must be a string")
-    stripped = text.strip()
-    if not stripped:
-        raise ScalarParseError(text, 0, "empty literal")
-    pos = 0
-    re_part: Fraction | None = None
-    im_part: Fraction | None = None
-    value, imag, pos = _scan_term(stripped, pos)
-    if imag:
-        im_part = value
-    else:
-        re_part = value
-    while pos < len(stripped) and stripped[pos] == " ":
-        pos += 1
-    if pos < len(stripped):
-        if stripped[pos] not in "+-":
-            raise ScalarParseError(text, pos, "expected '+' or '-'")
-        value, imag, pos = _scan_term(stripped, pos)
-        if not imag:
-            raise ScalarParseError(text, pos, "second part must be imaginary")
-        if im_part is not None:
-            raise ScalarParseError(text, pos, "two imaginary parts")
-        im_part = value
-        while pos < len(stripped) and stripped[pos] == " ":
-            pos += 1
-        if pos < len(stripped):
-            raise ScalarParseError(text, pos, "trailing characters")
-    return ExactScalar(re_part or 0, im_part or 0)
+    a, b, c, d = _scan_scalar(text)
+    return ExactScalar(Fraction(a, b), Fraction(c, d))
 
 
 def render_scalar(value: ExactScalar) -> str:
@@ -149,52 +169,64 @@ def render_scalar(value: ExactScalar) -> str:
     return str(value)
 
 
-def _round_fraction(value: Fraction, digits: int) -> str:
-    """Correctly rounded fixed-point rendering, ties to even."""
-    negative = value < 0
-    scaled = abs(value) * 10**digits
-    whole, remainder = divmod(scaled.numerator, scaled.denominator)
+def _round(num: int, den: int, digits: int) -> str:
+    """num/den, den > 0, correctly rounded to fixed point, ties to even."""
+    whole, remainder = divmod(abs(num) * 10**digits, den)
     double = 2 * remainder
-    if double > scaled.denominator or (double == scaled.denominator and whole % 2):
+    if double > den or (double == den and whole % 2):
         whole += 1
     text = int_text(whole).rjust(digits + 1, "0")
     if digits:
         text = f"{text[:-digits]}.{text[-digits:]}"
-    return f"-{text}" if negative and whole else text
+    return f"-{text}" if num < 0 and whole else text
+
+
+def _decimal_literal(a: int, b: int, c: int, d: int, digits: int) -> str:
+    re_text = _round(a, b, digits)
+    if not c:
+        return re_text
+    # the sign comes from the rounded text, so a part that rounds to zero has none
+    return join_parts(re_text if a else None, _round(c, d, digits))
+
+
+def _decimal(digits: int) -> Callable[[int, int, int, int], str]:
+    """The decimal rendering of a/b + (c/d) i with that many digits."""
+    if digits < 0:
+        raise DocumentError("decimal digit count must be nonnegative")
+    return partial(_decimal_literal, digits=digits)
 
 
 def render_scalar_decimal(value: ExactScalar, digits: int) -> str:
     """Decimal rendering for display; never used in computation."""
-    if digits < 0:
-        raise DocumentError("decimal digit count must be nonnegative")
-    re_text = _round_fraction(value.re, digits)
-    if value.im == 0:
-        return re_text
-    # the sign comes from the rounded text, so a part that rounds to zero has none
-    im_text = _round_fraction(value.im, digits)
-    if value.re == 0:
-        return f"{im_text}i"
-    return f"{re_text}{'' if im_text[0] == '-' else '+'}{im_text}i"
+    re, im = value.re, value.im
+    return _decimal(digits)(re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 # -- matrix documents ---------------------------------------------------------
 
 
-def _entry_from_json(value: Any, where: str) -> ExactScalar:
-    if isinstance(value, bool):
-        raise DocumentError(f"{where}: booleans are not scalars")
-    if isinstance(value, int):
-        return ExactScalar(value)
-    if isinstance(value, float):
-        raise DocumentError(
-            f"{where}: JSON floats are not exact; write the entry as a string literal"
-        )
+def _entry_parts(value: Any) -> tuple[int, int, int, int]:
     if isinstance(value, str):
-        try:
-            return parse_scalar(value)
-        except ScalarParseError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
-    raise DocumentError(f"{where}: unsupported entry {value!r}")
+        return _scan_scalar(value)
+    if isinstance(value, bool):
+        raise DocumentError("booleans are not scalars")
+    if isinstance(value, int):
+        return value, 1, 0, 1
+    if isinstance(value, float):
+        raise DocumentError("JSON floats are not exact; write the entry as a string literal")
+    raise DocumentError(f"unsupported entry {value!r}")
+
+
+def _from_parts(rows: int, cols: int, parts: list[tuple[int, int, int, int]]) -> ExactMatrix:
+    """The matrix whose entries, in row-major order, are a/b + (c/d) i.  Over
+    Q = lcm of the denominators its image is integral; the gcd pass of
+    `_from_int` reduces Q to the least common denominator, so the image is
+    the canonical one."""
+    q = lcm(*{b for _, b, _, _ in parts}, *{d for _, _, _, d in parts})
+    re = [a * (q // b) for a, b, _, _ in parts]
+    im = [c * (q // d) for _, _, c, d in parts]
+    starts = range(0, rows * cols, cols)
+    return _from_int([re[s : s + cols] for s in starts], [im[s : s + cols] for s in starts], q)
 
 
 def parse_matrix_document(obj: Any) -> ExactMatrix:
@@ -210,37 +242,42 @@ def parse_matrix_document(obj: Any) -> ExactMatrix:
         raise DocumentError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise DocumentError(f"expected {rows} entry rows")
-    data: list[list[ExactScalar]] = []
+    parts = []
     for i, row in enumerate(entries, start=1):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(f"entry row {i} must be a list of {cols} scalars")
-        data.append(
-            [_entry_from_json(v, f"entry ({i},{j})") for j, v in enumerate(row, 1)]
-        )
-    return ExactMatrix.from_rows(data)
+        for j, value in enumerate(row, start=1):
+            try:
+                parts.append(_entry_parts(value))
+            except DocumentError as exc:
+                raise DocumentError(f"entry ({i},{j}): {exc}") from exc
+    return _from_parts(rows, cols, parts)
 
 
 def parse_csv_matrix(text: str) -> ExactMatrix:
     """CSV input, real entries only."""
-    rows: list[list[ExactScalar]] = []
+    rows: list[list[tuple[int, int, int, int]]] = []
     for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not record or all(not cell.strip() for cell in record):
             continue
         row = []
         for col_no, cell in enumerate(record, start=1):
             try:
-                value = parse_scalar(cell.strip())
+                parts = _scan_scalar(cell.strip())
             except ScalarParseError as exc:
                 raise DocumentError(f"CSV cell ({line_no},{col_no}): {exc}") from exc
-            if value.im != 0:
+            if parts[2]:
                 raise DocumentError(
                     f"CSV cell ({line_no},{col_no}): CSV carries real matrices only"
                 )
-            row.append(value)
+            row.append(parts)
         rows.append(row)
     if not rows:
         raise DocumentError("CSV input is empty")
-    return ExactMatrix.from_rows(rows)
+    cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise DocumentError("all rows must have the same length")
+    return _from_parts(len(rows), cols, [entry for row in rows for entry in row])
 
 
 def load_matrix(path: str) -> ExactMatrix:
@@ -262,19 +299,14 @@ def load_matrix(path: str) -> ExactMatrix:
 def matrix_to_document(
     matrix: ExactMatrix, decimal: int | None = None, name: str | None = None
 ) -> dict:
-    render = (
-        (lambda e: render_scalar_decimal(e, decimal))
-        if decimal is not None
-        else render_scalar
-    )
+    text = literal if decimal is None else _decimal(decimal)
+    re, im, q = clear_denominators(matrix)
     doc: dict[str, Any] = {}
     if name is not None:
         doc["name"] = name
     doc["rows"] = matrix.rows
     doc["cols"] = matrix.cols
-    doc["entries"] = [
-        [render(e) for e in matrix.row(i)] for i in range(1, matrix.rows + 1)
-    ]
+    doc["entries"] = [[text(x, q, y, q) for x, y in zip(*rows)] for rows in zip(re, im)]
     return doc
 
 

@@ -51,7 +51,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import lshift, mul, neg
 
-from .scalar import ONE, ZERO, ExactScalar, RationalLike
+from .scalar import ZERO, ExactScalar, RationalLike
 
 EntryLike = ExactScalar | RationalLike
 Rows = tuple[tuple[int, ...], ...]
@@ -61,6 +61,11 @@ def _as_scalar(value: EntryLike) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
     return ExactScalar(value)
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows <= 0 or cols <= 0:
+        raise ValueError("matrix dimensions must be positive")
 
 
 def _scalar(x: int, y: int, q: int) -> ExactScalar:
@@ -78,8 +83,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
+        _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
@@ -122,11 +126,15 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        zero = cls.zeros(n, n)
+        return _image(tuple(r[:i] + (1,) + r[i + 1 :] for i, r in enumerate(zero._re)),
+                      zero._im, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        _check_shape(rows, cols)
+        zero = ((0,) * cols,) * rows
+        return _image(zero, zero, 1)
 
     @classmethod
     def column(cls, values: Sequence[EntryLike]) -> "ExactMatrix":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 RationalLike = int | Fraction
 
@@ -176,24 +177,8 @@ class ExactScalar:
     def __str__(self) -> str:
         # Canonical literal, the same grammar the CLI accepts: "0", "-5/2",
         # "1/2+3i", "2-i", "3i".
-        try:
-            return self._literal(str)
-        except ValueError:  # a part too long for str(int)
-            return self._literal(_rational_text)
-
-    def _literal(self, text) -> str:
-        if self.im == 0:
-            return text(self.re)
-        if self.im == 1:
-            imag = "i"
-        elif self.im == -1:
-            imag = "-i"
-        else:
-            imag = f"{text(self.im)}i"
-        if self.re == 0:
-            return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{text(self.re)}{sign}{imag}"
+        re, im = self.re, self.im
+        return literal(re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 @cache
@@ -215,13 +200,36 @@ def _digits(n: int, width: int) -> str:
 
 def int_text(n: int) -> str:
     """str(n) for any size, whatever the interpreter's int/str digit limit."""
+    if abs(n) < _pow10(CHUNK_DIGITS):
+        return str(n)
     return "-" + _digits(-n, 0) if n < 0 else _digits(n, 0)
 
 
-def _rational_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return int_text(value.numerator)
-    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+def rational_text(num: int, den: int) -> str:
+    """The literal of num/den, den > 0, reduced to lowest terms: "3", "-5/2"."""
+    g = gcd(num, den)
+    if g == den:
+        return int_text(num // g)
+    return f"{int_text(num // g)}/{int_text(den // g)}"
+
+
+def join_parts(re_text: str | None, im_text: str | None) -> str:
+    """The literal of the scalar grammar (see exactgi.documents) from the
+    texts of its parts; None leaves a part out, never both.  im_text is what
+    stands before "i", so a unit imaginary part is "" or "-"."""
+    if im_text is None:
+        return re_text
+    if re_text is None:
+        return f"{im_text}i"
+    return f"{re_text}{'' if im_text[:1] == '-' else '+'}{im_text}i"
+
+
+def literal(a: int, b: int, c: int, d: int) -> str:
+    """The canonical literal of a/b + (c/d) i, b, d > 0, in any terms."""
+    if not c:
+        return rational_text(a, b)
+    im_text = "" if c == d else "-" if c == -d else rational_text(c, d)
+    return join_parts(rational_text(a, b) if a else None, im_text)
 
 
 def _coerce(value: object) -> ExactScalar:

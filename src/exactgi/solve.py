@@ -113,6 +113,7 @@ def w_drazin_solve(
     y = _as_vector(rhs, (matrix.cols, 1))
     in_range = _spans(wa.power(wa.index), y, "column", wa.core_rank)
     x, _, block = rule.apply(y, budget)
-    residual = y if block is None else weight @ matrix @ weight @ x - y
+    # W A W x = (WA)(W x), and the profile holds WA
+    residual = y if block is None else wa.matrix @ (weight @ x) - y
     residual_sq = ExactScalar(residual.frobenius_norm_sq())
     return SolveReport(x, rule.r, rule.k, residual_sq, "w_drazin", in_range)

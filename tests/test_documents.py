@@ -4,11 +4,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactgi import (
     DocumentError,
+    ExactMatrix,
     ExactScalar,
     ScalarParseError,
     parse_matrix_document,
@@ -18,11 +19,13 @@ from exactgi import (
 )
 import exactgi
 from exactgi.documents import (
+    CHUNK_DIGITS,
     MAX_LITERAL_DIGITS,
     load_matrix,
     matrix_to_document,
     parse_csv_matrix,
 )
+from exactgi.matrix import clear_denominators
 
 from cases import mat, sc
 
@@ -215,3 +218,114 @@ def test_non_ascii_digits_are_refused(text, position):
     assert err.value.position == position
     with pytest.raises(DocumentError):
         parse_matrix_document({"rows": 1, "cols": 1, "entries": [[text]]})
+
+
+# -- documents parse to, and render from, the canonical image -----------------------
+
+# digit runs: short ones with leading and trailing zeros, and runs either side of
+# CHUNK_DIGITS, where conversion switches to chunks
+_runs = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.builds(lambda d, k: d * k, st.sampled_from("0159"),
+              st.integers(CHUNK_DIGITS - 1, CHUNK_DIGITS + 40)),
+)
+_nonzero_runs = _runs.filter(lambda run: run.strip("0"))
+_numbers = st.one_of(
+    _runs,  # "7", "0004"
+    st.builds(lambda a, b: f"{a}/{b}", _runs, _nonzero_runs),  # "6/4", "0/5"
+    st.builds(lambda a, b: f"{a}.{b}", _runs, _runs),  # "0.500"
+    _runs.map(lambda b: f".{b}"),  # ".25"
+)
+_signs = st.sampled_from(["", "-", "+"])
+_reals = st.builds(lambda s, x: s + x, _signs, _numbers)
+_imags = st.builds(lambda s, x: f"{s}{x}i", _signs, st.one_of(st.just(""), _numbers))
+_literals = st.one_of(
+    _reals,
+    _imags,  # "i", "-i", "-.25i"
+    st.builds(lambda x, s, y, gap: f"{x}{gap}{s}{gap}{y}i", _reals, st.sampled_from("+-"),
+              st.one_of(st.just(""), _numbers), st.sampled_from(["", " "])),
+)
+_entries = st.one_of(_literals, st.integers(-(10**40), 10**40))
+
+
+def _reference(rows):
+    # entry by entry through parse_scalar and the Fraction-based constructor
+    return ExactMatrix.from_rows(
+        [[ExactScalar(v) if isinstance(v, int) else parse_scalar(v) for v in row] for row in rows]
+    )
+
+
+def _grids(elements):
+    return st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                              min_size=1, max_size=4)
+    )
+
+
+@settings(deadline=None)
+@given(_grids(_entries))
+@example([["6/4", "0.500"], ["-.25i", 3], ["i", "-i"]])
+@example([["0", "0/5"], ["-0.000i", 0]])  # a zero matrix
+@example([["1/3", "1/4+5/6i"], ["7/10", "-.125"]])  # mixed denominators
+@example([["1" * 4301 + "/7", "2." + "5" * 4400 + "i"], [-(10**5000), "3"]])
+def test_matrix_document_matches_entrywise_parse_property(rows):
+    doc = {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+    parsed = parse_matrix_document(doc)
+    expected = _reference(rows)
+    assert parsed == expected and hash(parsed) == hash(expected)
+    assert clear_denominators(parsed) == clear_denominators(expected)
+
+
+@settings(deadline=None)
+@given(_grids(st.one_of(_reals, _reals.map(lambda x: f" {x} "))))
+@example([["6/4", "0.500"], ["-.25", "0"]])
+@example([["1" * 4301 + "/7"]])
+def test_csv_matches_entrywise_parse_property(rows):
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    parsed = parse_csv_matrix(text)
+    expected = _reference([[v.strip() for v in row] for row in rows])
+    assert parsed == expected and hash(parsed) == hash(expected)
+
+
+_parts = st.one_of(
+    st.just(F(0)),
+    st.sampled_from([F(1), F(-1)]),
+    st.fractions(max_denominator=10**6),
+    st.builds(F, st.integers(-(10**700), 10**700), st.integers(1, 10**30)),
+)
+
+
+@settings(deadline=None)
+@given(_grids(st.builds(ExactScalar, _parts, _parts)), st.integers(0, 6))
+@example([[ExactScalar(F(3, 2), 1), ExactScalar(0, -1)], [ExactScalar(0), ExactScalar(F(-1, 4))]], 0)
+@example([[ExactScalar(F(10**5000 + 1, 3), F(-1, 10**4400))]], 2)
+def test_matrix_document_renders_like_each_entry_property(rows, digits):
+    m = ExactMatrix.from_rows(rows)
+    assert matrix_to_document(m)["entries"] == [[render_scalar(e) for e in row] for row in rows]
+    assert matrix_to_document(m, digits)["entries"] == [
+        [render_scalar_decimal(e, digits) for e in row] for row in rows
+    ]
+
+
+def test_bad_entries_name_their_place_and_reason():
+    cases = [
+        ([["1", "6/4"], ["-.25i", "1/2+3j"]],
+         "entry (2,2): invalid scalar '1/2+3j' at position 5: second part must be imaginary"),
+        ([["1 + 2i + 3i", "2"], ["3", "4"]],
+         "entry (1,1): invalid scalar '1 + 2i + 3i' at position 7: trailing characters"),
+        ([["1", 2], [0.5, "i"]],
+         "entry (2,1): JSON floats are not exact; write the entry as a string literal"),
+        ([["1", True], ["0", "i"]], "entry (1,2): booleans are not scalars"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(DocumentError) as err:
+            parse_matrix_document({"rows": 2, "cols": 2, "entries": rows})
+        assert str(err.value) == message
+    for text, message in [
+        ("1,2\n3, 4x\n", "CSV cell (2,2): invalid scalar '4x' at position 1: expected '+' or '-'"),
+        ("1,2\n\n0.5,1/0\n", "CSV cell (3,2): invalid scalar '1/0' at position 2: zero denominator"),
+        ("1,2i\n", "CSV cell (1,2): CSV carries real matrices only"),
+    ]:
+        with pytest.raises(DocumentError) as err:
+            parse_csv_matrix(text)
+        assert str(err.value) == message

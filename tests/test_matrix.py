@@ -68,6 +68,24 @@ def test_construction_validation():
         ExactMatrix(0, 1, [])
 
 
+def test_zeros_and_identity_match_their_entries():
+    for rows, cols in ((1, 1), (1, 4), (3, 2), (5, 5)):
+        zeros = ExactMatrix.zeros(rows, cols)
+        expected = ExactMatrix(rows, cols, [0] * (rows * cols))
+        assert zeros == expected and hash(zeros) == hash(expected)
+        assert zeros.entries == expected.entries and zeros.is_zero()
+    for n in range(1, 6):
+        identity = ExactMatrix.identity(n)
+        expected = mat([[int(i == j) for j in range(n)] for i in range(n)])
+        assert identity == expected and hash(identity) == hash(expected)
+        assert identity.entries == expected.entries
+    for bad in ((0, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            ExactMatrix.zeros(*bad)
+    with pytest.raises(ValueError):
+        ExactMatrix.identity(0)
+
+
 def test_one_based_access():
     m = mat([[1, 2], [3, 4]])
     assert m.entry(1, 2) == sc(2)

@@ -200,6 +200,22 @@ def test_w_drazin_forced_range_membership(rng):
     assert hits >= 5
 
 
+def test_w_drazin_residual_is_that_of_w_a_w(rng):
+    # rank(A) <= 1, so a random y is mostly outside the prescribed range and
+    # W A W x - y is not zero
+    nonzero = 0
+    for _ in range(12):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        a = rand_low_rank(rng, m, n, 1)
+        w = rand_matrix(rng, n, m, span=1)
+        y = rand_matrix(rng, n, 1)
+        report = w_drazin_solve(a, w, y)
+        residual = w @ a @ w @ report.solution - y
+        assert report.residual_norm_sq == sc(residual.frobenius_norm_sq())
+        nonzero += not residual.is_zero()
+    assert nonzero >= 10
+
+
 # -- agreement with the matrix-equation solvers ----------------------------------
 
 
