@@ -38,6 +38,7 @@ from typing import Literal, NamedTuple
 from .matrix import (
     ExactMatrix,
     RankProfile,
+    _from_int,
     clear_denominators,
     int_det,
     inverse,
@@ -207,16 +208,19 @@ def mp_inverse(
 def mp_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
     """Independent Moore-Penrose computation via exact rank factorization:
     A = CQ with C the pivot columns and Q the nonzero rows of the reduced
-    echelon form, then A+ = Q*(C*AQ*)^(-1)C*."""
+    echelon form, then A+ = Q*(C*AQ*)^(-1)C*.  C and Q are sliced from the
+    images of A and of the reduced form."""
     m, n = matrix.shape
     reduced, pivots = rref(matrix)
     r = len(pivots)
     if r == 0:
         return ExactMatrix.zeros(n, m)
-    c = ExactMatrix(
-        m, r, [matrix.entry(i, j) for i in range(1, m + 1) for j in pivots]
-    )
-    q = ExactMatrix.from_rows([list(reduced.row(i)) for i in range(1, r + 1)])
+    a_re, a_im, q_a = clear_denominators(matrix)
+    cols = [j - 1 for j in pivots]
+    c = _from_int([[row[j] for j in cols] for row in a_re],
+                  [[row[j] for j in cols] for row in a_im], q_a)
+    r_re, r_im, q_r = clear_denominators(reduced)
+    q = _from_int(r_re[:r], r_im[:r], q_r)
     q_star = q.conj_transpose()
     c_star = c.conj_transpose()
     middle = inverse(c_star @ matrix @ q_star)

@@ -15,9 +15,12 @@ Arithmetic runs on the images.  A product is one Gaussian-integer product
 common denominator, `scale` multiplies by the cleared factor, and transpose,
 conjugation, trace and the Frobenius norm read the image directly.  Each new
 image is reduced to its least q by one gcd pass (`_from_int`).  A product
-A B with at least 2 rows and 5 columns packs each row of B into two integers
+A B with at least 2 rows and 6 columns packs each row of B into two integers
 with a bit field per real and imaginary part, so that a row of the result is
-one dot product of length 2n (`_packed_matmul`).  Power chains
+one dot product of length 2n (`_packed_matmul`); the field width comes from
+the largest bit lengths of A and B.  A narrower product sums each entry's
+real and imaginary parts in one loop over a row of A and a column of B, and
+builds no other vectors.  Power chains
 (`power_products`, used by `rank_profile` and the ODE solutions) stay in the
 integers between steps: A^l B is A_int^l B_int / (q_A^l q_B), so each new
 power is one integer product.  `rank_profile` ranks A^(e+1) on the r-by-r
@@ -26,7 +29,10 @@ builds a power as an `ExactMatrix` only when it is read.
 
 Rank, determinant, adjugate, `inverse` and `rref` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
-growth: Bareiss for rank and determinant, Gauss-Jordan for the rest.
+growth: Bareiss for rank and determinant, Gauss-Jordan for the rest.  A
+Bareiss step updates only the columns right of its pivot, the only ones a
+later step reads; their callers read only the pivots, the sign and the
+row order.
 Gauss-Jordan runs in place on [M | I] without storing I: the slot of each
 eliminated column takes over its pivot row's identity column, so n columns
 end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import lshift, mul, neg
 
@@ -361,7 +367,7 @@ def _splice(a: ExactMatrix, b: ExactMatrix, join) -> ExactMatrix:
 
 # Products with fewer columns than this, or a single row, keep the dot-product
 # loop: replaying the products of the bench/ workloads, packing lost there.
-_PACKED_MIN_COLS = 5
+_PACKED_MIN_COLS = 6
 
 
 def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, list]:
@@ -369,16 +375,19 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, li
     imaginary rows."""
     if len(b_re[0]) >= _PACKED_MIN_COLS and len(a_re) > 1:
         return _packed_matmul(a_re, a_im, b_re, b_im)
-    cols_re = list(zip(*b_re))
-    cols_im = list(zip(*b_im))
-    # re = xr.yr - xi.yi and im = xr.yi + xi.yr, each as one dot product of
-    # concatenated vectors
-    left_re = [(*xr, *map(neg, xi)) for xr, xi in zip(a_re, a_im)]
-    left_im = [(*xr, *xi) for xr, xi in zip(a_re, a_im)]
-    right_re = [yr + yi for yr, yi in zip(cols_re, cols_im)]
-    right_im = [yi + yr for yr, yi in zip(cols_re, cols_im)]
-    out_re = [[sum(map(mul, x, y)) for y in right_re] for x in left_re]
-    out_im = [[sum(map(mul, x, y)) for y in right_im] for x in left_im]
+    cols = list(zip(zip(*b_re), zip(*b_im)))
+    out_re, out_im = [], []
+    for xr, xi in zip(a_re, a_im):
+        row_re, row_im = [], []
+        for yr, yi in cols:
+            sr = si = 0
+            for a, b, c, d in zip(xr, xi, yr, yi):
+                sr += a * c - b * d
+                si += a * d + b * c
+            row_re.append(sr)
+            row_im.append(si)
+        out_re.append(row_re)
+        out_im.append(row_im)
     return out_re, out_im
 
 
@@ -389,13 +398,14 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list
     Row k of B becomes P_k, holding (re b_kj, im b_kj) in the w-bit slots
     (2j, 2j + 1), and Q_k, holding (-im b_kj, re b_kj) there.  Then
     sum_k re a_ik P_k + im a_ik Q_k holds (re c_ij, im c_ij) in the same
-    slots.  Each of those is at most 2n max|A| max|B| < 2^(w-1) in absolute
-    value, so with 2^(w-1) added to every slot no slot borrows from or
-    carries into the next, and each reads off exactly."""
+    slots.  With every entry of A below 2^s and every entry of B below 2^t
+    in absolute value (s, t the largest bit lengths), each of those is below
+    2n 2^(s+t) < 2^(w-1) for w = s + t + bitlen(2n) + 1, so with 2^(w-1)
+    added to every slot no slot borrows from or carries into the next, and
+    each reads off exactly."""
     n, p = len(b_re), len(b_re[0])
-    top_a = max(max(map(max, chain(a_re, a_im))), -min(map(min, chain(a_re, a_im))))
-    top_b = max(max(map(max, chain(b_re, b_im))), -min(map(min, chain(b_re, b_im))))
-    w = (2 * n * top_a * top_b).bit_length() + 1
+    w = (max(map(int.bit_length, chain(*a_re, *a_im)))
+         + max(map(int.bit_length, chain(*b_re, *b_im))) + (2 * n).bit_length() + 1)
     even, odd = range(0, 2 * p * w, 2 * w), range(w, 2 * p * w, 2 * w)
     packs_re = [sum(map(lshift, row, even)) for row in b_re]
     packs_im = [sum(map(lshift, row, even)) for row in b_im]
@@ -482,9 +492,12 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
     values are known (k in the pivot row, 0 elsewhere), so slot c holds the
     pivot row's identity column instead, -x[c] in the other rows and p in
     the pivot row, and later steps update it like any other column.  At the
-    end every pivot equals the last one, p.  Returns the rows, p, the
-    0-based pivot columns, the sign of the row permutation and `orig`, the
-    input row now at each position."""
+    end every pivot equals the last one, p.  A Bareiss step updates only the
+    columns right of its pivot, the only ones a later pivot search reads, so
+    in Bareiss mode the returned rows are valid only right of each row's
+    pivot (and at it, in the pivot row).  Returns the rows, p, the 0-based
+    pivot columns, the sign of the row permutation and `orig`, the input row
+    now at each position."""
     ar = [list(row) for row in re_rows]
     ai = [list(row) for row in im_rows]
     m = len(ar)
@@ -509,21 +522,33 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
             norm, ur, ui = pr * pr + pi * pi, kr * pr + ki * pi, ki * pr - kr * pi
         else:
             norm, ur, ui = pr, kr, ki
-        for i in range(0 if jordan else row + 1, m):
-            if i == row:
-                continue
-            xr, xi = ar[i], ai[i]
-            mr, mi = xr[col], xi[col]
-            vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
-            nr = [(a * ur - b * ui - vr * c + vi * d) // norm
-                  for a, b, c, d in zip(xr, xi, yr, yi)]
-            ni = [(a * ui + b * ur - vr * d - vi * c) // norm
-                  for a, b, c, d in zip(xr, xi, yr, yi)]
-            if jordan:
-                nr[col], ni[col] = -mr, -mi
-            ar[i], ai[i] = nr, ni
         if jordan:
+            for i in range(m):
+                if i == row:
+                    continue
+                xr, xi = ar[i], ai[i]
+                mr, mi = xr[col], xi[col]
+                vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
+                nr = [(a * ur - b * ui - vr * c + vi * d) // norm
+                      for a, b, c, d in zip(xr, xi, yr, yi)]
+                ni = [(a * ui + b * ur - vr * d - vi * c) // norm
+                      for a, b, c, d in zip(xr, xi, yr, yi)]
+                nr[col], ni[col] = -mr, -mi
+                ar[i], ai[i] = nr, ni
             yr[col], yi[col] = pr, pi
+        else:
+            # only the columns right of the pivot, in place: the step makes
+            # the rows below zero at it and left of it, and no later step
+            # reads there, so those entries keep their stale values
+            for i in range(row + 1, m):
+                xr, xi = ar[i], ai[i]
+                mr, mi = xr[col], xi[col]
+                vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
+                j = col + 1
+                for a, b, c, d in islice(zip(xr, xi, yr, yi), j, None):
+                    xr[j] = (a * ur - b * ui - vr * c + vi * d) // norm
+                    xi[j] = (a * ui + b * ur - vr * d - vi * c) // norm
+                    j += 1
         pr, pi = kr, ki
         pivots.append(col)
         if row + 1 == m:

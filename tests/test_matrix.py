@@ -22,7 +22,10 @@ from exactgi import (
 from exactgi.matrix import (
     clear_denominators,
     column_space_contains,
+    int_adjugate,
+    int_det,
     int_matmul,
+    int_rank,
     power_products,
     row_space_contains,
     rref,
@@ -552,6 +555,12 @@ def schoolbook_matmul(a_re, a_im, b_re, b_im):
 )
 @example(2, 3, 6, "bound", 0)
 @example(3, 1, 5, "bound", 1)
+# either side of the packing threshold (6 columns) with entries of exactly
+# 2^20 (seed 5) or 2^0 (seed 6): with n = 8 or 4 the largest slot value,
+# 2n M^2, is a power of two as well
+@example(4, 8, 5, "bound", 5)
+@example(4, 8, 6, "bound", 5)
+@example(2, 4, 6, "bound", 6)
 def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
     # shapes on both sides of the packing threshold.  "extreme" makes every
     # entry +-M; "bound" picks the signs so that every real part in an even
@@ -579,6 +588,100 @@ def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
         elif kind == "zero":
             a_re = a_im = grid(m, n, lambda i, k: 0)
     assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+
+def fraction_elimination(re_rows, im_rows):
+    """Rank, determinant and inverse of a Gaussian-integer matrix by
+    Gauss-Jordan elimination over pairs of Fractions; the determinant and
+    the inverse only for a square matrix, the inverse None when singular."""
+
+    def times(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def reciprocal(x):
+        norm = x[0] * x[0] + x[1] * x[1]
+        return (x[0] / norm, -x[1] / norm)
+
+    m, n = len(re_rows), len(re_rows[0])
+    rows = [[(F(x), F(y)) for x, y in zip(xr, xi)] for xr, xi in zip(re_rows, im_rows)]
+    if m == n:
+        rows = [row + [(F(int(i == j)), F(0)) for j in range(n)] for i, row in enumerate(rows)]
+    det, r = (F(1), F(0)), 0
+    for col in range(n):
+        found = next((i for i in range(r, m) if rows[i][col] != (0, 0)), None)
+        if found is None:
+            det = (F(0), F(0))
+            continue
+        if found != r:
+            rows[r], rows[found] = rows[found], rows[r]
+            det = (-det[0], -det[1])
+        det = times(det, rows[r][col])
+        scale = reciprocal(rows[r][col])
+        rows[r] = [times(x, scale) for x in rows[r]]
+        for i in range(m):
+            factor = rows[i][col]
+            if i != r and factor != (0, 0):
+                rows[i] = [(x[0] - t[0], x[1] - t[1])
+                           for x, t in zip(rows[i], (times(factor, y) for y in rows[r]))]
+        r += 1
+    if m != n:
+        return r, None, None
+    return r, det, [row[n:] for row in rows] if r == n else None
+
+
+@given(
+    st.integers(1, 8), st.integers(1, 8), st.integers(0, 8),
+    st.sampled_from(["small", "sparse", "huge"]), st.integers(0, 3), st.booleans(),
+    st.integers(0, 2**32),
+)
+@example(3, 3, 3, "small", 1, True, 0)
+@example(5, 5, 5, "sparse", 0, True, 1)
+@example(4, 6, 0, "huge", 0, False, 2)
+def test_eliminate_consumers_match_a_fraction_elimination_property(
+    m, n, r, kind, zero_cols, swap, seed
+):
+    # int_rank and int_det run Bareiss steps, which update only the columns
+    # right of each pivot; int_adjugate runs Gauss-Jordan.  A product of
+    # m-by-r and r-by-n factors has rank at most r; "sparse" factors are
+    # mostly zero, so pivots go missing mid-way, and "huge" entries reach
+    # about 10^40.  The first `zero_cols` columns are zero, and `swap` makes
+    # the first row zero at the first pivot column, so a swap is forced.
+    rng = random.Random(seed)
+    top = {"small": 3, "sparse": 1, "huge": 10**19}[kind]
+
+    def factor_entry():
+        if kind == "sparse" and rng.random() < 0.6:
+            return 0
+        return rng.randint(-top, top)
+
+    r = min(r, m, n)
+    left = [[(factor_entry(), factor_entry()) for _ in range(r)] for _ in range(m)]
+    right = [[(factor_entry(), factor_entry()) for _ in range(n)] for _ in range(r)]
+    cols = [[right[t][j] for t in range(r)] for j in range(n)]
+    re = [[sum(a * c - b * d for (a, b), (c, d) in zip(row, col)) for col in cols] for row in left]
+    im = [[sum(a * d + b * c for (a, b), (c, d) in zip(row, col)) for col in cols] for row in left]
+    for row in re + im:
+        row[:zero_cols] = [0] * min(zero_cols, n)
+    if swap:
+        lead = next((j for j in range(n) if any(row[j] for row in re + im)), None)
+        if lead is not None:
+            re[0][lead] = im[0][lead] = 0
+    re_rows, im_rows = tuple(map(tuple, re)), tuple(map(tuple, im))
+    expected_rank, _, _ = fraction_elimination(re_rows, im_rows)
+    assert int_rank(re_rows, im_rows) == expected_rank
+    k = min(m, n)
+    block_re, block_im = tuple(row[:k] for row in re_rows[:k]), tuple(row[:k] for row in im_rows[:k])
+    block_rank, det_value, inv = fraction_elimination(block_re, block_im)
+    assert int_rank(block_re, block_im) == block_rank
+    assert int_det(block_re, block_im) == det_value
+    adjugate = int_adjugate(block_re, block_im)
+    if inv is None:
+        assert adjugate is None and det_value == (0, 0)
+    else:
+        adj = [[(det_value[0] * x - det_value[1] * y, det_value[0] * y + det_value[1] * x)
+                for x, y in row] for row in inv]
+        assert adjugate == ([[x for x, _ in row] for row in adj], [[y for _, y in row] for row in adj],
+                            *det_value)
 
 
 def core_plus_jordan(rng, n, core, blocks):
