@@ -29,10 +29,10 @@ builds a power as an `ExactMatrix` only when it is read.
 
 Rank, determinant, adjugate, `inverse` and `rref` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
-growth: Bareiss for rank and determinant, Gauss-Jordan for the rest.  A
-Bareiss step updates only the columns right of its pivot, the only ones a
-later step reads; their callers read only the pivots, the sign and the
-row order.
+growth: Bareiss for rank and determinant, Gauss-Jordan for the rest.  Both
+update each row in place in one loop.  A Bareiss step updates only the
+columns right of its pivot, the only ones a later step reads; its callers
+read only the pivots, the sign and the row order.
 Gauss-Jordan runs in place on [M | I] without storing I: the slot of each
 eliminated column takes over its pivot row's identity column, so n columns
 end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
@@ -522,33 +522,26 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
             norm, ur, ui = pr * pr + pi * pi, kr * pr + ki * pi, ki * pr - kr * pi
         else:
             norm, ur, ui = pr, kr, ki
+        # in place, each entry read before it is written; a Bareiss step
+        # reaches only the rows below and the columns right of the pivot (the
+        # rows below are zero at it and left of it, and no later step reads
+        # there, so those entries keep stale values)
+        start = 0 if jordan else col + 1
+        for i in range(0 if jordan else row + 1, m):
+            if i == row:
+                continue
+            xr, xi = ar[i], ai[i]
+            mr, mi = xr[col], xi[col]
+            vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
+            j = start
+            for a, b, c, d in islice(zip(xr, xi, yr, yi), start, None):
+                xr[j] = (a * ur - b * ui - vr * c + vi * d) // norm
+                xi[j] = (a * ui + b * ur - vr * d - vi * c) // norm
+                j += 1
+            if jordan:
+                xr[col], xi[col] = -mr, -mi
         if jordan:
-            for i in range(m):
-                if i == row:
-                    continue
-                xr, xi = ar[i], ai[i]
-                mr, mi = xr[col], xi[col]
-                vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
-                nr = [(a * ur - b * ui - vr * c + vi * d) // norm
-                      for a, b, c, d in zip(xr, xi, yr, yi)]
-                ni = [(a * ui + b * ur - vr * d - vi * c) // norm
-                      for a, b, c, d in zip(xr, xi, yr, yi)]
-                nr[col], ni[col] = -mr, -mi
-                ar[i], ai[i] = nr, ni
             yr[col], yi[col] = pr, pi
-        else:
-            # only the columns right of the pivot, in place: the step makes
-            # the rows below zero at it and left of it, and no later step
-            # reads there, so those entries keep their stale values
-            for i in range(row + 1, m):
-                xr, xi = ar[i], ai[i]
-                mr, mi = xr[col], xi[col]
-                vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
-                j = col + 1
-                for a, b, c, d in islice(zip(xr, xi, yr, yi), j, None):
-                    xr[j] = (a * ur - b * ui - vr * c + vi * d) // norm
-                    xi[j] = (a * ui + b * ur - vr * d - vi * c) // norm
-                    j += 1
         pr, pi = kr, ki
         pivots.append(col)
         if row + 1 == m:
