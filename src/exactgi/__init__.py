@@ -22,31 +22,30 @@ from .matrix import (
     rank,
     rank_profile,
 )
-from .minors import (
-    DEFAULT_WORK_BUDGET,
-    BudgetExceededError,
-    IndexSubset,
-    enumerate_subsets,
-    principal_minor_sum,
-    replaced_col_minor_sum,
-    replaced_row_minor_sum,
-    subset_count,
-)
+from .minors import DEFAULT_WORK_BUDGET, BudgetExceededError
 from .inverses import (
     EquationReport,
     GiReport,
     VerificationError,
     WeightPair,
     drazin_inverse,
-    drazin_inverse_oracle,
     group_inverse,
     is_hermitian_positive_definite,
     mp_inverse,
-    mp_inverse_oracle,
     projector,
     verify_defining_equations,
     w_drazin_inverse,
     weighted_mp_inverse,
+)
+from .oracles import (
+    IndexSubset,
+    drazin_inverse_oracle,
+    enumerate_subsets,
+    mp_inverse_oracle,
+    principal_minor_sum,
+    replaced_col_minor_sum,
+    replaced_row_minor_sum,
+    subset_count,
 )
 from .solve import (
     SolveReport,

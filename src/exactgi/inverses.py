@@ -1,8 +1,8 @@
 """Generalized inverses by minor-sum determinantal formulas.
 
 Moore-Penrose, weighted Moore-Penrose, Drazin, group and weighted Drazin
-inverses, the four projector formulas, independent oracles built on exact
-rank factorization, and the defining-equation verifiers.
+inverses, the four projector formulas, and the defining-equation verifiers.
+The independent references they are checked against live in `oracles`.
 
 Every generalized inverse G here is one Cramer rule: the generalized
 adjugate L_r of a square base (`minors.cramer_ratio`), applied to a factor
@@ -38,13 +38,11 @@ from typing import Literal, NamedTuple
 from .matrix import (
     ExactMatrix,
     RankProfile,
-    _from_int,
     clear_denominators,
     int_det,
     inverse,
     rank,
     rank_profile,
-    rref,
 )
 from .minors import cramer_ratio, kernel_work
 from .scalar import ONE, ExactScalar
@@ -205,28 +203,6 @@ def mp_inverse(
     return _mp_rule(matrix, form).report(budget)
 
 
-def mp_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
-    """Independent Moore-Penrose computation via exact rank factorization:
-    A = CQ with C the pivot columns and Q the nonzero rows of the reduced
-    echelon form, then A+ = Q*(C*AQ*)^(-1)C*.  C and Q are sliced from the
-    images of A and of the reduced form."""
-    m, n = matrix.shape
-    reduced, pivots = rref(matrix)
-    r = len(pivots)
-    if r == 0:
-        return ExactMatrix.zeros(n, m)
-    a_re, a_im, q_a = clear_denominators(matrix)
-    cols = [j - 1 for j in pivots]
-    c = _from_int([[row[j] for j in cols] for row in a_re],
-                  [[row[j] for j in cols] for row in a_im], q_a)
-    r_re, r_im, q_r = clear_denominators(reduced)
-    q = _from_int(r_re[:r], r_im[:r], q_r)
-    q_star = q.conj_transpose()
-    c_star = c.conj_transpose()
-    middle = inverse(c_star @ matrix @ q_star)
-    return q_star @ middle @ c_star
-
-
 # -- weighted Moore-Penrose --------------------------------------------------------
 
 
@@ -264,26 +240,6 @@ def drazin_inverse(
     if not matrix.is_square:
         raise ValueError("the Drazin inverse needs a square matrix")
     return _drazin_rule(rank_profile(matrix), form).report(budget)
-
-
-def drazin_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
-    """Independent Drazin computation: A^k (A^(2k+1))+ A^k, certified against
-    the three defining equations before being returned."""
-    if not matrix.is_square:
-        raise ValueError("the Drazin inverse needs a square matrix")
-    profile = rank_profile(matrix)
-    k = profile.index
-    if profile.core_rank == 0:
-        candidate = ExactMatrix.zeros(matrix.rows, matrix.rows)
-    else:
-        power_k = profile.power(k)
-        candidate = power_k @ mp_inverse_oracle(profile.power(2 * k + 1)) @ power_k
-    report = verify_defining_equations(matrix, candidate, "drazin")
-    if not report.all_satisfied:
-        raise VerificationError(
-            f"Drazin oracle failed its defining equations: {report.equations}"
-        )
-    return candidate
 
 
 def group_inverse(matrix: ExactMatrix, budget: int | None = None) -> GiReport:

@@ -27,23 +27,23 @@ power is one integer product.  `rank_profile` ranks A^(e+1) on the r-by-r
 block of the rows and columns where A^e has its pivots, r = rank(A^e), and
 builds a power as an `ExactMatrix` only when it is read.
 
-Rank, determinant, adjugate, `inverse` and `rref` share one fraction-free
+Rank, determinant, adjugate and `inverse` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
-growth: Bareiss for rank and determinant, Gauss-Jordan for the rest.  Both
-update each row in place in one loop.  A Bareiss step updates only the
+growth: Bareiss for rank and determinant, Gauss-Jordan for the adjugate.
+Both update each row in place in one loop.  A Bareiss step updates only the
 columns right of its pivot, the only ones a later step reads; its callers
-read only the pivots, the sign and the row order.
+read only the pivots, the sign and the row order, and `_spanning_lines`
+turns these into pivot rows and columns.
 Gauss-Jordan runs in place on [M | I] without storing I: the slot of each
 eliminated column takes over its pivot row's identity column, so n columns
 end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
 det(M) off T and p; `inverse` divides the one by the other once, and the
-generalized-adjugate kernel of `minors` uses both at full order.  `rref`
-puts p e_i back into the pivot columns and divides by p once.  The
+generalized-adjugate kernel of `minors` uses both at full order.  The
 characteristic-polynomial coefficients come from the trace recurrence
 (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products that
 never enumerate minors, so it serves as an independent cross-check for the
-minor-sum primitives; the same run gives the kernel its matrices below full
-order.
+enumeration primitives of `oracles`; the same run gives the kernel its
+matrices below full order.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -629,16 +629,6 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     if adjugate is None:
         raise ZeroDivisionError("matrix is singular")
     return _over(*adjugate, matrix._q)
-
-
-def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the 1-based pivot columns."""
-    re, im, pr, pi, pivots, _, _ = _eliminate(matrix._re, matrix._im, matrix.cols, True)
-    # the in-place run left identity columns in the pivot slots; put back p e_i
-    for i, col in enumerate(pivots):
-        for j, (xr, xi) in enumerate(zip(re, im)):
-            xr[col], xi[col] = (pr, pi) if i == j else (0, 0)
-    return _over(re, im, pr, pi), tuple(c + 1 for c in pivots)
 
 
 def column_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
