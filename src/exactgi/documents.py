@@ -296,18 +296,14 @@ def load_matrix(path: str) -> ExactMatrix:
     return parse_matrix_document(obj)
 
 
-def matrix_to_document(
-    matrix: ExactMatrix, decimal: int | None = None, name: str | None = None
-) -> dict:
+def matrix_to_document(matrix: ExactMatrix, decimal: int | None = None) -> dict:
     text = literal if decimal is None else _decimal(decimal)
     re, im, q = clear_denominators(matrix)
-    doc: dict[str, Any] = {}
-    if name is not None:
-        doc["name"] = name
-    doc["rows"] = matrix.rows
-    doc["cols"] = matrix.cols
-    doc["entries"] = [[text(x, q, y, q) for x, y in zip(*rows)] for rows in zip(re, im)]
-    return doc
+    return {
+        "rows": matrix.rows,
+        "cols": matrix.cols,
+        "entries": [[text(x, q, y, q) for x, y in zip(*rows)] for rows in zip(re, im)],
+    }
 
 
 def poly_to_document(coefficients, decimal: int | None = None) -> dict:

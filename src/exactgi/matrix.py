@@ -20,12 +20,11 @@ with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
 the largest bit lengths of A and B.  A narrower product sums each entry's
 real and imaginary parts in one loop over a row of A and a column of B, and
-builds no other vectors.  Power chains
-(`power_products`, used by `rank_profile` and the ODE solutions) stay in the
-integers between steps: A^l B is A_int^l B_int / (q_A^l q_B), so each new
-power is one integer product.  `rank_profile` ranks A^(e+1) on the r-by-r
-block of the rows and columns where A^e has its pivots, r = rank(A^e), and
-builds a power as an `ExactMatrix` only when it is read.
+builds no other vectors.  A power chain is a list of matrices, each the
+product of the one before and A: `rank_profile` keeps A^0, A^1, ... in its
+`RankProfile` and ranks A^(e+1) on the r-by-r block of the rows and columns
+where A^e has its pivots, r = rank(A^e), and forms no product once a power
+is zero.
 
 Rank, determinant, adjugate and `inverse` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
@@ -51,7 +50,7 @@ lists are 0-based.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
@@ -198,12 +197,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not (any(map(any, self._re)) or any(map(any, self._im)))
-
-    def is_column(self) -> bool:
-        return self.cols == 1
-
-    def is_row(self) -> bool:
-        return self.rows == 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -421,35 +414,6 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list
     return out_re, out_im
 
 
-def power_products(
-    a: ExactMatrix, b: ExactMatrix, side: str = "left"
-) -> Iterator[tuple[ExactMatrix, Rows, Rows]]:
-    """Yield B, A B, A^2 B, ... (side "left") or B, B A, B A^2, ... (side
-    "right"), each with the real and imaginary rows of an integer image
-    (B's own image first, then A_int^l B_int over q_A^l q_B).
-
-    The chain stays in Z[i], so each step is one `int_matmul`."""
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}")
-    yield b, b._re, b._im
-    for p_re, p_im, q in _int_chain(clear_denominators(a), clear_denominators(b), side):
-        yield _from_int(p_re, p_im, q), p_re, p_im
-
-
-def _int_chain(a_int, b_int, side: str):
-    # The integer images of A B, A^2 B, ... (or B A, B A^2, ...) over the
-    # denominators q_B q_A^l; ExactMatrix appears nowhere.
-    a_re, a_im, qa = a_int
-    p_re, p_im, q = b_int
-    while True:
-        if side == "left":
-            p_re, p_im = int_matmul(a_re, a_im, p_re, p_im)
-        else:
-            p_re, p_im = int_matmul(p_re, p_im, a_re, a_im)
-        q *= qa
-        yield p_re, p_im, q
-
-
 def int_rank(re_rows: Rows, im_rows: Rows) -> int:
     """Rank of a Gaussian-integer matrix by fraction-free elimination."""
     return len(_eliminate(re_rows, im_rows, len(re_rows[0]) if re_rows else 0, False)[4])
@@ -663,37 +627,27 @@ def _spans(matrix: ExactMatrix, candidate: ExactMatrix, side: str, matrix_rank: 
 class RankProfile:
     """Rank history and index of a square matrix A, and its powers A^e.
 
-    The powers come from the integer power chain that found the ranks: the
-    profile keeps the cleared images of A^1, ..., A^(k+1), builds an
-    `ExactMatrix` power only when `power(e)` or `powers` reads it, and
-    extends the chain only as far as a read asks.
+    The profile holds A^0, A^1, ... as one list of matrices, each the
+    product of the one before and A: `rank_profile` extends it while it
+    ranks the powers, and `power(e)` extends it further when a read asks
+    for a power past its end.
     """
 
-    __slots__ = ("matrix", "rank_of_power", "index", "_images", "_chain", "_q", "_built")
+    __slots__ = ("matrix", "rank_of_power", "index", "_powers")
 
-    def __init__(self, matrix, rank_of_power, index, images, chain, q):
+    def __init__(self, matrix, rank_of_power, index, powers):
         self.matrix = matrix
         self.rank_of_power = rank_of_power  # rank(A^1), rank(A^2), ...
         self.index = index
-        self._images = images  # images[e - 1] is the cleared image of A^e
-        self._chain = chain
-        self._q = q
-        self._built = {1: matrix}
+        self._powers = powers  # A^0, A^1, ...
 
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
             raise ValueError("negative powers are not supported here")
-        built = self._built.get(exponent)
-        if built is None:
-            if exponent == 0:
-                built = ExactMatrix.identity(self.matrix.rows)
-            else:
-                while len(self._images) < exponent:
-                    self._images.append(next(self._chain)[:2])
-                p_re, p_im = self._images[exponent - 1]
-                built = _from_int(p_re, p_im, self._q**exponent)
-            self._built[exponent] = built
-        return built
+        powers = self._powers
+        while len(powers) <= exponent:
+            powers.append(powers[-1] @ self.matrix)
+        return powers[exponent]
 
     @property
     def powers(self) -> "_Powers":
@@ -701,6 +655,8 @@ class RankProfile:
         return _Powers(self)
 
     def rank_of(self, exponent: int) -> int:
+        if exponent < 0:
+            raise ValueError("negative powers are not supported here")
         if exponent == 0:
             return self.matrix.rows
         return self.rank_of_power[exponent - 1]
@@ -734,20 +690,17 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
-    a_int = clear_denominators(matrix)
-    chain = _int_chain(a_int, a_int, "right")  # A^2, A^3, ...
-    images = [a_int[:2]]
-    rows, cols = _spanning_lines(*a_int[:2], range(n), range(n))
+    powers = [ExactMatrix.identity(n), matrix]
+    rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
     ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
     while ranks[-1] != ranks[-2]:
         # A^e = 0 gives A^(e+1) = 0, which power() builds only when read
         if rows:
-            p_re, p_im, _ = next(chain)
-            images.append((p_re, p_im))
-            rows, cols = _spanning_lines(p_re, p_im, rows, cols)
+            powers.append(powers[-1] @ matrix)
+            rows, cols = _spanning_lines(powers[-1]._re, powers[-1]._im, rows, cols)
         ranks.append(len(rows))
     # ranks[k + 1] == ranks[k] now holds; k is the index.
-    return RankProfile(matrix, tuple(ranks[1:]), len(ranks) - 2, images, chain, a_int[2])
+    return RankProfile(matrix, tuple(ranks[1:]), len(ranks) - 2, powers)
 
 
 def _spanning_lines(re_rows: Rows, im_rows: Rows, rows, cols) -> tuple[list, list]:

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import factorial
 from typing import Literal
 
 from .equations import _solve_one
 from .inverses import _drazin_rule
-from .matrix import ExactMatrix, power_products, rank_profile
+from .matrix import ExactMatrix, rank_profile
 from .scalar import ExactScalar
 
 Side = Literal["left", "right"]
@@ -73,6 +72,8 @@ class MatrixPoly:
         return len(self.coefficients) == 1 and self.coefficients[0].is_zero()
 
     def coefficient(self, j: int) -> ExactMatrix:
+        if j < 0:
+            raise ValueError("a polynomial has no coefficient of negative degree")
         if j < len(self.coefficients):
             return self.coefficients[j]
         rows, cols = self.shape
@@ -146,9 +147,11 @@ def _ode_partial(
     # X0 = A^D B and E = B - A X0 (left), or X0 = B A^D and E = B - X0 A (right)
     x0, e, _ = _solve_one(rule, a, b, budget)
     # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k
-    chain = islice(power_products(a, e, side), rule.k)
+    chain = [e] if rule.k else []
+    while len(chain) < rule.k:
+        chain.append(a @ chain[-1] if side == "left" else chain[-1] @ a)
     return MatrixPoly(
-        [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, (p, _, _) in enumerate(chain)]
+        [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, p in enumerate(chain)]
     )
 
 

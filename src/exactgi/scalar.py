@@ -56,7 +56,10 @@ def _as_fraction(value: RationalLike | str) -> Fraction:
         if integer is not None:
             result = Fraction(_int_of(integer))
         elif num is not None:
-            result = Fraction(_int_of(num), _int_of(den))
+            denominator = _int_of(den)
+            if not denominator:
+                raise ValueError(f"zero denominator in rational literal {value!r}")
+            result = Fraction(_int_of(num), denominator)
         else:
             scale = 10 ** len(frac)
             result = Fraction(_int_of(whole or "0") * scale + _int_of(frac), scale)

@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from itertools import islice
 from math import comb, gcd, lcm
 import random
 
@@ -26,7 +25,6 @@ from exactgi.matrix import (
     int_det,
     int_matmul,
     int_rank,
-    power_products,
     row_space_contains,
 )
 
@@ -177,32 +175,6 @@ def test_rank_profile_on_rationals_matches_reference(rng):
                 assert profile.rank_of(p) == rank(power)
             power = reference_matmul(power, a)
         assert len(profile.powers) >= 2 * profile.index + 2
-
-
-def test_power_products_match_reference(rng):
-    for side in ("left", "right"):
-        for _ in range(4):
-            n = rng.randint(1, 4)
-            a = rand_rational_matrix(rng, n, n)
-            b = rand_rational_matrix(rng, n, n)
-            qa, qb = clear_denominators(a)[2], clear_denominators(b)[2]
-            expected = b
-            for l, (product, p_re, p_im) in enumerate(islice(power_products(a, b, side), 5)):
-                assert product == expected
-                # the integer image is A^l B scaled by q_A^l q_B
-                q = qa**l * qb
-                assert product == ExactMatrix(n, n, [
-                    ExactScalar(F(x, q), F(y, q))
-                    for row_re, row_im in zip(p_re, p_im)
-                    for x, y in zip(row_re, row_im)
-                ])
-                expected = (
-                    reference_matmul(a, expected)
-                    if side == "left"
-                    else reference_matmul(expected, a)
-                )
-    with pytest.raises(ValueError):
-        next(power_products(a, b, "both"))
 
 
 _rationals = st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 5, 12]))
@@ -400,6 +372,8 @@ def test_rank_profile_powers_on_demand(rng):
             profile.powers[2 * k + 2]
         with pytest.raises(ValueError):
             profile.power(-1)
+        with pytest.raises(ValueError):
+            profile.rank_of(-1)
 
 
 # -- the stored Gaussian-integer image -----------------------------------------------
@@ -514,7 +488,7 @@ def test_a_returned_image_cannot_change_the_matrix(rng):
     rank(m), det(m), char_poly_coeffs(m), m @ m, m.power(3)
     if rank(m) == 3:
         inverse(m)
-    next(islice(power_products(m, m), 1, None))
+    rank_profile(m).power(3)
     assert clear_denominators(m) == (re, im, q)
     assert m == copy and m.entries == copy.entries
 

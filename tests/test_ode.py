@@ -71,6 +71,13 @@ def test_poly_shape_validation():
         MatrixPoly([])
 
 
+def test_poly_refuses_a_negative_degree():
+    p = MatrixPoly([ExactMatrix.identity(2), ExactMatrix.identity(2).scale(3)])
+    with pytest.raises(ValueError):
+        p.coefficient(-1)
+    assert p.coefficient(2) == ExactMatrix.zeros(2, 2)
+
+
 # -- the known 3x3 index-1 case -----------------------------------------------
 
 
@@ -155,14 +162,29 @@ def test_minor_sum_path_matches_product_construction(rng):
     coefficients += [rand_index_matrix(rng, 4, 0, 3), mat([[0, 1], [0, 0]])]
     coefficients += [_nonsingular(rng, 3), _nonsingular(rng, 4)]
     coefficients += [rand_index_matrix(rng, 5, 2, 2).scale(sc(1, 1)), ODE_A]
-    for a in coefficients:
-        b = rand_matrix(rng, a.rows, a.rows, span=1)
+    cases = [(a, rand_matrix(rng, a.rows, a.rows, span=1)) for a in coefficients]
+    # rational inputs (q != 1) on both sides of the chain: a rational
+    # coefficient of index 3 with an integer and a rational B, and a rational
+    # B on a Gaussian-integer coefficient
+    scaled = rand_index_matrix(rng, 5, 2, 3).scale(sc(F(2, 3), F(1, 5)))
+    cases += [(scaled, rand_matrix(rng, 5, 5, span=1)), (scaled, _rational(rng, 5))]
+    cases += [(rand_index_matrix(rng, 4, 1, 3), _rational(rng, 4))]
+    for a, b in cases:
         left, right = ode_left_partial(a, b), ode_right_partial(a, b)
         assert left == product_construction(a, b, "left")
         assert right == product_construction(a, b, "right")
         # the constant term is the Drazin solution of A X = B (X A = B)
         assert left.coefficient(0) == dz_solve_left(a, b).X
         assert right.coefficient(0) == dz_solve_right(a, b).X
+
+
+def _rational(rng, n):
+    """An n-by-n Gaussian-rational matrix over mixed small denominators."""
+    return ExactMatrix.from_rows([
+        [sc(F(rng.randint(-5, 5), rng.choice([2, 3, 7])), F(rng.randint(-5, 5), rng.choice([1, 4])))
+         for _ in range(n)]
+        for _ in range(n)
+    ])
 
 
 def _nonsingular(rng, n):

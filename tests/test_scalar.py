@@ -42,6 +42,14 @@ def test_string_outside_the_grammar_is_rejected(text):
         ExactScalar(0, text)
 
 
+def test_zero_denominator_is_a_value_error():
+    # the literal grammar admits "1/0"; the value is refused like any bad text
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExactScalar("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExactScalar(0, "-3/0")
+
+
 def test_bool_is_not_a_scalar():
     with pytest.raises(TypeError):
         ExactScalar(True)
