@@ -18,10 +18,16 @@ image is reduced to its least q by one gcd pass (`_from_int`).  A product
 A B with at least 2 rows and 6 columns packs each row of B into two integers
 with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
-the largest bit lengths of A and B.  A narrower product sums each entry's
+the largest bit lengths of A and B.  A width of at most 64 bits is rounded
+up to a native word, 8, 16, 32 or 64 bits, so that a row of the result is
+read back in one pass in C, its bytes cast to signed words; wider fields
+are read one by one with a shift and a mask.  A loop of products by one
+fixed right factor passes one dict to `int_matmul`, which packs the factor
+once per field width.  A narrower product sums each entry's
 real and imaginary parts in one loop over a row of A and a column of B, and
 builds no other vectors.  A power chain is a list of matrices, each the
-product of the one before and A: `rank_profile` keeps A^0, A^1, ... in its
+product of the one before and A, with A packed once per width:
+`rank_profile` keeps A^0, A^1, ... in its
 `RankProfile` and ranks A^(e+1) on the r-by-r block of the rows and columns
 where A^e has its pivots, r = rank(A^e), and forms no product once a power
 is zero.
@@ -39,7 +45,8 @@ end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
 det(M) off T and p; `inverse` divides the one by the other once, and the
 generalized-adjugate kernel of `minors` uses both at full order.  The
 characteristic-polynomial coefficients come from the trace recurrence
-(Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products that
+(Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products
+B_(k-1) M with M packed once, which
 never enumerate minors, so it serves as an independent cross-check for the
 enumeration primitives of `oracles`; the same run gives the kernel its
 matrices below full order.
@@ -50,6 +57,7 @@ lists are 0-based.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, islice
@@ -300,6 +308,14 @@ def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
     return matrix
 
 
+def _matmul(left: ExactMatrix, right: ExactMatrix, packed: dict) -> ExactMatrix:
+    """left @ right for a loop of products by one right factor, which passes
+    one dict `packed` to each, so that the factor is packed once (see
+    `int_matmul`)."""
+    return _from_int(*int_matmul(left._re, left._im, right._re, right._im, packed),
+                     left._q * right._q)
+
+
 def _negated(rows) -> Rows:
     return tuple(tuple(map(neg, row)) for row in rows)
 
@@ -359,15 +375,30 @@ def _splice(a: ExactMatrix, b: ExactMatrix, join) -> ExactMatrix:
 
 
 # Products with fewer columns than this, or a single row, keep the dot-product
-# loop: replaying the products of the bench/ workloads, packing lost there.
+# loop: replaying the products of the bench/ workloads with the word read,
+# packing lost below 5 columns, tied at 5 and won from 6 on.
 _PACKED_MIN_COLS = 6
 
+# memoryview formats of the word-aligned field widths
+_WORD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+# the real and the imaginary fields of a row read as native words: slot 0
+# is the least significant, which a big-endian machine reads last
+if sys.byteorder == "little":
+    _RE_WORDS, _IM_WORDS = slice(0, None, 2), slice(1, None, 2)
+else:
+    _RE_WORDS, _IM_WORDS = slice(None, None, -2), slice(-2, None, -2)
 
-def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, list]:
+
+def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
+               packed: dict | None = None) -> tuple[list, list]:
     """The product of two Gaussian-integer matrices given as real and
-    imaginary rows."""
+    imaginary rows.
+
+    A caller that multiplies many left factors by one right factor B passes
+    the same dict `packed` to each call; a packed product keeps B's packing
+    there by field width, so that each width packs B once."""
     if len(b_re[0]) >= _PACKED_MIN_COLS and len(a_re) > 1:
-        return _packed_matmul(a_re, a_im, b_re, b_im)
+        return _packed_matmul(a_re, a_im, b_re, b_im, {} if packed is None else packed)
     cols = list(zip(zip(*b_re), zip(*b_im)))
     out_re, out_im = [], []
     for xr, xi in zip(a_re, a_im):
@@ -384,7 +415,8 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, li
     return out_re, out_im
 
 
-def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list, list]:
+def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
+                   packed: dict) -> tuple[list, list]:
     """`int_matmul` with each row of B packed into two integers, so that a
     row of the product is one dot product of length 2n.
 
@@ -393,20 +425,45 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows) -> tuple[list
     sum_k re a_ik P_k + im a_ik Q_k holds (re c_ij, im c_ij) in the same
     slots.  With every entry of A below 2^s and every entry of B below 2^t
     in absolute value (s, t the largest bit lengths), each of those is below
-    2n 2^(s+t) < 2^(w-1) for w = s + t + bitlen(2n) + 1, so with 2^(w-1)
+    2n 2^(s+t) < 2^(w-1) for w >= s + t + bitlen(2n) + 1, so with 2^(w-1)
     added to every slot no slot borrows from or carries into the next, and
-    each reads off exactly."""
+    each reads off exactly.
+
+    A width up to 64 is rounded up to 8, 16, 32 or 64 bits, which only
+    widens the slots.  A slot then holds f + 2^(w-1), and XOR with the same
+    bias turns it into f in w-bit two's complement, so the row's bytes read
+    back as native signed words in one pass.  Wider slots are read one by
+    one, with a shift and a mask.  `packed` holds t under the key 0 and,
+    under each width, the packs of B and the bias (see `int_matmul`)."""
     n, p = len(b_re), len(b_re[0])
-    w = (max(map(int.bit_length, chain(*a_re, *a_im)))
-         + max(map(int.bit_length, chain(*b_re, *b_im))) + (2 * n).bit_length() + 1)
-    even, odd = range(0, 2 * p * w, 2 * w), range(w, 2 * p * w, 2 * w)
-    packs_re = [sum(map(lshift, row, even)) for row in b_re]
-    packs_im = [sum(map(lshift, row, even)) for row in b_im]
-    packs = [x + (y << w) for x, y in zip(packs_re, packs_im)]
-    packs += [(x << w) - y for x, y in zip(packs_re, packs_im)]
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    bias = ((1 << (2 * p * w)) - 1) // mask * half  # half in each of the 2p slots
+    t = packed.get(0)
+    if t is None:
+        t = packed[0] = max(map(int.bit_length, chain(*b_re, *b_im)))
+    w = max(map(int.bit_length, chain(*a_re, *a_im))) + t + (2 * n).bit_length() + 1
+    if w <= 64:
+        w = max(8, 1 << (w - 1).bit_length())
+    if w in packed:
+        packs, bias = packed[w]
+    else:
+        even = range(0, 2 * p * w, 2 * w)
+        packs_re = [sum(map(lshift, row, even)) for row in b_re]
+        packs_im = [sum(map(lshift, row, even)) for row in b_im]
+        packs = [x + (y << w) for x, y in zip(packs_re, packs_im)]
+        packs += [(x << w) - y for x, y in zip(packs_re, packs_im)]
+        # 2^(w-1) in each of the 2p slots
+        bias = ((1 << (2 * p * w)) - 1) // ((1 << w) - 1) << (w - 1)
+        packed[w] = packs, bias
     out_re, out_im = [], []
+    if w <= 64:
+        size, fmt = 2 * p * w // 8, _WORD_FORMATS[w]
+        for xr, xi in zip(a_re, a_im):
+            row = sum(map(mul, (*xr, *xi), packs), bias) ^ bias
+            words = memoryview(row.to_bytes(size, sys.byteorder)).cast(fmt).tolist()
+            out_re.append(words[_RE_WORDS])
+            out_im.append(words[_IM_WORDS])
+        return out_re, out_im
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    even, odd = range(0, 2 * p * w, 2 * w), range(w, 2 * p * w, 2 * w)
     for xr, xi in zip(a_re, a_im):
         row = sum(map(mul, (*xr, *xi), packs), bias)
         out_re.append([((row >> s) & mask) - half for s in even])
@@ -555,17 +612,19 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
     matrix has Gaussian-integer characteristic coefficients, so each division
     by k is exact and everything stays in Z[i].  M B_0 is M itself and c_r
     is read as a sum of entry products, so the run takes r - 2 products.
+    B_(k-1) is a polynomial in M, so the run forms M B_(k-1) as B_(k-1) M,
+    with M the fixed right factor, packed once (see `int_matmul`).
     Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
     """
     n = len(re_rows)
     b_re = [[int(i == j) for j in range(n)] for i in range(n)]
     b_im = [[0] * n for _ in range(n)]
-    coeffs = []
+    coeffs, packed = [], {}
     for k in range(1, r):
         if k == 1:
             b_re, b_im = [list(row) for row in re_rows], [list(row) for row in im_rows]
         else:
-            b_re, b_im = int_matmul(re_rows, im_rows, b_re, b_im)
+            b_re, b_im = int_matmul(b_re, b_im, re_rows, im_rows, packed)
         cr = -sum(row[i] for i, row in enumerate(b_re)) // k
         ci = -sum(row[i] for i, row in enumerate(b_im)) // k
         for i in range(n):
@@ -644,9 +703,9 @@ class RankProfile:
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
             raise ValueError("negative powers are not supported here")
-        powers = self._powers
+        powers, packed = self._powers, {}
         while len(powers) <= exponent:
-            powers.append(powers[-1] @ self.matrix)
+            powers.append(_matmul(powers[-1], self.matrix, packed))
         return powers[exponent]
 
     @property
@@ -690,13 +749,13 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
-    powers = [ExactMatrix.identity(n), matrix]
+    powers, packed = [ExactMatrix.identity(n), matrix], {}
     rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
     ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
     while ranks[-1] != ranks[-2]:
         # A^e = 0 gives A^(e+1) = 0, which power() builds only when read
         if rows:
-            powers.append(powers[-1] @ matrix)
+            powers.append(_matmul(powers[-1], matrix, packed))
             rows, cols = _spanning_lines(powers[-1]._re, powers[-1]._im, rows, cols)
         ranks.append(len(rows))
     # ranks[k + 1] == ranks[k] now holds; k is the index.

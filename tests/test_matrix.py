@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import chain
 from math import comb, gcd, lcm
 import random
 
@@ -19,6 +20,7 @@ from exactgi import (
     rank_profile,
 )
 from exactgi.matrix import (
+    _trace_recurrence,
     clear_denominators,
     column_space_contains,
     int_adjugate,
@@ -529,6 +531,10 @@ def schoolbook_matmul(a_re, a_im, b_re, b_im):
 # 2n M^2, is above 2^(w-2), so a field one bit narrower overflows
 @example(3, 7, 5, "bound", 9)
 @example(3, 7, 6, "bound", 9)
+# M = 3 (seed 1): the field width s + t + bitlen(2n) + 1 is 8 at n = 3, the
+# narrowest native word, and 9 at n = 4, which rounds up to 16
+@example(4, 3, 6, "bound", 1)
+@example(4, 4, 6, "bound", 1)
 def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
     # shapes on both sides of the packing threshold.  "extreme" makes every
     # entry +-M; "bound" picks the signs so that every real part in an even
@@ -556,6 +562,101 @@ def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
         elif kind == "zero":
             a_re = a_im = grid(m, n, lambda i, k: 0)
     assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+
+@given(st.sampled_from([8, 16, 32, 64, 65]), st.integers(2, 6), st.integers(1, 15),
+       st.integers(6, 12), st.integers(0, 2**32))
+@example(64, 2, 15, 6, 0)
+@example(65, 3, 8, 7, 1)
+def test_packed_field_width_boundaries_property(w, m, n, p, seed):
+    # entries of A are +-(2^s - 1) and entries of B +-(2^t - 1), with
+    # s + t + bitlen(2n) + 1 = w: 8, 16, 32 and 64 are the native words the
+    # packed product reads whole, 65 the narrowest field it reads with a
+    # shift and a mask.  The signs follow the "bound" pattern, so every real
+    # part in an even column and every imaginary part in an odd one is
+    # +-2n (2^s - 1)(2^t - 1), at least 2^(w-4): a field of half the width
+    # overflows
+    rng = random.Random(seed)
+    s = rng.randint(1, w - (2 * n).bit_length() - 2)
+    t = w - (2 * n).bit_length() - 1 - s
+    top_a, top_b = (1 << s) - 1, (1 << t) - 1
+    a_re = a_im = tuple((rng.choice([-1, 1]) * top_a,) * n for _ in range(m))
+    b_re = ((top_b,) * p,) * n
+    b_im = (tuple(top_b if j % 2 else -top_b for j in range(p)),) * n
+    assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+    assert int_matmul(a_re, a_im, b_re, b_im, {}) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+
+@given(st.integers(2, 8), st.integers(6, 9), st.integers(0, 2**32))
+@example(2, 6, 0)
+def test_one_packing_dict_serves_a_chain_property(m, n, seed):
+    # twelve products X_(e+1) = X_e B by one B, all given the same dict, as a
+    # power chain passes it.  B = 64 I + E with |E_kj| <= sqrt(2), so each
+    # row of X gains a factor of at least 64 - 9 sqrt(2) > 2^5.6 in 1-norm
+    # per product: the field width starts at 16 bits and ends past 64, and
+    # the dict has to keep one packing of B per width
+    rng = random.Random(seed)
+    unit = (-1, 0, 1)
+    b_re = tuple(tuple(64 * (k == j) + rng.choice(unit) for j in range(n)) for k in range(n))
+    b_im = tuple(tuple(rng.choice(unit) for _ in range(n)) for _ in range(n))
+    x_re = tuple(tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)) for _ in range(m))
+    x_im = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
+    packed = {}
+    for _ in range(12):
+        product = int_matmul(x_re, x_im, b_re, b_im, packed)
+        assert product == schoolbook_matmul(x_re, x_im, b_re, b_im)
+        x_re, x_im = product
+    assert min(max(abs(x) for x in chain(*rows)).bit_length() for rows in zip(x_re, x_im)) > 64
+
+
+def reference_recurrences(re_rows, im_rows):
+    """B_0..B_(n-1) and c_1..c_n of B_k = M B_(k-1) + c_k I with
+    c_k = -tr(M B_(k-1)) / k, M on the left, by the schoolbook product."""
+    n = len(re_rows)
+    b = ([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)])
+    bs, coeffs = [b], []
+    for k in range(1, n + 1):
+        mb_re, mb_im = schoolbook_matmul(re_rows, im_rows, *b)
+        tr_re, tr_im = sum(mb_re[i][i] for i in range(n)), sum(mb_im[i][i] for i in range(n))
+        assert tr_re % k == tr_im % k == 0
+        c = (-tr_re // k, -tr_im // k)
+        coeffs.append(c)
+        for i in range(n):
+            mb_re[i][i] += c[0]
+            mb_im[i][i] += c[1]
+        b = (mb_re, mb_im)
+        bs.append(b)
+    return bs, coeffs
+
+
+@given(st.integers(1, 10), st.sampled_from(["gaussian", "rational", "zero_diagonal"]),
+       st.integers(0, 2**32))
+@example(7, "gaussian", 0)
+@example(8, "rational", 1)
+@example(6, "zero_diagonal", 2)
+def test_trace_recurrence_matches_the_left_product_recurrence_property(n, kind, seed):
+    # _trace_recurrence forms B_(k-1) M, so that M is packed once; B_(k-1) is
+    # a polynomial in M, so that equals M B_(k-1) exactly.  Every r on
+    # non-normal Gaussian bases, on the images of rational-scaled bases and
+    # on bases with a zero diagonal
+    rng = random.Random(seed)
+    m = rand_matrix(rng, n, n, span=3)
+    if n > 1:
+        # entries of modulus 5 sqrt(2) along row 1 and at most 3 sqrt(2) down
+        # column 1: row 1 outweighs column 1, so M M* != M* M, whatever the
+        # diagonal
+        row = [sc(rng.choice([-5, 5]), rng.choice([-5, 5])) for _ in range(n - 1)]
+        m = m.replace_row(1, [m.entry(1, 1), *row])
+        assert m @ conj_transpose(m) != conj_transpose(m) @ m
+    if kind == "rational":
+        m = m.scale(sc(F(2, 3), F(1, 5)))
+    elif kind == "zero_diagonal":
+        m = ExactMatrix.from_rows([[sc(0) if i == j else x for j, x in enumerate(row)]
+                                   for i, row in enumerate(m.to_lists())])
+    re_rows, im_rows, _ = clear_denominators(m)
+    bs, coeffs = reference_recurrences(re_rows, im_rows)
+    for r in range(1, n + 1):
+        assert _trace_recurrence(re_rows, im_rows, r) == (bs[r - 1], coeffs[:r])
 
 
 def from_image(re_rows, im_rows):
