@@ -22,8 +22,8 @@ the largest bit lengths of A and B.  A width of at most 64 bits is rounded
 up to a native word, 8, 16, 32 or 64 bits, so that a row of the result is
 read back in one pass in C, its bytes cast to signed words; wider fields
 are read one by one with a shift and a mask.  A loop of products by one
-fixed right factor passes one dict to `int_matmul`, which packs the factor
-once per field width.  A narrower product sums each entry's
+fixed right factor passes one `_Packing` to each product, which packs the
+factor once per field width.  A narrower product sums each entry's
 real and imaginary parts in one loop over a row of A and a column of B, and
 builds no other vectors.  A power chain is a list of matrices, each the
 product of the one before and A, with A packed once per width:
@@ -217,12 +217,14 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return _image(_negated(self._re), _negated(self._im), self._q)
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def __matmul__(self, other: "ExactMatrix", packing: "_Packing | None" = None) -> "ExactMatrix":
+        # a loop of products by one right factor passes one `_Packing` to
+        # each, so that the factor is packed once (see `int_matmul`)
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return _from_int(*int_matmul(self._re, self._im, other._re, other._im),
+        return _from_int(*int_matmul(self._re, self._im, other._re, other._im, packing),
                          self._q * other._q)
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
@@ -308,14 +310,6 @@ def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
     return matrix
 
 
-def _matmul(left: ExactMatrix, right: ExactMatrix, packed: dict) -> ExactMatrix:
-    """left @ right for a loop of products by one right factor, which passes
-    one dict `packed` to each, so that the factor is packed once (see
-    `int_matmul`)."""
-    return _from_int(*int_matmul(left._re, left._im, right._re, right._im, packed),
-                     left._q * right._q)
-
-
 def _negated(rows) -> Rows:
     return tuple(tuple(map(neg, row)) for row in rows)
 
@@ -389,16 +383,29 @@ else:
     _RE_WORDS, _IM_WORDS = slice(None, None, -2), slice(-2, None, -2)
 
 
+class _Packing:
+    """What `_packed_matmul` keeps of one right factor B across a loop of
+    products by B: B's largest bit length, and by field width the packs of
+    B and the bias."""
+
+    __slots__ = ("bits", "by_width")
+
+    def __init__(self):
+        self.bits = None
+        self.by_width = {}
+
+
 def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
-               packed: dict | None = None) -> tuple[list, list]:
+               packing: _Packing | None = None) -> tuple[list, list]:
     """The product of two Gaussian-integer matrices given as real and
     imaginary rows.
 
     A caller that multiplies many left factors by one right factor B passes
-    the same dict `packed` to each call; a packed product keeps B's packing
-    there by field width, so that each width packs B once."""
+    the same `_Packing()` to each call, so that a packed product packs B
+    once per field width."""
     if len(b_re[0]) >= _PACKED_MIN_COLS and len(a_re) > 1:
-        return _packed_matmul(a_re, a_im, b_re, b_im, {} if packed is None else packed)
+        return _packed_matmul(a_re, a_im, b_re, b_im,
+                              _Packing() if packing is None else packing)
     cols = list(zip(zip(*b_re), zip(*b_im)))
     out_re, out_im = [], []
     for xr, xi in zip(a_re, a_im):
@@ -416,7 +423,7 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
 
 
 def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
-                   packed: dict) -> tuple[list, list]:
+                   packing: _Packing) -> tuple[list, list]:
     """`int_matmul` with each row of B packed into two integers, so that a
     row of the product is one dot product of length 2n.
 
@@ -433,17 +440,18 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
     widens the slots.  A slot then holds f + 2^(w-1), and XOR with the same
     bias turns it into f in w-bit two's complement, so the row's bytes read
     back as native signed words in one pass.  Wider slots are read one by
-    one, with a shift and a mask.  `packed` holds t under the key 0 and,
-    under each width, the packs of B and the bias (see `int_matmul`)."""
+    one, with a shift and a mask.  `packing` keeps t and, by width, the
+    packs of B and the bias, for the next product by B."""
     n, p = len(b_re), len(b_re[0])
-    t = packed.get(0)
+    t = packing.bits
     if t is None:
-        t = packed[0] = max(map(int.bit_length, chain(*b_re, *b_im)))
+        t = packing.bits = max(map(int.bit_length, chain(*b_re, *b_im)))
     w = max(map(int.bit_length, chain(*a_re, *a_im))) + t + (2 * n).bit_length() + 1
     if w <= 64:
         w = max(8, 1 << (w - 1).bit_length())
-    if w in packed:
-        packs, bias = packed[w]
+    by_width = packing.by_width
+    if w in by_width:
+        packs, bias = by_width[w]
     else:
         even = range(0, 2 * p * w, 2 * w)
         packs_re = [sum(map(lshift, row, even)) for row in b_re]
@@ -452,7 +460,7 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
         packs += [(x << w) - y for x, y in zip(packs_re, packs_im)]
         # 2^(w-1) in each of the 2p slots
         bias = ((1 << (2 * p * w)) - 1) // ((1 << w) - 1) << (w - 1)
-        packed[w] = packs, bias
+        by_width[w] = packs, bias
     out_re, out_im = [], []
     if w <= 64:
         size, fmt = 2 * p * w // 8, _WORD_FORMATS[w]
@@ -619,12 +627,12 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
     n = len(re_rows)
     b_re = [[int(i == j) for j in range(n)] for i in range(n)]
     b_im = [[0] * n for _ in range(n)]
-    coeffs, packed = [], {}
+    coeffs, packing = [], _Packing()
     for k in range(1, r):
         if k == 1:
             b_re, b_im = [list(row) for row in re_rows], [list(row) for row in im_rows]
         else:
-            b_re, b_im = int_matmul(b_re, b_im, re_rows, im_rows, packed)
+            b_re, b_im = int_matmul(b_re, b_im, re_rows, im_rows, packing)
         cr = -sum(row[i] for i, row in enumerate(b_re)) // k
         ci = -sum(row[i] for i, row in enumerate(b_im)) // k
         for i in range(n):
@@ -703,9 +711,9 @@ class RankProfile:
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
             raise ValueError("negative powers are not supported here")
-        powers, packed = self._powers, {}
+        powers, packing = self._powers, _Packing()
         while len(powers) <= exponent:
-            powers.append(_matmul(powers[-1], self.matrix, packed))
+            powers.append(powers[-1].__matmul__(self.matrix, packing))
         return powers[exponent]
 
     @property
@@ -749,13 +757,13 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
-    powers, packed = [ExactMatrix.identity(n), matrix], {}
+    powers, packing = [ExactMatrix.identity(n), matrix], _Packing()
     rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
     ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
     while ranks[-1] != ranks[-2]:
         # A^e = 0 gives A^(e+1) = 0, which power() builds only when read
         if rows:
-            powers.append(_matmul(powers[-1], matrix, packed))
+            powers.append(powers[-1].__matmul__(matrix, packing))
             rows, cols = _spanning_lines(powers[-1]._re, powers[-1]._im, rows, cols)
         ranks.append(len(rows))
     # ranks[k + 1] == ranks[k] now holds; k is the index.

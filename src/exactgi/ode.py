@@ -29,7 +29,7 @@ from typing import Literal
 
 from .equations import _solve_one
 from .inverses import _drazin_rule
-from .matrix import ExactMatrix, _matmul, rank_profile
+from .matrix import ExactMatrix, _Packing, rank_profile
 from .scalar import ExactScalar
 
 Side = Literal["left", "right"]
@@ -148,9 +148,9 @@ def _ode_partial(
     x0, e, _ = _solve_one(rule, a, b, budget)
     # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k
     chain = [e] if rule.k else []
-    packed: dict = {}  # A's packing, for the chain on the right
+    packing = _Packing()  # A's, for the chain on the right
     while len(chain) < rule.k:
-        chain.append(a @ chain[-1] if side == "left" else _matmul(chain[-1], a, packed))
+        chain.append(a @ chain[-1] if side == "left" else chain[-1].__matmul__(a, packing))
     return MatrixPoly(
         [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, p in enumerate(chain)]
     )

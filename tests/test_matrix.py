@@ -20,6 +20,7 @@ from exactgi import (
     rank_profile,
 )
 from exactgi.matrix import (
+    _Packing,
     _trace_recurrence,
     clear_denominators,
     column_space_contains,
@@ -584,26 +585,26 @@ def test_packed_field_width_boundaries_property(w, m, n, p, seed):
     b_re = ((top_b,) * p,) * n
     b_im = (tuple(top_b if j % 2 else -top_b for j in range(p)),) * n
     assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
-    assert int_matmul(a_re, a_im, b_re, b_im, {}) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+    assert int_matmul(a_re, a_im, b_re, b_im, _Packing()) == schoolbook_matmul(a_re, a_im, b_re, b_im)
 
 
 @given(st.integers(2, 8), st.integers(6, 9), st.integers(0, 2**32))
 @example(2, 6, 0)
-def test_one_packing_dict_serves_a_chain_property(m, n, seed):
-    # twelve products X_(e+1) = X_e B by one B, all given the same dict, as a
-    # power chain passes it.  B = 64 I + E with |E_kj| <= sqrt(2), so each
+def test_one_packing_serves_a_chain_property(m, n, seed):
+    # twelve products X_(e+1) = X_e B by one B, all given the same
+    # `_Packing`, as a power chain passes it.  B = 64 I + E with |E_kj| <= sqrt(2), so each
     # row of X gains a factor of at least 64 - 9 sqrt(2) > 2^5.6 in 1-norm
     # per product: the field width starts at 16 bits and ends past 64, and
-    # the dict has to keep one packing of B per width
+    # the packing has to keep B packed at each width
     rng = random.Random(seed)
     unit = (-1, 0, 1)
     b_re = tuple(tuple(64 * (k == j) + rng.choice(unit) for j in range(n)) for k in range(n))
     b_im = tuple(tuple(rng.choice(unit) for _ in range(n)) for _ in range(n))
     x_re = tuple(tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)) for _ in range(m))
     x_im = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
-    packed = {}
+    packing = _Packing()
     for _ in range(12):
-        product = int_matmul(x_re, x_im, b_re, b_im, packed)
+        product = int_matmul(x_re, x_im, b_re, b_im, packing)
         assert product == schoolbook_matmul(x_re, x_im, b_re, b_im)
         x_re, x_im = product
     assert min(max(abs(x) for x in chain(*rows)).bit_length() for rows in zip(x_re, x_im)) > 64
