@@ -4,8 +4,7 @@ Reads matrices from JSON (or CSV for real matrices), dispatches to the
 library, and writes a result document to stdout or --out.  All computation
 is exact; --decimal only affects rendering.
 
-Exit codes: 0 ok, 2 input/validation error, 3 work-budget error, 4 internal
-verification failure.
+Exit codes: 0 ok, 2 input/validation error, 3 work-budget error.
 
 The argument parser is built once per process, on the first `main()` call,
 and reused by every later call: its ten sub-parsers cost far more to build
@@ -29,14 +28,13 @@ from .documents import (
     render_scalar,
     render_scalar_decimal,
 )
-from .inverses import GiReport, VerificationError, WeightPair
+from .inverses import GiReport, WeightPair
 from .minors import BudgetExceededError
 from .scalar import MAX_LITERAL_DIGITS, ExactScalar
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-EXIT_VERIFY = 4
 
 
 def _scalar_doc(value: ExactScalar, decimal: int | None) -> str:
@@ -294,9 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"gi: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except VerificationError as exc:
-        print(f"gi: internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except (DocumentError, ValueError, ZeroDivisionError) as exc:
         print(f"gi: {exc}", file=sys.stderr)
         return EXIT_INPUT

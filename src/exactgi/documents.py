@@ -1,20 +1,9 @@
 """Parsing and rendering of scalar literals and matrix documents.
 
-Scalar literal grammar (whitespace-insensitive at the seams):
-
-    scalar  := sign? part (sign part)?      at most one part carries "i"
-    part    := number "i" | "i" | number
-    number  := digits "/" digits | digits "." digits | "." digits | digits
-    digits  := one or more of the ASCII digits 0-9
-
-Examples: "3", "-5/2", "1/2+3i", "-i", "2-0.5i".  Decimal literals convert
-exactly ("-10.5" becomes -21/2).  Rendering produces the same grammar back
-in canonical form, so render(parse(text)) round-trips.
-
-A run of digits in a literal, and a JSON integer, may hold at most
-MAX_LITERAL_DIGITS digits; a longer one is refused before any conversion.
-Below the cap, digits convert in chunks, so neither parsing nor rendering
-depends on the interpreter's int/str digit limit.
+Scalars travel as literals of the grammar defined, with its scanner and its
+digit cap MAX_LITERAL_DIGITS, in exactgi.scalar; this module applies it to
+documents and re-exports the cap, CHUNK_DIGITS and the two error classes.
+A JSON integer obeys the same cap.
 
 Matrix documents are JSON objects {"rows": m, "cols": n, "entries": [[...]]}
 whose entries are scalar literals (strings) or JSON integers.  JSON floats
@@ -35,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
@@ -43,117 +31,24 @@ from math import lcm
 from typing import Any
 
 from .matrix import ExactMatrix, _from_int, clear_denominators
-from .scalar import (
+from .scalar import (  # the cap, CHUNK_DIGITS and the errors are re-exported
     CHUNK_DIGITS,
     MAX_LITERAL_DIGITS,
+    DocumentError,
     ExactScalar,
-    _int_of,
+    ScalarParseError,
+    _digits_value,
+    _scan_scalar,
     int_text,
     join_parts,
     literal,
 )
 
 
-class DocumentError(ValueError):
-    """Malformed scalar literal or matrix document."""
-
-
-class ScalarParseError(DocumentError):
-    def __init__(self, text: str, position: int, reason: str):
-        self.text = text
-        self.position = position
-        shown = text if len(text) <= 80 else f"{text[:40]}...{text[-20:]}"
-        super().__init__(f"invalid scalar {shown!r} at position {position}: {reason}")
-
-
-# sign-free number: digits, then "." digits or "/" digits; the scan checks
-# which parts are empty.  [0-9], not \d: only ASCII digits are digits here.
-_NUMBER = re.compile(r"([0-9]*)(?:\.([0-9]*)|/([0-9]*))?")
-
-
-def _digits_value(digits: str, text: str, start: int) -> int:
-    """The value of a digit run of text at start, refused over the cap."""
-    if len(digits) <= CHUNK_DIGITS:
-        return int(digits)
-    if len(digits) > MAX_LITERAL_DIGITS:
-        raise ScalarParseError(
-            text, start, f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
-        )
-    return _int_of(digits)
-
-
 def _json_int(text: str) -> int:
     if text.startswith("-"):
         return -_digits_value(text[1:], text, 1)
     return _digits_value(text, text, 0)
-
-
-def _scan_number(text: str, pos: int) -> tuple[int, int, int]:
-    """Scan digits/digits | [digits].digits | digits; return (num, den, next),
-    den > 0 and not reduced."""
-    whole, frac, den = _NUMBER.match(text, pos).groups()
-    after = pos + len(whole) + 1  # just past a "." or "/"
-    if frac is not None:
-        if not frac:
-            raise ScalarParseError(text, after, "expected digits after decimal point")
-        scale = 10 ** len(frac)
-        value = _digits_value(whole, text, pos) * scale if whole else 0
-        return value + _digits_value(frac, text, after), scale, after + len(frac)
-    if not whole:
-        raise ScalarParseError(text, pos, "expected digits")
-    numerator = _digits_value(whole, text, pos)
-    if den is None:
-        return numerator, 1, after - 1
-    if not den:
-        raise ScalarParseError(text, after, "expected denominator digits")
-    denominator = _digits_value(den, text, after)
-    if denominator == 0:
-        raise ScalarParseError(text, after, "zero denominator")
-    return numerator, denominator, after + len(den)
-
-
-def _scan_term(text: str, pos: int) -> tuple[int, int, bool, int]:
-    """Scan sign? (number i | i | number); return (num, den, imaginary, next)."""
-    n = len(text)
-    negative = False
-    if pos < n and text[pos] in "+-":
-        negative = text[pos] == "-"
-        pos += 1
-    while pos < n and text[pos] == " ":
-        pos += 1
-    if pos < n and text[pos] == "i":
-        return -1 if negative else 1, 1, True, pos + 1
-    num, den, pos = _scan_number(text, pos)
-    if negative:
-        num = -num
-    if pos < n and text[pos] == "i":
-        return num, den, True, pos + 1
-    return num, den, False, pos
-
-
-def _scan_scalar(text: str) -> tuple[int, int, int, int]:
-    """Scan a scalar literal; return (a, b, c, d) for a/b + (c/d) i, b, d > 0
-    and not reduced."""
-    stripped = text.strip()
-    if not stripped:
-        raise ScalarParseError(text, 0, "empty literal")
-    num, den, imag, pos = _scan_term(stripped, 0)
-    a, b, c, d = (0, 1, num, den) if imag else (num, den, 0, 1)
-    while pos < len(stripped) and stripped[pos] == " ":
-        pos += 1
-    if pos < len(stripped):
-        if stripped[pos] not in "+-":
-            raise ScalarParseError(text, pos, "expected '+' or '-'")
-        c, d, second, pos = _scan_term(stripped, pos)
-        if not second:
-            raise ScalarParseError(text, pos, "second part must be imaginary")
-        if imag:
-            raise ScalarParseError(text, pos, "two imaginary parts")
-        while pos < len(stripped) and stripped[pos] == " ":
-            pos += 1
-        if pos < len(stripped):
-            raise ScalarParseError(text, pos, "trailing characters")
-    return a, b, c, d
 
 
 def parse_scalar(text: str) -> ExactScalar:

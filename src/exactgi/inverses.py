@@ -44,7 +44,7 @@ from .matrix import (
     rank,
     rank_profile,
 )
-from .minors import cramer_ratio, kernel_work
+from .minors import cramer_ratio
 from .scalar import ONE, ExactScalar
 
 Form = Literal["auto", "column", "row"]
@@ -100,9 +100,11 @@ def is_hermitian_positive_definite(matrix: ExactMatrix) -> bool:
     return True
 
 
-def _resolve_form(form: Form, column_cost: int, row_cost: int) -> str:
+def _resolve_form(form: Form, column_order: int, row_order: int) -> str:
+    # "auto" takes the smaller base, the column side on a tie; at every rank
+    # that is also the side with the smaller kernel_work estimate
     if form == "auto":
-        return "column" if column_cost <= row_cost else "row"
+        return "column" if column_order <= row_order else "row"
     if form not in ("column", "row"):
         raise ValueError(f"unknown form {form!r}")
     return form
@@ -151,7 +153,7 @@ class _CramerRule(NamedTuple):
 def _mp_rule(matrix: ExactMatrix, form: Form) -> _CramerRule:
     m, n = matrix.shape
     r = rank(matrix)
-    side = _resolve_form(form, kernel_work(n, r, m), kernel_work(m, r, n))
+    side = _resolve_form(form, n, m)  # A*A is n x n, AA* is m x m
 
     def parts():
         a_star = matrix.conj_transpose()
@@ -163,7 +165,7 @@ def _mp_rule(matrix: ExactMatrix, form: Form) -> _CramerRule:
 def _drazin_rule(profile: RankProfile, form: Form) -> _CramerRule:
     k = profile.index
     n = profile.matrix.rows
-    side = _resolve_form(form, 0, 0)  # both sides cost the same
+    side = _resolve_form(form, n, n)
     return _CramerRule(
         side, profile.core_rank, k, (n, n), lambda: (profile.power(k + 1), profile.power(k))
     )
@@ -180,7 +182,7 @@ def _w_drazin_rule(
     wa = rank_profile(weight @ matrix)
     k = max(aw.index, wa.index)
     r = aw.core_rank  # rank((AW)^k): k >= Ind(AW)
-    side = _resolve_form(form, kernel_work(m, r, n), kernel_work(n, r, m))
+    side = _resolve_form(form, m, n)  # (AW)^(k+2) is m x m, (WA)^(k+2) n x n
 
     def parts():
         if side == "column":

@@ -717,9 +717,9 @@ class RankProfile:
         return powers[exponent]
 
     @property
-    def powers(self) -> "_Powers":
-        """A^0, A^1, ..., A^(2k+1), each built when it is read."""
-        return _Powers(self)
+    def powers(self) -> tuple[ExactMatrix, ...]:
+        """The powers A^0, A^1, ... built so far."""
+        return tuple(self._powers)
 
     def rank_of(self, exponent: int) -> int:
         if exponent < 0:
@@ -732,25 +732,6 @@ class RankProfile:
     def core_rank(self) -> int:
         """rank(A^k) with k the index; n when the matrix is nonsingular."""
         return self.rank_of(self.index)
-
-
-class _Powers(Sequence):
-    """The powers A^0..A^(2k+1) of a profile; its length builds none."""
-
-    __slots__ = ("_profile",)
-
-    def __init__(self, profile: RankProfile):
-        self._profile = profile
-
-    def __len__(self) -> int:
-        return 2 * self._profile.index + 2
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return tuple(self[e] for e in range(*item.indices(len(self))))
-        if not -len(self) <= item < len(self):
-            raise IndexError("power index out of range")
-        return self._profile.power(item % len(self))
 
 
 def rank_profile(matrix: ExactMatrix) -> RankProfile:

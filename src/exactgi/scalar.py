@@ -1,9 +1,28 @@
-"""Gaussian-rational scalars: complex numbers with exact rational parts.
+"""Gaussian-rational scalars and the scalar literal grammar.
 
 Every value keeps its real and imaginary parts as ``fractions.Fraction``,
 which guarantees the canonical form (coprime numerator/denominator, positive
 denominator).  All arithmetic is exact, equality is structural, and values
 are immutable and hashable.
+
+Scalar literal grammar (whitespace-insensitive at the seams):
+
+    scalar  := sign? part (sign part)?      at most one part carries "i"
+    part    := number "i" | "i" | number
+    number  := digits "/" digits | digits "." digits | "." digits | digits
+    digits  := one or more of the ASCII digits 0-9
+
+Examples: "3", "-5/2", "1/2+3i", "-i", "2-0.5i".  Decimal literals convert
+exactly ("-10.5" becomes -21/2).  `literal` renders the grammar back in
+canonical form, so a rendered literal parses to the value it came from.
+One scanner reads the grammar: `_scan_scalar` takes a whole literal (a
+`gi` document entry, see exactgi.documents), and a string part of
+ExactScalar is one real term, sign? number, with no space in it.
+
+A run of digits in a literal, and a JSON integer, may hold at most
+MAX_LITERAL_DIGITS digits; a longer one is refused before any conversion.
+Below the cap, digits convert in chunks, so neither parsing nor rendering
+depends on the interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
@@ -25,11 +44,6 @@ CHUNK_DIGITS = 512
 # a longer run is refused before any conversion.
 MAX_LITERAL_DIGITS = 100_000
 
-# A real number of the scalar literal grammar (see exactgi.documents):
-# sign? (digits/digits | digits.digits | .digits | digits).  Fraction(str)
-# alone would also take exponents, underscores and surrounding whitespace.
-_REAL_LITERAL = re.compile(r"([+-]?)(?:([0-9]+)/([0-9]+)|([0-9]*)\.([0-9]+)|([0-9]+))")
-
 
 def _int_of(digits: str) -> int:
     # int(digits) for a run of ASCII digits of any length, in halves of at
@@ -40,41 +54,125 @@ def _int_of(digits: str) -> int:
     return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
 
 
+class DocumentError(ValueError):
+    """Malformed scalar literal or matrix document."""
+
+
+class ScalarParseError(DocumentError):
+    def __init__(self, text: str, position: int, reason: str):
+        self.text = text
+        self.position = position
+        shown = text if len(text) <= 80 else f"{text[:40]}...{text[-20:]}"
+        super().__init__(f"invalid scalar {shown!r} at position {position}: {reason}")
+
+
+# sign-free number: digits, then "." digits or "/" digits; the scan checks
+# which parts are empty.  [0-9], not \d: only ASCII digits are digits here.
+_NUMBER = re.compile(r"([0-9]*)(?:\.([0-9]*)|/([0-9]*))?")
+
+
+def _digits_value(digits: str, text: str, start: int) -> int:
+    """The value of a digit run of text at start, refused over the cap."""
+    if len(digits) <= CHUNK_DIGITS:
+        return int(digits)
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ScalarParseError(
+            text, start, f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
+        )
+    return _int_of(digits)
+
+
+def _scan_number(text: str, pos: int) -> tuple[int, int, int]:
+    """Scan digits/digits | [digits].digits | digits; return (num, den, next),
+    den > 0 and not reduced."""
+    whole, frac, den = _NUMBER.match(text, pos).groups()
+    after = pos + len(whole) + 1  # just past a "." or "/"
+    if frac is not None:
+        if not frac:
+            raise ScalarParseError(text, after, "expected digits after decimal point")
+        scale = 10 ** len(frac)
+        value = _digits_value(whole, text, pos) * scale if whole else 0
+        return value + _digits_value(frac, text, after), scale, after + len(frac)
+    if not whole:
+        raise ScalarParseError(text, pos, "expected digits")
+    numerator = _digits_value(whole, text, pos)
+    if den is None:
+        return numerator, 1, after - 1
+    if not den:
+        raise ScalarParseError(text, after, "expected denominator digits")
+    denominator = _digits_value(den, text, after)
+    if denominator == 0:
+        raise ScalarParseError(text, after, "zero denominator")
+    return numerator, denominator, after + len(den)
+
+
+def _scan_term(text: str, pos: int) -> tuple[int, int, bool, int]:
+    """Scan sign? (number i | i | number); return (num, den, imaginary, next)."""
+    n = len(text)
+    negative = False
+    if pos < n and text[pos] in "+-":
+        negative = text[pos] == "-"
+        pos += 1
+    while pos < n and text[pos] == " ":
+        pos += 1
+    if pos < n and text[pos] == "i":
+        return -1 if negative else 1, 1, True, pos + 1
+    num, den, pos = _scan_number(text, pos)
+    if negative:
+        num = -num
+    if pos < n and text[pos] == "i":
+        return num, den, True, pos + 1
+    return num, den, False, pos
+
+
+def _scan_scalar(text: str) -> tuple[int, int, int, int]:
+    """Scan a scalar literal; return (a, b, c, d) for a/b + (c/d) i, b, d > 0
+    and not reduced."""
+    stripped = text.strip()
+    if not stripped:
+        raise ScalarParseError(text, 0, "empty literal")
+    num, den, imag, pos = _scan_term(stripped, 0)
+    a, b, c, d = (0, 1, num, den) if imag else (num, den, 0, 1)
+    while pos < len(stripped) and stripped[pos] == " ":
+        pos += 1
+    if pos < len(stripped):
+        if stripped[pos] not in "+-":
+            raise ScalarParseError(text, pos, "expected '+' or '-'")
+        c, d, second, pos = _scan_term(stripped, pos)
+        if not second:
+            raise ScalarParseError(text, pos, "second part must be imaginary")
+        if imag:
+            raise ScalarParseError(text, pos, "two imaginary parts")
+        while pos < len(stripped) and stripped[pos] == " ":
+            pos += 1
+        if pos < len(stripped):
+            raise ScalarParseError(text, pos, "trailing characters")
+    return a, b, c, d
+
+
 def _as_fraction(value: RationalLike | str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        match = _REAL_LITERAL.fullmatch(value)
-        if match is None:
-            raise ValueError(f"invalid rational literal {value!r}")
-        sign, *runs = match.groups()
-        if any(run and len(run) > MAX_LITERAL_DIGITS for run in runs):
-            raise ValueError(f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
-        num, den, whole, frac, integer = runs
-        if integer is not None:
-            result = Fraction(_int_of(integer))
-        elif num is not None:
-            denominator = _int_of(den)
-            if not denominator:
-                raise ValueError(f"zero denominator in rational literal {value!r}")
-            result = Fraction(_int_of(num), denominator)
-        else:
-            scale = 10 ** len(frac)
-            result = Fraction(_int_of(whole or "0") * scale + _int_of(frac), scale)
-        return -result if sign == "-" else result
+        num, den, imaginary, end = _scan_term(value, 0)
+        # the scan skips spaces after a sign, so a space is refused here
+        if imaginary or end < len(value) or " " in value:
+            raise ScalarParseError(value, 0, "a part is one real number with no spaces")
+        return Fraction(num, den)
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
 class ExactScalar:
     """A complex number with Fraction real and imaginary parts.
 
-    Each part is an int, a Fraction or a string in the real-number form of
-    the scalar literal grammar ("-5/2", "0.5", ".5"); any other string, or a
-    run of more than MAX_LITERAL_DIGITS digits, raises ValueError, and bool
-    is not a number here (TypeError).  Digit runs of any length below the cap
-    convert whatever the interpreter's int/str digit limit.
+    Each part is an int, a Fraction or a string that is one real term of the
+    scalar literal grammar ("-5/2", "0.5", ".5"); any other string, or a run
+    of more than MAX_LITERAL_DIGITS digits, raises ScalarParseError, a
+    ValueError, and bool is not a number here (TypeError).  Digit runs of
+    any length below the cap convert whatever the interpreter's int/str
+    digit limit.
     """
 
     __slots__ = ("re", "im")
@@ -217,7 +315,7 @@ def rational_text(num: int, den: int) -> str:
 
 
 def join_parts(re_text: str | None, im_text: str | None) -> str:
-    """The literal of the scalar grammar (see exactgi.documents) from the
+    """The literal of the scalar grammar (see the module docstring) from the
     texts of its parts; None leaves a part out, never both.  im_text is what
     stands before "i", so a unit imaginary part is "" or "-"."""
     if im_text is None:

@@ -20,6 +20,8 @@ from exactgi import (
     w_drazin_inverse,
     weighted_mp_inverse,
 )
+from exactgi.inverses import _resolve_form
+from exactgi.minors import kernel_work
 
 from cases import DZ_A, DZ_AD, LS_A, LS_PINV, mat, sc
 from conftest import rand_low_rank, rand_matrix, rand_index_matrix
@@ -104,6 +106,17 @@ def test_verify_rejects_wrong_candidate():
     assert verify_defining_equations(
         ExactMatrix.identity(2), ExactMatrix.identity(2), "mp"
     ).all_satisfied
+
+
+def test_auto_form_by_base_order_matches_the_work_estimate():
+    # "auto" picks by base order; comparing kernel_work of the two bases, as
+    # it once did, gives the same side at every shape and rank up to 64
+    for m in range(1, 65):
+        for n in range(1, 65):
+            by_order = _resolve_form("auto", n, m)
+            for r in range(min(m, n) + 1):
+                by_work = "column" if kernel_work(n, r, m) <= kernel_work(m, r, n) else "row"
+                assert by_order == by_work, (m, n, r)
 
 
 # -- weighted Moore-Penrose ------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactgi import ExactScalar
-from exactgi.scalar import MAX_LITERAL_DIGITS
+import exactgi
+import exactgi.documents
+from exactgi import ExactScalar, parse_scalar
+from exactgi.scalar import MAX_LITERAL_DIGITS, DocumentError, ScalarParseError
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -40,6 +42,29 @@ def test_string_outside_the_grammar_is_rejected(text):
         ExactScalar(text)
     with pytest.raises(ValueError):
         ExactScalar(0, text)
+
+
+@given(st.text(alphabet="0123456789+-./i \t\n", max_size=8))
+def test_string_part_is_a_real_literal_without_whitespace(text):
+    # ExactScalar and parse_scalar read one grammar: a string part is a
+    # literal with no "i" and no whitespace, of the same value
+    try:
+        expected = parse_scalar(text)
+    except ScalarParseError:
+        expected = None
+    if expected is not None and "i" not in text and not any(c in text for c in " \t\n"):
+        assert ExactScalar(text) == expected
+    else:
+        with pytest.raises(ScalarParseError):
+            ExactScalar(text)
+
+
+def test_parse_errors_are_document_and_value_errors():
+    assert issubclass(ScalarParseError, DocumentError)
+    assert issubclass(DocumentError, ValueError)
+    for module in (exactgi, exactgi.documents):
+        assert module.ScalarParseError is ScalarParseError
+        assert module.DocumentError is DocumentError
 
 
 def test_zero_denominator_is_a_value_error():
