@@ -12,8 +12,10 @@ real matrices only.
 
 Entries parse straight to the matrix's canonical Gaussian-integer image (see
 exactgi.matrix): the scanner yields each part as an unreduced integer pair
-(num, den), every part is brought over Q, the lcm of the denominators, and
-one gcd pass reduces Q to the least common denominator.  Rendering reads
+(num, den), and `matrix._from_parts`, the routine that builds the image of
+`ExactMatrix(...)` too, brings every part over Q, the lcm of the
+denominators, and reduces Q by one gcd pass to the least common
+denominator.  Rendering reads
 each part x/q off the image and reduces it by one gcd; no Fraction or
 ExactScalar is built per entry either way.  How parts join into a literal
 is defined once, in exactgi.scalar, and shared with ExactScalar.__str__.
@@ -27,10 +29,9 @@ import json
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Any
 
-from .matrix import ExactMatrix, _from_int, clear_denominators
+from .matrix import ExactMatrix, _from_parts, clear_denominators
 from .scalar import (  # the cap, CHUNK_DIGITS and the errors are re-exported
     CHUNK_DIGITS,
     MAX_LITERAL_DIGITS,
@@ -110,18 +111,6 @@ def _entry_parts(value: Any) -> tuple[int, int, int, int]:
     if isinstance(value, float):
         raise DocumentError("JSON floats are not exact; write the entry as a string literal")
     raise DocumentError(f"unsupported entry {value!r}")
-
-
-def _from_parts(rows: int, cols: int, parts: list[tuple[int, int, int, int]]) -> ExactMatrix:
-    """The matrix whose entries, in row-major order, are a/b + (c/d) i.  Over
-    Q = lcm of the denominators its image is integral; the gcd pass of
-    `_from_int` reduces Q to the least common denominator, so the image is
-    the canonical one."""
-    q = lcm(*{b for _, b, _, _ in parts}, *{d for _, _, _, d in parts})
-    re = [a * (q // b) for a, b, _, _ in parts]
-    im = [c * (q // d) for _, _, c, d in parts]
-    starts = range(0, rows * cols, cols)
-    return _from_int([re[s : s + cols] for s in starts], [im[s : s + cols] for s in starts], q)
 
 
 def parse_matrix_document(obj: Any) -> ExactMatrix:

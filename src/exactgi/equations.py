@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .inverses import _CramerRule, _drazin_rule, _mp_rule
-from .matrix import ExactMatrix, _spans, rank_profile
+from .matrix import ExactMatrix, _divided, _spans, rank_profile
 from .minors import adjugate_product
-from .scalar import ONE
 
 Route = Literal["auto", "dB", "dA"]
 
@@ -152,7 +151,7 @@ def _contract_both(
         x, d_left = adjugate_product(left_base, left.r, d_b, "column", budget)
         inter = {"d_B": d_b}
     inter["D_tilde"] = d_tilde
-    return x.scale(ONE / (d_left * d_right)), inter
+    return _divided(x, d_left * d_right), inter
 
 
 # -- Drazin ---------------------------------------------------------------------------

@@ -10,6 +10,15 @@ on first read (`entries`, `entry`, `row`, `col`): a product or a sum that no
 caller reads never builds them.  Equal values have equal images, so equality
 and the hash compare images.
 
+Numbers enter through one routine.  `ExactMatrix(rows, cols, entries)`
+reads each entry's four integer parts once (`_parts`: an int as it is, an
+`ExactScalar` off its two Fractions, anything else through
+`ExactScalar(value)`, which holds the rules for strings and bool), and
+`_from_parts` brings them over the lcm of their denominators and reduces
+that to the least one.  The JSON and CSV documents of exactgi.documents
+build their images with the same `_from_parts`, and `scale` reads its
+factor with the same `_parts`.
+
 Arithmetic runs on the images.  A product is one Gaussian-integer product
 (`int_matmul`) over q_A q_B, a sum or difference brings both images to their
 common denominator, `scale` multiplies by the cleared factor, and transpose,
@@ -70,10 +79,23 @@ EntryLike = ExactScalar | RationalLike
 Rows = tuple[tuple[int, ...], ...]
 
 
-def _as_scalar(value: EntryLike) -> ExactScalar:
-    if isinstance(value, ExactScalar):
-        return value
-    return ExactScalar(value)
+def _parts(value: EntryLike) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with value = a/b + (c/d) i in lowest terms, b, d > 0.
+    An int is read as it is; any other value but an ExactScalar goes through
+    ExactScalar(value), which holds the rules for strings and bool."""
+    if type(value) is int:
+        return value, 1, 0, 1
+    if not isinstance(value, ExactScalar):
+        value = ExactScalar(value)
+    re, im = value.re, value.im
+    return re.numerator, re.denominator, im.numerator, im.denominator
+
+
+def _cleared(value: EntryLike) -> tuple[int, int, int]:
+    """(x, y, s) with value = (x + i y) / s, s the least such denominator."""
+    a, b, c, d = _parts(value)
+    s = lcm(b, d)
+    return a * (s // b), c * (s // d), s
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -102,16 +124,9 @@ class ExactMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}"
             )
-        scalars = tuple(map(_as_scalar, entries))
-        # the parts are canonical fractions, so the lcm of their denominators
-        # is the least common denominator
-        q = lcm(*{part.denominator for e in scalars for part in (e.re, e.im)})
-        re = tuple(e.re.numerator * (q // e.re.denominator) for e in scalars)
-        im = tuple(e.im.numerator * (q // e.im.denominator) for e in scalars)
-        starts = range(0, rows * cols, cols)
-        self.rows, self.cols, self._q, self._entries = rows, cols, q, None
-        self._re = tuple(re[s : s + cols] for s in starts)
-        self._im = tuple(im[s : s + cols] for s in starts)
+        image = _from_parts(rows, cols, list(map(_parts, entries)))
+        self.rows, self.cols, self._entries = rows, cols, None
+        self._re, self._im, self._q = image._re, image._im, image._q
 
     @property
     def entries(self) -> tuple[ExactScalar, ...]:
@@ -229,10 +244,7 @@ class ExactMatrix:
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
         # (re + i im)/q times (sr + i si)/qs, in Z[i] and divided once
-        s = _as_scalar(factor)
-        qs = lcm(s.re.denominator, s.im.denominator)
-        sr = s.re.numerator * (qs // s.re.denominator)
-        si = s.im.numerator * (qs // s.im.denominator)
+        sr, si, qs = _cleared(factor)
         a_re, a_im = self._re, self._im
         if si:
             out_re = [[x * sr - y * si for x, y in zip(*rows)] for rows in zip(a_re, a_im)]
@@ -330,14 +342,41 @@ def _from_int(re_rows, im_rows, q: int) -> ExactMatrix:
                   tuple(tuple(y // g for y in row) for row in im_rows), q // g)
 
 
+def _from_parts(rows: int, cols: int, parts: list[tuple[int, int, int, int]]) -> ExactMatrix:
+    """The matrix whose entries, in row-major order, are a/b + (c/d) i, b, d > 0
+    in any terms: `ExactMatrix(...)` and the JSON and CSV documents of
+    exactgi.documents build their images here.  Over Q = lcm of the
+    denominators the image is integral; the gcd pass of `_from_int` reduces Q
+    to the least common denominator, so the image is the canonical one."""
+    a, b, c, d = zip(*parts)
+    q = lcm(*set(b), *set(d))
+    if q == 1:
+        re, im = a, c
+    else:
+        re = [x * (q // y) for x, y in zip(a, b)]
+        im = [x * (q // y) for x, y in zip(c, d)]
+    starts = range(0, rows * cols, cols)
+    return _from_int([re[s : s + cols] for s in starts], [im[s : s + cols] for s in starts], q)
+
+
 def _over(re_rows, im_rows, pr: int, pi: int, num: int = 1, den: int = 1) -> ExactMatrix:
-    """The matrix num (re + i*im) / (den p), p = pr + i*pi nonzero, divided
-    once per entry: (re + i*im) conj(p) / (den |p|^2)."""
+    """The matrix num (re + i*im) / (den p), p = pr + i*pi, divided once per
+    entry: (re + i*im) conj(p) / (den |p|^2).  p = 0 raises
+    ZeroDivisionError."""
+    if not (pr or pi):
+        raise ZeroDivisionError("division by zero scalar")
     return _from_int(
         [[num * (x * pr + y * pi) for x, y in zip(*rows)] for rows in zip(re_rows, im_rows)],
         [[num * (y * pr - x * pi) for x, y in zip(*rows)] for rows in zip(re_rows, im_rows)],
         den * (pr * pr + pi * pi),
     )
+
+
+def _divided(matrix: ExactMatrix, value: EntryLike) -> ExactMatrix:
+    """matrix / value, value = p / s with p in Z[i]: s (re + i*im) / (q p),
+    divided once per entry."""
+    pr, pi, s = _cleared(value)
+    return _over(matrix._re, matrix._im, pr, pi, s, matrix._q)
 
 
 def _combine(a: ExactMatrix, b: ExactMatrix, sign: int) -> ExactMatrix:

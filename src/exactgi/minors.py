@@ -172,8 +172,6 @@ def cramer_ratio(
     """The Cramer solution N / d_r over one base, and d_r (see
     `adjugate_product`)."""
     n_re, n_im, d_re, d_im, q, qv = _kernel(base, r, vectors, side, budget)
-    if not (d_re or d_im):
-        raise ZeroDivisionError("division by zero scalar")
     # N / d_r = N_int q / (q_V d_int), divided once per entry
     d = ExactScalar(Fraction(d_re, q**r), Fraction(d_im, q**r))
     return _over(n_re, n_im, d_re, d_im, q, qv), d

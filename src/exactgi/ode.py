@@ -143,14 +143,18 @@ def _ode_partial(
 ) -> MatrixPoly:
     if not a.is_square or a.shape != b.shape:
         raise ValueError("coefficient and right-hand side must be square, same size")
-    rule = _drazin_rule(rank_profile(a), "column" if side == "left" else "row")
+    profile = rank_profile(a)
+    rule = _drazin_rule(profile, "column" if side == "left" else "row")
     # X0 = A^D B and E = B - A X0 (left), or X0 = B A^D and E = B - X0 A (right)
     x0, e, _ = _solve_one(rule, a, b, budget)
-    # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k
+    # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k.  Both chains
+    # multiply by one fixed right factor, packed once: E, by the profile's
+    # powers A^(j-1), on the left; A, on the right.
     chain = [e] if rule.k else []
-    packing = _Packing()  # A's, for the chain on the right
-    while len(chain) < rule.k:
-        chain.append(a @ chain[-1] if side == "left" else chain[-1].__matmul__(a, packing))
+    packing = _Packing()
+    for j in range(1, rule.k):
+        chain.append(profile.power(j).__matmul__(e, packing) if side == "left"
+                     else chain[-1].__matmul__(a, packing))
     return MatrixPoly(
         [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, p in enumerate(chain)]
     )

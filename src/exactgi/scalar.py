@@ -5,19 +5,30 @@ which guarantees the canonical form (coprime numerator/denominator, positive
 denominator).  All arithmetic is exact, equality is structural, and values
 are immutable and hashable.
 
-Scalar literal grammar (whitespace-insensitive at the seams):
+Numbers enter by their exact type first: a part that is a Fraction is kept
+as it is, and an int part between -256 and 256 takes a shared Fraction from
+a fixed table, any other int a new one.  Only other types (subclasses of int
+and Fraction, strings, and bool, which is refused) take the general checks.
+Matrices read the same parts: see `matrix._parts` and `matrix._from_parts`,
+the one routine that turns entries into a matrix's image.
+
+Scalar literal grammar:
 
     scalar  := sign? part (sign part)?      at most one part carries "i"
     part    := number "i" | "i" | number
     number  := digits "/" digits | digits "." digits | "." digits | digits
     digits  := one or more of the ASCII digits 0-9
 
-Examples: "3", "-5/2", "1/2+3i", "-i", "2-0.5i".  Decimal literals convert
-exactly ("-10.5" becomes -21/2).  `literal` renders the grammar back in
-canonical form, so a rendered literal parses to the value it came from.
+Any whitespace at either end of a literal is ignored.  Inside it, spaces
+(U+0020, and no other whitespace) may follow a sign and may come before the
+sign of the second part; nothing else may stand between the tokens.
+Examples: "3", "-5/2", "1/2+3i", " 1 + 2i", "-i", "2-0.5i".  Decimal
+literals convert exactly ("-10.5" becomes -21/2).  `literal` renders the
+grammar back in canonical form, so a rendered literal parses to the value
+it came from.
 One scanner reads the grammar: `_scan_scalar` takes a whole literal (a
 `gi` document entry, see exactgi.documents), and a string part of
-ExactScalar is one real term, sign? number, with no space in it.
+ExactScalar is one real term, sign? number, with no whitespace in it.
 
 A run of digits in a literal, and a JSON integer, may hold at most
 MAX_LITERAL_DIGITS digits; a longer one is refused before any conversion.
@@ -150,7 +161,22 @@ def _scan_scalar(text: str) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
+# Fractions of the small integers, shared by every part that is one: most
+# parts of exact input are small integers, and a Fraction is immutable.
+_SMALL_MAX = 256
+_SMALL = tuple(map(Fraction, range(-_SMALL_MAX, _SMALL_MAX + 1)))
+
+
 def _as_fraction(value: RationalLike | str) -> Fraction:
+    # the exact types first: isinstance against Fraction, a numbers.Rational,
+    # goes through the ABC machinery when it fails, as it does for an int
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        if -_SMALL_MAX <= value <= _SMALL_MAX:
+            return _SMALL[value + _SMALL_MAX]
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):

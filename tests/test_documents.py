@@ -53,6 +53,18 @@ def test_parse_scalar_errors_carry_position():
             parse_scalar(bad)
 
 
+def test_whitespace_rule():
+    # any whitespace at the ends; inside, only spaces, after a sign and
+    # before the second part's sign
+    assert parse_scalar("\t1+2i\t") == parse_scalar("1 + 2i") == sc(1, 2)
+    for bad, position, reason in (("1 +\t2i", 3, "expected digits"),
+                                  ("1\t+2i", 1, "expected '+' or '-'")):
+        with pytest.raises(ScalarParseError) as err:
+            parse_scalar(bad)
+        assert err.value.position == position
+        assert str(err.value).endswith(reason)
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 

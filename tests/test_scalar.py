@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 import exactgi
 import exactgi.documents
-from exactgi import ExactScalar, parse_scalar
-from exactgi.scalar import MAX_LITERAL_DIGITS, DocumentError, ScalarParseError
+from exactgi import ExactMatrix, ExactScalar, parse_scalar
+from exactgi.matrix import clear_denominators
+from exactgi.scalar import MAX_LITERAL_DIGITS, DocumentError, ScalarParseError, int_text
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -165,3 +167,93 @@ def test_string_part_over_the_digit_cap_is_refused():
         with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
             ExactScalar(text)
     assert ExactScalar("9" * MAX_LITERAL_DIGITS) == ExactScalar(10**MAX_LITERAL_DIGITS - 1)
+
+
+# -- how numbers enter a matrix -------------------------------------------------------
+
+
+class Int(int):
+    pass
+
+
+class Frac(F):
+    pass
+
+
+def _int_entry(value):
+    return value, ExactScalar(F(value))
+
+
+def _ratio_text(num, den):
+    return f"{int_text(num)}/{int_text(den)}", ExactScalar(F(num, den))
+
+
+def _decimal_text(sign, whole, frac):
+    value = whole + F(int(frac), 10 ** len(frac))
+    return f"{sign}{whole or ''}.{frac}", ExactScalar(-value if sign == "-" else value)
+
+
+def _long_text(digits, den):
+    # a run of sevens of that many digits, built without int(str)
+    return "7" * digits + f"/{den}", ExactScalar(F(7 * (10**digits - 1) // 9, den))
+
+
+# (entry, its value built from Fractions): ints inside the small-int table, at
+# its ends and outside it, ints of more than 640 digits, Fractions,
+# ExactScalars, subclasses of int and Fraction, and strings of one real term,
+# some of 641 to 5001 digits
+intake_entries = st.one_of(
+    st.sampled_from([-257, -256, -1, 0, 1, 256, 257]).map(_int_entry),
+    st.integers(-300, 300).map(_int_entry),
+    st.integers(-(10**40), 10**40).map(_int_entry),
+    st.builds(lambda digits, sign: _int_entry(sign * (10**digits - 3)),
+              st.integers(641, 800), st.sampled_from([1, -1])),
+    st.fractions(max_denominator=10**12).map(lambda f: (f, ExactScalar(f))),
+    st.builds(ExactScalar, rationals, rationals).map(lambda s: (s, s)),
+    st.builds(ExactScalar, st.integers(-(10**40), 10**40), rationals).map(lambda s: (s, s)),
+    st.integers(-300, 300).map(lambda v: (Int(v), ExactScalar(v))),
+    rationals.map(lambda f: (Frac(f), ExactScalar(f))),
+    st.builds(_ratio_text, st.integers(-(10**40), 10**40), st.integers(1, 10**12)),
+    st.builds(_decimal_text, st.sampled_from(["", "+", "-"]), st.integers(0, 10**6),
+              st.text("0123456789", min_size=1, max_size=6)),
+    st.builds(_long_text, st.integers(641, 5001), st.integers(1, 99)),
+)
+
+
+@st.composite
+def intake_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = draw(st.lists(intake_entries, min_size=rows * cols, max_size=rows * cols))
+    return rows, cols, pairs
+
+
+@given(intake_matrices())
+def test_matrix_intake_property(shape_and_entries):
+    rows, cols, pairs = shape_and_entries
+    entries = [entry for entry, _ in pairs]
+    values = [value for _, value in pairs]
+    matrix = ExactMatrix(rows, cols, entries)
+    each = ExactMatrix(rows, cols, [e if isinstance(e, ExactScalar) else ExactScalar(e)
+                                    for e in entries])
+    assert matrix == each and hash(matrix) == hash(each)
+    assert matrix.entries == each.entries == tuple(values)
+    # the image is the canonical one: over the least common denominator
+    re, im, q = clear_denominators(matrix)
+    assert q == lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    assert [x for row in re for x in row] == [v.re * q for v in values]
+    assert [y for row in im for y in row] == [v.im * q for v in values]
+
+
+def test_bool_is_not_a_matrix_entry_or_factor():
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 1, [True])
+    with pytest.raises(TypeError):
+        ExactMatrix.identity(2).scale(True)
+
+
+def test_int_and_fraction_subclasses_keep_their_value():
+    assert ExactScalar(Int(3), Frac(1, 2)) == ExactScalar(3, F(1, 2))
+    assert ExactScalar(Int(10**30)) == ExactScalar(10**30)
+    matrix = ExactMatrix(1, 3, [Int(-4), Frac(5, 6), Int(300)])
+    assert matrix == ExactMatrix(1, 3, [-4, F(5, 6), 300])
+    assert matrix.scale(Int(2)) == matrix.scale(2) == matrix.scale(Frac(2))
