@@ -75,8 +75,38 @@ def _eq_doc(result: equations.EqSolution, decimal: int | None) -> dict:
     return doc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, with `indent` the margin
+    of the line the value starts on.  With an indent, json.dumps runs its
+    pure-Python encoder; this lays out dicts with str keys, lists, strs,
+    ints, bools and None itself and strings through the C string encoder,
+    and hands any other value to json.dumps, re-indented to the margin."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is list and value:
+        inner = indent + "  "
+        return ("[\n" + inner + f",\n{inner}".join(_json_text(v, inner) for v in value)
+                + "\n" + indent + "]")
+    if kind is dict and value and all(type(k) is str for k in value):
+        inner = indent + "  "
+        return ("{\n" + inner + f",\n{inner}".join(
+            _encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items())
+            + "\n" + indent + "}")
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    # strings are escaped, so every newline starts a new line of the layout
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(doc, indent=2)
+    text = _json_text(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

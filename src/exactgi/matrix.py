@@ -23,7 +23,11 @@ Arithmetic runs on the images.  A product is one Gaussian-integer product
 (`int_matmul`) over q_A q_B, a sum or difference brings both images to their
 common denominator, `scale` multiplies by the cleared factor, and transpose,
 conjugation, trace and the Frobenius norm read the image directly.  Each new
-image is reduced to its least q by one gcd pass (`_from_int`).  A product
+image is reduced to its least q by one gcd pass (`_from_int`).  Division by
+a Gaussian integer p (`_over`, behind `inverse`, the Cramer ratios of
+`minors` and the AXB solvers of `equations`) first takes out the content
+h = gcd(Re p, Im p): a real p only flips signs and puts |p| into q, and any
+other p multiplies by conj(p/h) over h |p/h|^2, which is |p|^2 / h.  A product
 A B with at least 2 rows and 6 columns packs each row of B into two integers
 with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
@@ -361,14 +365,25 @@ def _from_parts(rows: int, cols: int, parts: list[tuple[int, int, int, int]]) ->
 
 def _over(re_rows, im_rows, pr: int, pi: int, num: int = 1, den: int = 1) -> ExactMatrix:
     """The matrix num (re + i*im) / (den p), p = pr + i*pi, divided once per
-    entry: (re + i*im) conj(p) / (den |p|^2).  p = 0 raises
+    entry.  With h = gcd(pr, pi) the content of p, a real p is applied as
+    num sign(p) (re + i*im) / (den h), with no conjugate products, and any
+    other p as num (re + i*im) conj(p/h) / (den h |p/h|^2).  p = 0 raises
     ZeroDivisionError."""
     if not (pr or pi):
         raise ZeroDivisionError("division by zero scalar")
+    h = gcd(pr, pi)
+    if not pi:
+        if pr < 0:
+            num = -num
+        if num != 1:
+            re_rows = [[num * x for x in row] for row in re_rows]
+            im_rows = [[num * y for y in row] for row in im_rows]
+        return _from_int(re_rows, im_rows, den * h)
+    pr, pi = pr // h, pi // h
     return _from_int(
         [[num * (x * pr + y * pi) for x, y in zip(*rows)] for rows in zip(re_rows, im_rows)],
         [[num * (y * pr - x * pi) for x, y in zip(*rows)] for rows in zip(re_rows, im_rows)],
-        den * (pr * pr + pi * pi),
+        den * h * (pr * pr + pi * pi),
     )
 
 
@@ -657,15 +672,17 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
 
     so that det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n.  A Gaussian-integer
     matrix has Gaussian-integer characteristic coefficients, so each division
-    by k is exact and everything stays in Z[i].  M B_0 is M itself and c_r
-    is read as a sum of entry products, so the run takes r - 2 products.
+    by k is exact and everything stays in Z[i].  M B_0 is M itself, so B_0
+    is built only at r = 1, and c_r is read as a sum of entry products, so
+    the run takes r - 2 products.
     B_(k-1) is a polynomial in M, so the run forms M B_(k-1) as B_(k-1) M,
     with M the fixed right factor, packed once (see `int_matmul`).
     Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
     """
     n = len(re_rows)
-    b_re = [[int(i == j) for j in range(n)] for i in range(n)]
-    b_im = [[0] * n for _ in range(n)]
+    if r == 1:
+        b_re = [[int(i == j) for j in range(n)] for i in range(n)]
+        b_im = [[0] * n for _ in range(n)]
     coeffs, packing = [], _Packing()
     for k in range(1, r):
         if k == 1:

@@ -8,8 +8,10 @@ literally, one determinant per subset; the operations call
 `adjugate_product` or `cramer_ratio`.  By Laplace expansion along the
 replaced line, the replaced sums are the entries of L_r(M) v and v L_r(M),
 where L_r(M) is the sum over all r-subsets S of adj(M_S) embedded at the
-rows and columns S.  The kernel never enumerates those subsets.  For r < n
-it runs the trace (Faddeev-LeVerrier) recurrence of
+rows and columns S.  The kernel never enumerates those subsets.  Order 1
+is read in closed form: L_1 = I and d_1 = tr M, so N is the replacement
+block itself, with no recurrence and no product.  For 1 < r < n it runs
+the trace (Faddeev-LeVerrier) recurrence of
 `matrix._trace_recurrence` on the Gaussian-integer image,
 
     B_0 = I,  c_k = -tr(M B_(k-1)) / k,  B_k = M B_(k-1) + c_k I,
@@ -101,10 +103,9 @@ def kernel_work(n: int, r: int, s: int) -> int:
 
 def _adjugate_sum(re_rows, im_rows, r):
     """L_r (sum over the r-subsets S of adj(M_S) embedded at S) and d_r (sum
-    of det(M_S)) of a Gaussian-integer matrix: adj(M) and det(M) at r = n
-    when M is nonsingular, otherwise L_r = (-1)^(r-1) B_(r-1) and
-    d_r = (-1)^r c_r of the trace recurrence (L_1 = B_0 = I, d_1 = -c_1 the
-    trace)."""
+    of det(M_S)) of a Gaussian-integer matrix, r >= 2: adj(M) and det(M) at
+    r = n when M is nonsingular, otherwise L_r = (-1)^(r-1) B_(r-1) and
+    d_r = (-1)^r c_r of the trace recurrence."""
     if r == len(re_rows):
         adjugate = int_adjugate(re_rows, im_rows)
         if adjugate is not None:
@@ -132,8 +133,12 @@ def _kernel(base, r, vectors, side, budget):
         raise ValueError(f"replacement block has {inner} {what}, expected {n}")
     check_budget(kernel_work(n, r, s), budget, n=n, r=r, s=s)
     re_rows, im_rows, q = clear_denominators(base)
-    l_re, l_im, d_re, d_im = _adjugate_sum(re_rows, im_rows, r)
     v_re, v_im, qv = clear_denominators(vectors)
+    if r == 1:
+        # L_1 = I and d_1 = tr M: N is the block itself
+        return (v_re, v_im, sum(row[i] for i, row in enumerate(re_rows)),
+                sum(row[i] for i, row in enumerate(im_rows)), q, qv)
+    l_re, l_im, d_re, d_im = _adjugate_sum(re_rows, im_rows, r)
     if side == "column":
         n_re, n_im = int_matmul(l_re, l_im, v_re, v_im)
     else:

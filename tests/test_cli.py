@@ -4,10 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import exactgi
 from exactgi import ExactMatrix, inverse, mp_inverse, parse_matrix_document, parse_scalar
-from exactgi.cli import _build_parser, main
+from exactgi.cli import _build_parser, _json_text, main
 
 from cases import (
     AXB_DZ_A,
@@ -342,3 +344,35 @@ def test_pinv_of_entries_past_the_digit_limit(tmp_path, capsys):
     doc = json.loads(out)
     assert parse_matrix_document(doc) == inverse(a)
     assert parse_scalar(doc["denominator"]) == mp_inverse(a).denominator
+
+
+# the leaves of a `gi` document, and values json.dumps takes that the fixed
+# layout hands back to it: floats, tuples, dicts with non-str keys, subclasses
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+_leaves = (st.text() | st.integers(-(10**30), 10**30) | st.booleans() | st.none()
+           | st.floats(allow_nan=True) | st.builds(_Text, st.text())
+           | st.builds(_Count, st.integers(-5, 5)))
+_documents = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.integers(-3, 3) | st.booleans() | st.none(), inner,
+                                     max_size=3)),
+    max_leaves=24,
+)
+
+
+@given(_documents)
+def test_json_layout_is_json_dumps_indent_2_property(doc):
+    # _emit writes through the fixed layout; stdout must stay what
+    # json.dumps(doc, indent=2) wrote, byte for byte, at every depth
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+

@@ -463,6 +463,36 @@ def test_inverse_matches_the_scalar_elimination(data):
         assert_same_value(inverse(square), inv)
 
 
+# Gaussian integers with a content above 1, of each kind the division tells
+# apart: real of either sign, with no real part, and with both parts
+_with_content = st.sampled_from((2, -3, 12, sc(0, 3), sc(0, -4), sc(2, 2), sc(3, -6), sc(-4, 10)))
+
+
+@given(st.data())
+def test_inverse_divides_like_the_scalars(data):
+    # inverse(c U) = U^(-1) / c: det of the image has content |c|^n or more
+    n = data.draw(st.integers(1, 4))
+    square = data.draw(_small_matrices(n, n))
+    if rank(square) < n:
+        return
+    c = data.draw(_with_content)
+    _, inv, _ = reference_gauss_jordan(square, ExactMatrix.identity(n))
+    assert_same_value(inverse(square.scale(c)), ExactMatrix(n, n, [e / c for e in inv.entries]))
+
+
+@given(st.data())
+def test_divided_is_entrywise_scalar_division(data):
+    # the one division of the AXB solvers (`equations`), by values
+    # c (a + bi) / s with a content c
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    m = data.draw(_small_matrices(rows, cols))
+    c = data.draw(_with_content)
+    unit = data.draw(st.sampled_from((1, -1, sc(0, 1), sc(1, 1), sc(2, -1))))
+    value = sc(1) * c * unit / data.draw(st.sampled_from((1, 2, 5, 9)))
+    assert_same_value(matrix_module._divided(m, value),
+                      ExactMatrix(rows, cols, [e / value for e in m.entries]))
+
+
 @given(st.data())
 def test_clear_denominators_returns_the_least_q(data):
     rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))

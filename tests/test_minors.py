@@ -571,6 +571,72 @@ def test_cramer_ratio_divides_exactly_and_refuses_zero_denominator(rng):
         cramer_ratio(ExactMatrix.zeros(3, 3), 2, rational_matrix(rng, 3, 1), "column")
 
 
+# d_r(A* D A) = det(D) det(A A*) for an r-by-n A of rank r, and det(A A*) > 0,
+# so det(D) sets the kind of the divisor: each kind takes its own branch of
+# the exact division (a real divisor of either sign, one with no real part,
+# one with both parts and a content above 1)
+_DIVISOR_KINDS = {
+    "positive": (1, lambda d: d.im == 0 and d.re > 0),
+    "negative": (-1, lambda d: d.im == 0 and d.re < 0),
+    "imaginary": (sc(0, 1), lambda d: d.re == 0 and d.im != 0),
+    "content": (sc(2, 2), lambda d: d.re != 0 and d.im != 0),
+}
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.sampled_from(sorted(_DIVISOR_KINDS)),
+       st.sampled_from((1, F(1, 3), F(2, 5))), st.integers(0, 2**32 - 1))
+def test_cramer_ratio_is_the_product_over_d_r_property(n, below, kind, scale, seed):
+    # the ratio at order r = rank(base) against N / d_r entrywise by ExactScalar
+    # division, on both sides; a rational scale puts a denominator on the base
+    import random
+
+    rng = random.Random(seed)
+    r = max(1, n - below)
+    while True:
+        a = small_unit_matrix(rng, r, n)
+        if rank(a) == r:
+            break
+    unit, is_kind = _DIVISOR_KINDS[kind]
+    d_diag = ExactMatrix.from_rows([[unit if i == j == 0 else int(i == j) for j in range(r)]
+                                    for i in range(r)])
+    base = (a.conj_transpose() @ d_diag @ a).scale(scale)
+    for side, vectors in (("column", rational_matrix(rng, n, 2)),
+                          ("row", rational_matrix(rng, 2, n))):
+        product, d = adjugate_product(base, r, vectors, side)
+        assert is_kind(d)
+        ratio, got_d = cramer_ratio(base, r, vectors, side)
+        assert got_d == d
+        assert ratio == ExactMatrix(product.rows, product.cols, [e / d for e in product.entries])
+
+
+def test_order_one_rule_takes_no_recurrence_and_no_kernel_product(rng, monkeypatch):
+    # L_1 = I and d_1 = tr M: a rank-one A gives A+ = A* / tr(A* A) with no
+    # trace recurrence run and no product inside the kernel
+    calls = []
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(exactgi.minors, "int_matmul",
+                        counted("int_matmul", exactgi.minors.int_matmul))
+    monkeypatch.setattr(exactgi.minors, "_trace_recurrence",
+                        counted("_trace_recurrence", exactgi.minors._trace_recurrence))
+    for m, n in ((1, 1), (3, 1), (1, 4), (4, 5), (6, 6)):
+        a = ExactMatrix.zeros(m, n)
+        while rank(a) != 1:
+            a = rand_low_rank(rng, m, n, 1).scale(sc(F(1, 2), 3))
+        ah = a.conj_transpose()
+        for form in ("column", "row"):
+            report = mp_inverse(a, form=form)
+            assert report.rank_used == 1
+            assert report.inverse == ah.scale(ExactScalar(1) / (ah @ a).trace())
+    assert calls == []
+
+
 # -- the trace recurrence: polynomial cost where enumeration cannot finish ---------
 
 
