@@ -16,8 +16,9 @@ one, and tests exercise both.
 
 Consistency of the original equation is reported through the exact residual;
 the solvers never reject an inconsistent system (least squares semantics).
-Subspace preconditions of the Drazin variants are diagnosed exactly and
-reported, not enforced.
+The Drazin variants report, not enforce, that B lies in the range of A^k
+(its row space for XA=B), and read it off the same residual: A A^D projects
+onto R(A^k) along N(A^k), so (I - A A^D) B is zero exactly when it does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .inverses import _CramerRule, _drazin_rule, _mp_rule
-from .matrix import ExactMatrix, _divided, _spans, rank_profile
+from .matrix import ExactMatrix, _divided, rank_profile
 from .minors import adjugate_product
 
 Route = Literal["auto", "dB", "dA"]
@@ -41,6 +42,7 @@ class EqSolution:
     ranks: tuple[int, ...]
     indices: tuple[int, ...] | None
     residual: ExactMatrix
+    # Drazin variants: B (D) is in the prescribed range, i.e. residual zero
     constraint_satisfied: bool | None = None
     intermediates: dict[str, ExactMatrix] = field(default_factory=dict)
 
@@ -64,32 +66,36 @@ def _solve_one(rule: _CramerRule, a: ExactMatrix, b: ExactMatrix, budget: int | 
     return x, residual, {"B_hat" if column else "B_check": block}
 
 
+def _check_rhs(a: ExactMatrix, b: ExactMatrix, side: str) -> None:
+    if side == "column" and b.rows != a.rows:
+        raise ValueError(f"B must have {a.rows} rows, got {b.rows}")
+    if side == "row" and b.cols != a.cols:
+        raise ValueError(f"B must have {a.cols} columns, got {b.cols}")
+
+
+def _ls_solve(a: ExactMatrix, b: ExactMatrix, side: str, budget: int | None) -> EqSolution:
+    """X = A+ B (side "column") or X = B A+ (side "row")."""
+    _check_rhs(a, b, side)
+    rule = _mp_rule(a, side)
+    r = rule.r
+    full = r == (a.cols if side == "column" else a.rows)
+    tag = "zero_rank" if r == 0 else f"full_{side}_rank" if full else "rank_deficient"
+    x, residual, inter = _solve_one(rule, a, b, budget)
+    return EqSolution(x, tag, (r,), None, residual, None, inter)
+
+
 def ls_solve_left(
     a: ExactMatrix, b: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
     """Minimum-norm least squares solution of A X = B, i.e. X = A+ B."""
-    m, n = a.shape
-    if b.rows != m:
-        raise ValueError(f"B must have {m} rows, got {b.rows}")
-    rule = _mp_rule(a, "column")
-    r = rule.r
-    tag = "zero_rank" if r == 0 else "full_column_rank" if r == n else "rank_deficient"
-    x, residual, inter = _solve_one(rule, a, b, budget)
-    return EqSolution(x, tag, (r,), None, residual, None, inter)
+    return _ls_solve(a, b, "column", budget)
 
 
 def ls_solve_right(
     a: ExactMatrix, b: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
     """Minimum-norm least squares solution of X A = B, i.e. X = B A+."""
-    m, n = a.shape
-    if b.cols != n:
-        raise ValueError(f"B must have {n} columns, got {b.cols}")
-    rule = _mp_rule(a, "row")
-    r = rule.r
-    tag = "zero_rank" if r == 0 else "full_row_rank" if r == m else "rank_deficient"
-    x, residual, inter = _solve_one(rule, a, b, budget)
-    return EqSolution(x, tag, (r,), None, residual, None, inter)
+    return _ls_solve(a, b, "row", budget)
 
 
 def _axb_case_tag(r1: int, n: int, r2: int, p: int) -> str:
@@ -157,40 +163,31 @@ def _contract_both(
 # -- Drazin ---------------------------------------------------------------------------
 
 
+def _dz_solve(a: ExactMatrix, b: ExactMatrix, side: str, budget: int | None) -> EqSolution:
+    """X = A^D B (side "column") or X = B A^D (side "row")."""
+    if not a.is_square:
+        raise ValueError("the Drazin solution needs a square coefficient matrix")
+    _check_rhs(a, b, side)
+    profile = rank_profile(a)
+    k = profile.index
+    rule = _drazin_rule(profile, side)
+    tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
+    x, residual, inter = _solve_one(rule, a, b, budget)
+    return EqSolution(x, tag, (rule.r,), (k,), residual, residual.is_zero(), inter)
+
+
 def dz_solve_left(
     a: ExactMatrix, b: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
     """Drazin solution X = A^D B of A X = B for square A."""
-    if not a.is_square:
-        raise ValueError("the Drazin solution needs a square coefficient matrix")
-    n = a.rows
-    if b.rows != n:
-        raise ValueError(f"B must have {n} rows, got {b.rows}")
-    profile = rank_profile(a)
-    k = profile.index
-    constraint = _spans(profile.power(k), b, "column", profile.core_rank)
-    rule = _drazin_rule(profile, "column")
-    tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
-    x, residual, inter = _solve_one(rule, a, b, budget)
-    return EqSolution(x, tag, (rule.r,), (k,), residual, constraint, inter)
+    return _dz_solve(a, b, "column", budget)
 
 
 def dz_solve_right(
     a: ExactMatrix, b: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
     """Drazin solution X = B A^D of X A = B for square A."""
-    if not a.is_square:
-        raise ValueError("the Drazin solution needs a square coefficient matrix")
-    m = a.rows
-    if b.cols != m:
-        raise ValueError(f"B must have {m} columns, got {b.cols}")
-    profile = rank_profile(a)
-    k = profile.index
-    constraint = _spans(profile.power(k), b, "row", profile.core_rank)
-    rule = _drazin_rule(profile, "row")
-    tag = "nilpotent" if rule.r == 0 else "singular" if k else "nonsingular"
-    x, residual, inter = _solve_one(rule, a, b, budget)
-    return EqSolution(x, tag, (rule.r,), (k,), residual, constraint, inter)
+    return _dz_solve(a, b, "row", budget)
 
 
 def dz_solve_both(
@@ -210,11 +207,10 @@ def dz_solve_both(
     pa = rank_profile(a)
     pb = rank_profile(b)
     k1, k2 = pa.index, pb.index
-    constraint = _spans(pa.power(k1), d_rhs, "column", pa.core_rank) and _spans(
-        pb.power(k2), d_rhs, "row", pb.core_rank
-    )
     left, right = _drazin_rule(pa, "column"), _drazin_rule(pb, "row")
     x, inter = _contract_both(left, right, d_rhs, route, budget)
     tag = "nilpotent" if not inter else "singular" if k1 or k2 else "nonsingular"
+    # the residual is D - P D Q with P = A A^D and Q = B^D B idempotent, so
+    # it is zero exactly when P D = D and D Q = D
     residual = d_rhs - a @ x @ b if inter else d_rhs
-    return EqSolution(x, tag, (left.r, right.r), (k1, k2), residual, constraint, inter)
+    return EqSolution(x, tag, (left.r, right.r), (k1, k2), residual, residual.is_zero(), inter)

@@ -228,9 +228,13 @@ class ExactMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         return _combine(self, other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         return _combine(self, other, -1)
 
     def __neg__(self) -> "ExactMatrix":
@@ -239,6 +243,8 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix", packing: "_Packing | None" = None) -> "ExactMatrix":
         # a loop of products by one right factor passes one `_Packing` to
         # each, so that the factor is packed once (see `int_matmul`)
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -720,28 +726,19 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
 
 def column_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
     """Exact membership of candidate's columns in the column space."""
-    return _spans(matrix, candidate, "column", rank(matrix))
+    if candidate.rows != matrix.rows:
+        raise ValueError("column counts do not line up for membership test")
+    # scaling a block keeps the rank, so the images join as they are
+    joined_re = [a + c for a, c in zip(matrix._re, candidate._re)]
+    joined_im = [a + c for a, c in zip(matrix._im, candidate._im)]
+    return int_rank(joined_re, joined_im) == rank(matrix)
 
 
 def row_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
     """Exact membership of candidate's rows in the row space."""
-    return _spans(matrix, candidate, "row", rank(matrix))
-
-
-def _spans(matrix: ExactMatrix, candidate: ExactMatrix, side: str, matrix_rank: int) -> bool:
-    """Whether the matrix, of rank `matrix_rank`, spans candidate's columns
-    (side "column") or rows (side "row")."""
-    # scaling a block keeps the rank, so the images join as they are
-    if side == "column":
-        if candidate.rows != matrix.rows:
-            raise ValueError("column counts do not line up for membership test")
-        joined = ([a + c for a, c in zip(matrix._re, candidate._re)],
-                  [a + c for a, c in zip(matrix._im, candidate._im)])
-    else:
-        if candidate.cols != matrix.cols:
-            raise ValueError("row lengths do not line up for membership test")
-        joined = matrix._re + candidate._re, matrix._im + candidate._im
-    return int_rank(*joined) == matrix_rank
+    if candidate.cols != matrix.cols:
+        raise ValueError("row lengths do not line up for membership test")
+    return int_rank(matrix._re + candidate._re, matrix._im + candidate._im) == rank(matrix)
 
 
 # -- index and cached powers ---------------------------------------------------
@@ -782,7 +779,8 @@ class RankProfile:
             raise ValueError("negative powers are not supported here")
         if exponent == 0:
             return self.matrix.rows
-        return self.rank_of_power[exponent - 1]
+        # rank(A^e) is the core rank for every e >= k, the last one stored
+        return self.rank_of_power[min(exponent, len(self.rank_of_power)) - 1]
 
     @property
     def core_rank(self) -> int:

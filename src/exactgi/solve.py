@@ -11,8 +11,10 @@ as a `SolveReport`.  The weighted Drazin solver applies the Cramer rule of
 the W-weighted Drazin inverse (`inverses._CramerRule`) to y.
 
 Residuals are returned as exact squared norms; the norm itself is irrational
-in general.  Range-membership preconditions are diagnosed exactly and
-reported, never enforced, because each solution is well defined regardless.
+in general.  Range-membership preconditions are reported, never enforced,
+because each solution is well defined regardless, and are read off the
+residual: A A^D projects onto R(A^k), and W A W A_(d,W) = WA (WA)^D onto
+R((WA)^Ind(WA)), so y lies in the range exactly when the residual is zero.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .equations import EqSolution, dz_solve_left, dz_solve_right, ls_solve_left, ls_solve_right
 from .inverses import _w_drazin_rule
-from .matrix import ExactMatrix, _spans
+from .matrix import ExactMatrix
 from .scalar import ExactScalar
 
 # collections.abc, not typing: a typing.Union would sit in typing's cache and
@@ -34,7 +36,7 @@ VectorLike = ExactMatrix | Sequence[ExactScalar]
 class SolveReport:
     """A solved system: the vector, the ranks behind the formula, the exact
     squared residual, and (for Drazin-type systems) whether the right-hand
-    side lies in the prescribed range."""
+    side lies in the prescribed range, which holds iff the residual is zero."""
 
     solution: ExactMatrix
     rank_used: int
@@ -106,14 +108,13 @@ def w_drazin_solve(
     """Weighted Drazin solution of W A W x = y, componentwise by
     column-replaced minor sums over (AW)^(k+2) with the vector (AW)^k A y.
 
-    When y lies in the range of (WA)^Ind(WA) (diagnosed and reported), the
-    solution satisfies W A W x = y exactly.
+    When y lies in the range of (WA)^Ind(WA) (reported), the solution
+    satisfies W A W x = y exactly.
     """
     rule, wa = _w_drazin_rule(matrix, weight, "column")
     y = _as_vector(rhs, (matrix.cols, 1))
-    in_range = _spans(wa.power(wa.index), y, "column", wa.core_rank)
     x, _, block = rule.apply(y, budget)
     # W A W x = (WA)(W x), and the profile holds WA
     residual = y if block is None else wa.matrix @ (weight @ x) - y
     residual_sq = ExactScalar(residual.frobenius_norm_sq())
-    return SolveReport(x, rule.r, rule.k, residual_sq, "w_drazin", in_range)
+    return SolveReport(x, rule.r, rule.k, residual_sq, "w_drazin", residual.is_zero())

@@ -1,8 +1,14 @@
+from fractions import Fraction as F
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactgi.matrix as matrix_module
 from exactgi import (
     ExactMatrix,
+    ExactScalar,
     drazin_inverse_oracle,
     dz_solve_both,
     dz_solve_left,
@@ -12,7 +18,9 @@ from exactgi import (
     ls_solve_right,
     mp_inverse_oracle,
     principal_minor_sum,
+    w_drazin_solve,
 )
+from exactgi.matrix import column_space_contains, row_space_contains
 
 from cases import (
     AXB_DZ_A,
@@ -32,7 +40,7 @@ from cases import (
     mat,
     sc,
 )
-from conftest import rand_low_rank, rand_matrix, rand_index_matrix
+from conftest import rand_index_matrix, rand_low_rank, rand_matrix, rand_unimodular
 
 
 # -- least squares: AX = B and XA = B ------------------------------------------
@@ -248,8 +256,8 @@ def test_intermediates_exposed():
 
 @pytest.mark.parametrize("solver, side", [(dz_solve_left, "column"), (dz_solve_right, "row")])
 def test_drazin_solvers_rank_the_core_power_once(rng, monkeypatch, solver, side):
-    # the rank profile ranks A and a block of A^2; the range check joins B to
-    # A^k and reuses the profile's rank of A^k instead of ranking A^k again
+    # the rank profile ranks A and a block of A^2, and that is the only
+    # ranking: the range verdict is read off the residual
     a = rand_index_matrix(rng, 5, 3, 1)
     inside = a @ rand_matrix(rng, 5, 2) if side == "column" else rand_matrix(rng, 2, 5) @ a
     outside = rand_matrix(rng, 5, 2) if side == "column" else rand_matrix(rng, 2, 5)
@@ -262,4 +270,73 @@ def test_drazin_solvers_rank_the_core_power_once(rng, monkeypatch, solver, side)
         result = solver(a, b)
         assert (result.ranks, result.indices) == ((3,), (1,))
         assert result.constraint_satisfied is in_range
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+
+# -- the range verdict against the rank test -----------------------------------------
+
+
+def _complex_rational(rng, a):
+    # a nonzero scale keeps the ranges, the ranks and the index
+    scale = ExactScalar(F(rng.choice([1, -2, 5]), rng.choice([1, 3, 4])), F(rng.randint(0, 1), 2))
+    return a.scale(scale)
+
+
+def _square(rng, n, index):
+    """n x n, of index 0 to 3 by construction, or a product of random rank
+    (index None) of whatever index it comes out as."""
+    if index is None:
+        a = rand_low_rank(rng, n, n, rng.randint(0, n))
+    elif index == 0:
+        a = rand_unimodular(rng, n)
+    else:
+        k = min(index, n)
+        a = rand_index_matrix(rng, n, rng.randint(0, n - k), k)
+    return _complex_rational(rng, a)
+
+
+def _placed(rng, where, rows, cols, left=None, right=None):
+    """A rows x cols right-hand side: zero, a random C (mostly outside the
+    range), or left C right (inside the column space of left and the row
+    space of right)."""
+    if where == "zero":
+        return ExactMatrix.zeros(rows, cols)
+    c = _complex_rational(rng, rand_matrix(rng, rows, cols))
+    if where == "inside":
+        c = c if left is None else left @ c
+        c = c if right is None else c @ right
+    return c
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([0, 1, 2, 3, None]),
+       st.sampled_from([0, 1, 2, 3, None]), st.sampled_from(["inside", "outside", "zero"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_range_verdict_matches_the_rank_test_property(n, m, index, index_b, where, one_sided,
+                                                      seed):
+    # each Drazin solver reads its verdict off the residual; it must equal a
+    # rank test on A^n, whose column and row spaces are those of A^k, n >= k.
+    # A one-sided D of A X B = D is placed in the column space of A^k only.
+    rng = random.Random(seed)
+    a, b = _square(rng, n, index), _square(rng, m, index_b)
+    core_a, core_b = a.power(n), b.power(m)
+    verdicts = []  # (reported, rank test, placed inside both spaces)
+    rhs = _placed(rng, where, n, m, left=core_a)
+    expected = column_space_contains(core_a, rhs)
+    verdicts.append((dz_solve_left(a, rhs).constraint_satisfied, expected, True))
+    rhs = _placed(rng, where, n, m, right=core_b)
+    expected = row_space_contains(core_b, rhs)
+    verdicts.append((dz_solve_right(b, rhs).constraint_satisfied, expected, True))
+    rhs = _placed(rng, where, n, m, left=core_a, right=None if one_sided else core_b)
+    expected = column_space_contains(core_a, rhs) and row_space_contains(core_b, rhs)
+    verdicts.append((dz_solve_both(a, b, rhs).constraint_satisfied, expected, not one_sided))
+    # W A W x = y with A m x n and W n x m: y must lie in R((WA)^Ind(WA))
+    matrix = _complex_rational(rng, rand_low_rank(rng, m, n, rng.randint(0, min(m, n))))
+    weight = rand_matrix(rng, n, m, span=1)
+    core_wa = (weight @ matrix).power(n)
+    rhs = _placed(rng, where, n, 1, left=core_wa)
+    expected = column_space_contains(core_wa, rhs)
+    verdicts.append((w_drazin_solve(matrix, weight, rhs).in_prescribed_range, expected, True))
+    for verdict, expected, placed in verdicts:
+        assert verdict is expected
+        assert expected or where == "outside" or not placed

@@ -163,6 +163,26 @@ def test_matmul_shape_mismatch():
         ExactMatrix.zeros(2, 3) @ ExactMatrix.zeros(2, 3)
 
 
+def test_arithmetic_with_a_non_matrix_is_a_type_error():
+    # each operator returns NotImplemented, so Python consults the other
+    # operand and raises TypeError, as it does for ==
+    m = mat([[1, 2], [3, 4]])
+    for other in (1, sc(1), [[1, 2], [3, 4]]):
+        for op in (lambda: m + other, lambda: m - other, lambda: m @ other,
+                   lambda: other + m, lambda: other - m):
+            with pytest.raises(TypeError):
+                op()
+
+    class Reflected:
+        def __radd__(self, left):
+            return "radd"
+
+        def __rmatmul__(self, left):
+            return "rmatmul"
+
+    assert (m + Reflected(), m @ Reflected()) == ("radd", "rmatmul")
+
+
 def test_rank_profile_on_rationals_matches_reference(rng):
     for _ in range(8):
         n = rng.randint(2, 5)
@@ -172,10 +192,10 @@ def test_rank_profile_on_rationals_matches_reference(rng):
         )
         profile = rank_profile(a)
         power = ExactMatrix.identity(n)
-        for p in range(2 * profile.index + 2):
+        # past A^(k+1), the end of the ranks stored, rank(A^p) is the core rank
+        for p in range(2 * profile.index + 3):
             assert profile.power(p) == power
-            if 1 <= p <= len(profile.rank_of_power):
-                assert profile.rank_of(p) == rank(power)
+            assert profile.rank_of(p) == rank(power)
             power = reference_matmul(power, a)
 
 
