@@ -77,9 +77,10 @@ def _ls_solve(a: ExactMatrix, b: ExactMatrix, side: str, budget: int | None) -> 
     """X = A+ B (side "column") or X = B A+ (side "row")."""
     _check_rhs(a, b, side)
     rule = _mp_rule(a, side)
-    r = rule.r
-    full = r == (a.cols if side == "column" else a.rows)
-    tag = "zero_rank" if r == 0 else f"full_{side}_rank" if full else "rank_deficient"
+    r, column = rule.r, side == "column"
+    full = r == (a.cols if column else a.rows)
+    full_tag = "full_column_rank" if column else "full_row_rank"
+    tag = "zero_rank" if r == 0 else full_tag if full else "rank_deficient"
     x, residual, inter = _solve_one(rule, a, b, budget)
     return EqSolution(x, tag, (r,), None, residual, None, inter)
 
