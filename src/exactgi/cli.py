@@ -275,7 +275,7 @@ def _run(args: argparse.Namespace) -> dict:
                 raise DocumentError("mateq --eq axb needs --B")
             b = load_matrix(args.second)
             fn = equations.ls_solve_both if args.kind == "ls" else equations.dz_solve_both
-            return _eq_doc(fn(a, b, rhs, "auto", budget), decimal)
+            return _eq_doc(fn(a, b, rhs, budget), decimal)
         if args.eq == "ax":
             fn = equations.ls_solve_left if args.kind == "ls" else equations.dz_solve_left
         else:

@@ -4,15 +4,14 @@ Least squares variants produce the minimum-norm least squares solution
 (A+B, BA+, A+DB+); Drazin variants produce A^D B, B A^D and A^D D B^D.
 Every entry of X is a ratio of minor sums; no inverse is ever formed.  Each
 solver evaluates the Cramer rule of its inverse (`inverses._CramerRule`) on
-B, or, for AXB=D, the column rule of A and the row rule of B on D.
+B.  For AXB=D, X = G_A (D G_B): the row rule of B applied to D, then the
+column rule of A applied to that result.  The replacement blocks of the two
+stages, D F_B and F_A (D G_B) with F the rule's factor (A* for A+, A^k for
+A^D), are the intermediates.
 
-For AXB=D the rank pattern of (A, B) picks one of four formula branches.
-All four run through the same minor-sum code path (a full-rank side makes
-the constrained subset family a singleton, turning the sums into single
-determinants); the branch is recorded in `case_tag` for auditability.
-Within a branch the two published formulas (contract the B side first into
-d^B columns, or the A side first into d^A rows) must agree; `route` selects
-one, and tests exercise both.
+For AXB=D the rank pattern of (A, B) is recorded in `case_tag` for
+auditability; every case runs the same two rules (a full-rank side makes the
+subset family a singleton, turning the sums into single determinants).
 
 Consistency of the original equation is reported through the exact residual;
 the solvers never reject an inconsistent system (least squares semantics).
@@ -24,13 +23,9 @@ onto R(A^k) along N(A^k), so (I - A A^D) B is zero exactly when it does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 from .inverses import _CramerRule, _drazin_rule, _mp_rule
-from .matrix import ExactMatrix, _divided, rank_profile
-from .minors import adjugate_product
-
-Route = Literal["auto", "dB", "dA"]
+from .matrix import ExactMatrix, rank_profile
 
 
 @dataclass(frozen=True)
@@ -110,11 +105,7 @@ def _axb_case_tag(r1: int, n: int, r2: int, p: int) -> str:
 
 
 def ls_solve_both(
-    a: ExactMatrix,
-    b: ExactMatrix,
-    d_rhs: ExactMatrix,
-    route: Route = "auto",
-    budget: int | None = None,
+    a: ExactMatrix, b: ExactMatrix, d_rhs: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
     """Minimum-norm least squares solution of A X B = D, i.e. X = A+ D B+."""
     m, n = a.shape
@@ -122,43 +113,22 @@ def ls_solve_both(
     if d_rhs.shape != (m, q):
         raise ValueError(f"D must be {m}x{q}, got {d_rhs.shape}")
     left, right = _mp_rule(a, "column"), _mp_rule(b, "row")
-    x, inter = _contract_both(left, right, d_rhs, route, budget)
+    x, residual, inter = _solve_both(left, right, a, b, d_rhs, budget)
     tag = _axb_case_tag(left.r, n, right.r, p)
-    residual = d_rhs - a @ x @ b if inter else d_rhs
     return EqSolution(x, tag, (left.r, right.r), None, residual, None, inter)
 
 
-def _contract_both(
-    left: _CramerRule,
-    right: _CramerRule,
-    d_rhs: ExactMatrix,
-    route: Route,
-    budget: int | None,
-) -> tuple[ExactMatrix, dict[str, ExactMatrix]]:
-    """Shared two-stage contraction for the AXB solvers: X = L1 D~ L2 / (d1 d2)
-    with D~ = F1 D F2, from the column rule (L1, d1, F1) of the A side and the
-    row rule (L2, d2, F2) of the B side.
-
-    The intermediates are D~ and the first stage's undivided sums; there are
-    none when a side has rank 0, and X is zero.
-    """
-    if route not in ("auto", "dB", "dA"):
-        raise ValueError(f"unknown route {route!r}")
+def _solve_both(left: _CramerRule, right: _CramerRule, a: ExactMatrix, b: ExactMatrix,
+                d_rhs: ExactMatrix, budget: int | None):
+    """X = G_A (D G_B) from the column rule of A (`left`) and the row rule
+    of B (`right`), the residual of A X B = D, and the replacement blocks
+    D F_B and F_A (D G_B) as the intermediates.  When a side has rank 0, X
+    is zero, the residual is D, and there are no intermediates."""
     if left.r == 0 or right.r == 0:
-        return ExactMatrix.zeros(left.shape[0], right.shape[1]), {}
-    left_base, left_factor = left.parts()
-    right_base, right_factor = right.parts()
-    d_tilde = left_factor @ d_rhs @ right_factor
-    if route == "dA":
-        d_a, d_left = adjugate_product(left_base, left.r, d_tilde, "column", budget)
-        x, d_right = adjugate_product(right_base, right.r, d_a, "row", budget)
-        inter = {"d_A": d_a}
-    else:
-        d_b, d_right = adjugate_product(right_base, right.r, d_tilde, "row", budget)
-        x, d_left = adjugate_product(left_base, left.r, d_b, "column", budget)
-        inter = {"d_B": d_b}
-    inter["D_tilde"] = d_tilde
-    return _divided(x, d_left * d_right), inter
+        return ExactMatrix.zeros(left.shape[0], right.shape[1]), d_rhs, {}
+    y, _, d_check = right.apply(d_rhs, budget)
+    x, _, d_hat = left.apply(y, budget)
+    return x, d_rhs - a @ x @ b, {"D_check": d_check, "D_hat": d_hat}
 
 
 # -- Drazin ---------------------------------------------------------------------------
@@ -192,26 +162,19 @@ def dz_solve_right(
 
 
 def dz_solve_both(
-    a: ExactMatrix,
-    b: ExactMatrix,
-    d_rhs: ExactMatrix,
-    route: Route = "auto",
-    budget: int | None = None,
+    a: ExactMatrix, b: ExactMatrix, d_rhs: ExactMatrix, budget: int | None = None
 ) -> EqSolution:
     """Drazin solution X = A^D D B^D of A X B = D for square A and B."""
     if not a.is_square or not b.is_square:
         raise ValueError("the Drazin solution needs square coefficient matrices")
-    n = a.rows
-    m = b.rows
+    n, m = a.rows, b.rows
     if d_rhs.shape != (n, m):
         raise ValueError(f"D must be {n}x{m}, got {d_rhs.shape}")
-    pa = rank_profile(a)
-    pb = rank_profile(b)
+    pa, pb = rank_profile(a), rank_profile(b)
     k1, k2 = pa.index, pb.index
     left, right = _drazin_rule(pa, "column"), _drazin_rule(pb, "row")
-    x, inter = _contract_both(left, right, d_rhs, route, budget)
+    x, residual, inter = _solve_both(left, right, a, b, d_rhs, budget)
     tag = "nilpotent" if not inter else "singular" if k1 or k2 else "nonsingular"
     # the residual is D - P D Q with P = A A^D and Q = B^D B idempotent, so
     # it is zero exactly when P D = D and D Q = D
-    residual = d_rhs - a @ x @ b if inter else d_rhs
     return EqSolution(x, tag, (left.r, right.r), (k1, k2), residual, residual.is_zero(), inter)

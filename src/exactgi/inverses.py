@@ -38,8 +38,8 @@ from typing import Literal, NamedTuple
 from .matrix import (
     ExactMatrix,
     RankProfile,
+    _eliminate,
     clear_denominators,
-    int_det,
     inverse,
     rank,
     rank_profile,
@@ -91,13 +91,15 @@ def is_hermitian_positive_definite(matrix: ExactMatrix) -> bool:
     """Exact test: Hermitian with all leading principal minors positive."""
     if not matrix.is_hermitian():
         return False
-    # the leading minors of the image: q > 0 keeps their signs
+    # the leading minors of the image (q > 0 keeps their signs) off one
+    # Bareiss run: with no row exchange, pivot k is the leading minor of
+    # order k + 1, and a zero leading minor forces an exchange or leaves a
+    # column without a pivot
+    n = matrix.rows
     re, im, _ = clear_denominators(matrix)
-    for k in range(1, matrix.rows + 1):
-        dr, di = int_det([row[:k] for row in re[:k]], [row[:k] for row in im[:k]])
-        if di or dr <= 0:
-            return False
-    return True
+    ar, ai, _, _, pivots, _, orig = _eliminate(re, im, n, False)
+    return (orig == list(range(n)) and len(pivots) == n
+            and all(ar[k][k] > 0 and not ai[k][k] for k in range(n)))
 
 
 def _resolve_form(form: Form, column_order: int, row_order: int) -> str:

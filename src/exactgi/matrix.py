@@ -24,10 +24,10 @@ Arithmetic runs on the images.  A product is one Gaussian-integer product
 common denominator, `scale` multiplies by the cleared factor, and transpose,
 conjugation, trace and the Frobenius norm read the image directly.  Each new
 image is reduced to its least q by one gcd pass (`_from_int`).  Division by
-a Gaussian integer p (`_over`, behind `inverse`, the Cramer ratios of
-`minors` and the AXB solvers of `equations`) first takes out the content
-h = gcd(Re p, Im p): a real p only flips signs and puts |p| into q, and any
-other p multiplies by conj(p/h) over h |p/h|^2, which is |p|^2 / h.  A product
+a Gaussian integer p (`_over`, behind `inverse` and the Cramer ratios of
+`minors`) first takes out the content h = gcd(Re p, Im p): a real p only
+flips signs and puts |p| into q, and any other p multiplies by conj(p/h)
+over h |p/h|^2, which is |p|^2 / h.  A product
 A B with at least 2 rows and 6 columns packs each row of B into two integers
 with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
@@ -393,13 +393,6 @@ def _over(re_rows, im_rows, pr: int, pi: int, num: int = 1, den: int = 1) -> Exa
     )
 
 
-def _divided(matrix: ExactMatrix, value: EntryLike) -> ExactMatrix:
-    """matrix / value, value = p / s with p in Z[i]: s (re + i*im) / (q p),
-    divided once per entry."""
-    pr, pi, s = _cleared(value)
-    return _over(matrix._re, matrix._im, pr, pi, s, matrix._q)
-
-
 def _combine(a: ExactMatrix, b: ExactMatrix, sign: int) -> ExactMatrix:
     # a + sign * b over the common denominator of the two
     if a.shape != b.shape:
@@ -722,23 +715,6 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     if adjugate is None:
         raise ZeroDivisionError("matrix is singular")
     return _over(*adjugate, matrix._q)
-
-
-def column_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
-    """Exact membership of candidate's columns in the column space."""
-    if candidate.rows != matrix.rows:
-        raise ValueError("column counts do not line up for membership test")
-    # scaling a block keeps the rank, so the images join as they are
-    joined_re = [a + c for a, c in zip(matrix._re, candidate._re)]
-    joined_im = [a + c for a, c in zip(matrix._im, candidate._im)]
-    return int_rank(joined_re, joined_im) == rank(matrix)
-
-
-def row_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
-    """Exact membership of candidate's rows in the row space."""
-    if candidate.cols != matrix.cols:
-        raise ValueError("row lengths do not line up for membership test")
-    return int_rank(matrix._re + candidate._re, matrix._im + candidate._im) == rank(matrix)
 
 
 # -- index and cached powers ---------------------------------------------------

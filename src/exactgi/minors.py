@@ -4,15 +4,17 @@ work guard.
 Every operation reduces to sums of r-by-r principal minors of a square base
 M: d_r, the plain sum, and the sums over the r-subsets containing column i
 (row j) of M with that line replaced by a vector.  `oracles` takes them
-literally, one determinant per subset; the operations call
-`adjugate_product` or `cramer_ratio`.  By Laplace expansion along the
-replaced line, the replaced sums are the entries of L_r(M) v and v L_r(M),
-where L_r(M) is the sum over all r-subsets S of adj(M_S) embedded at the
-rows and columns S.  The kernel never enumerates those subsets.  Order 1
-is read in closed form: L_1 = I and d_1 = tr M, so N is the replacement
-block itself, with no recurrence and no product.  For 1 < r < n it runs
-the trace (Faddeev-LeVerrier) recurrence of
-`matrix._trace_recurrence` on the Gaussian-integer image,
+literally, one determinant per subset; the operations call `cramer_ratio`
+only, through `inverses._CramerRule`.  `adjugate_product` returns the same
+kernel's undivided product and d_r, so that the tests can check L_r(M) V
+against enumeration at every order, d_r = 0 included, where no ratio
+exists.  By Laplace expansion along the replaced line, the replaced sums
+are the entries of L_r(M) v and v L_r(M), where L_r(M) is the sum over all
+r-subsets S of adj(M_S) embedded at the rows and columns S.  The kernel
+never enumerates those subsets.  Order 1 is read in closed form: L_1 = I
+and d_1 = tr M, so N is the replacement block itself, with no recurrence
+and no product.  For 1 < r < n it runs the trace (Faddeev-LeVerrier)
+recurrence of `matrix._trace_recurrence` on the Gaussian-integer image,
 
     B_0 = I,  c_k = -tr(M B_(k-1)) / k,  B_k = M B_(k-1) + c_k I,
 
@@ -55,10 +57,11 @@ DEFAULT_WORK_BUDGET = 10**8
 class BudgetExceededError(RuntimeError):
     """Raised when an operation's estimated minor-sum work exceeds the budget.
 
-    A refusal by `adjugate_product` also carries its breakdown: the base
-    order n, the minor order r, the number s of replacement vectors and the
-    number of r-subsets C(n, r).  These are None for the enumeration
-    primitives of `oracles`.
+    A refusal by the kernel (`cramer_ratio`, the one the operations call,
+    or `adjugate_product`) also carries its breakdown: the base order n, the
+    minor order r, the number s of replacement vectors and the number of
+    r-subsets C(n, r).  These are None for the enumeration primitives of
+    `oracles`.
     """
 
     def __init__(
@@ -96,8 +99,8 @@ def check_budget(estimate: int, budget: int | None, **breakdown: int) -> None:
 
 
 def kernel_work(n: int, r: int, s: int) -> int:
-    """Entry updates of `adjugate_product` on an n-by-n base at order r with
-    s replacement vectors."""
+    """Entry updates of the kernel on an n-by-n base at order r with s
+    replacement vectors."""
     return comb(n, r) * 2 * r**3 + n * n * s
 
 

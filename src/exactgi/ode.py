@@ -102,6 +102,8 @@ class MatrixPoly:
         return acc
 
     def __add__(self, other: "MatrixPoly") -> "MatrixPoly":
+        if not isinstance(other, MatrixPoly):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch between polynomials")
         length = max(len(self.coefficients), len(other.coefficients))
@@ -110,6 +112,8 @@ class MatrixPoly:
         )
 
     def __sub__(self, other: "MatrixPoly") -> "MatrixPoly":
+        if not isinstance(other, MatrixPoly):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch between polynomials")
         length = max(len(self.coefficients), len(other.coefficients))

@@ -15,6 +15,9 @@ minors) * r^2 submatrix entries touched.
 Rank factorization: `mp_inverse_oracle` and `drazin_inverse_oracle`, which
 take no minor sum.  The trace recurrence of `char_poly_coeffs` is the third
 path to the same values.
+
+Space membership: `column_space_contains` and `row_space_contains` compare
+ranks, the range test the Drazin solvers read off their residuals instead.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .matrix import (
     _spanning_lines,
     clear_denominators,
     int_det,
+    int_rank,
     inverse,
+    rank,
     rank_profile,
 )
 from .minors import check_budget
@@ -215,3 +220,23 @@ def drazin_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
             f"Drazin oracle failed its defining equations: {report.equations}"
         )
     return candidate
+
+
+# -- space membership ---------------------------------------------------------------
+
+
+def column_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
+    """Exact membership of candidate's columns in the column space."""
+    if candidate.rows != matrix.rows:
+        raise ValueError("column counts do not line up for membership test")
+    # scaling a block keeps the rank, so the images join as they are
+    joined_re = [a + c for a, c in zip(matrix._re, candidate._re)]
+    joined_im = [a + c for a, c in zip(matrix._im, candidate._im)]
+    return int_rank(joined_re, joined_im) == rank(matrix)
+
+
+def row_space_contains(matrix: ExactMatrix, candidate: ExactMatrix) -> bool:
+    """Exact membership of candidate's rows in the row space."""
+    if candidate.cols != matrix.cols:
+        raise ValueError("row lengths do not line up for membership test")
+    return int_rank(matrix._re + candidate._re, matrix._im + candidate._im) == rank(matrix)

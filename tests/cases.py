@@ -93,7 +93,7 @@ AXB_DZ_B = mat([[1, -1, 1], [I_, -I_, I_], [-1, 1, 2]])
 AXB_DZ_D = mat([[1, I_, 1], [I_, 0, 1], [1, I_, 0]])
 AXB_DZ_B_SQ_SUM = sc(0, -18)  # order-2 principal minors of B^2
 # Entry (1,3): the worked answer's first d^B component is misprinted (exact
-# value -24i, not 8), so the entry is 1/6; both formula routes and the
+# value -24i, not 8), so the entry is 1/6; the Cramer solution and the
 # certified Drazin oracle agree.  All other entries match the worked answer.
 AXB_DZ_X = mat(
     [

@@ -1,16 +1,18 @@
 from fractions import Fraction as F
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exactgi import (
     ExactMatrix,
     WeightPair,
+    det,
     drazin_inverse,
     drazin_inverse_oracle,
-    dz_solve_both,
     group_inverse,
     is_hermitian_positive_definite,
-    ls_solve_both,
     mp_inverse,
     mp_inverse_oracle,
     principal_minor_sum,
@@ -161,6 +163,28 @@ def test_weighted_mp_nondiagonal_weights():
     weights = WeightPair(mat([[2, i], [-i, 3]]), mat([[3, 1, 0], [1, 2, 0], [0, 0, 1]]))
     x = weighted_mp_inverse(a, weights).inverse
     assert verify_defining_equations(a, x, "weighted_mp", weights=weights).all_satisfied
+
+
+@given(st.integers(1, 5), st.sampled_from(["gram", "low_rank_gram", "hermitian", "any"]),
+       st.integers(0, 2**32 - 1))
+def test_hpd_verdict_matches_the_leading_determinants_property(n, kind, seed):
+    # Hermitian with every leading principal minor real and positive
+    rng = random.Random(seed)
+    m = rand_matrix(rng, n, n, span=1)
+    if kind == "gram":
+        a = m.conj_transpose() @ m
+    elif kind == "low_rank_gram":
+        m = rand_low_rank(rng, n, n, rng.randint(0, n))
+        a = m.conj_transpose() @ m
+    elif kind == "hermitian":
+        a = m + m.conj_transpose()
+    else:
+        a = m
+    a = a.scale(F(rng.choice([1, -1, 2, 5]), rng.choice([1, 3, 4])))
+    leading = [det(ExactMatrix.from_rows([a.row(i)[:k] for i in range(1, k + 1)]))
+               for k in range(1, n + 1)]
+    expected = a.is_hermitian() and all(d.im == 0 and d.re > 0 for d in leading)
+    assert is_hermitian_positive_definite(a) is expected
 
 
 def test_weight_pair_validation():
@@ -372,13 +396,8 @@ NILPOTENT = mat([[0, 1], [0, 0]])
         lambda: w_drazin_inverse(
             ExactMatrix.zeros(2, 3), mat([[1, 0], [0, 1], [1, 1]]), form="diagonal"
         ),
-        lambda: ls_solve_both(
-            ExactMatrix.zeros(2, 3), ExactMatrix.identity(2), ExactMatrix.zeros(2, 2),
-            route="sideways",
-        ),
-        lambda: dz_solve_both(NILPOTENT, NILPOTENT, ExactMatrix.zeros(2, 2), route="sideways"),
     ],
-    ids=["mp_inverse", "drazin_inverse", "w_drazin_inverse", "ls_solve_both", "dz_solve_both"],
+    ids=["mp_inverse", "drazin_inverse", "w_drazin_inverse"],
 )
 def test_unknown_form_or_route_is_refused_on_degenerate_inputs(call):
     # rank 0 and nilpotent inputs take the zero exit; the option is checked first

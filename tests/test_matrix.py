@@ -23,13 +23,12 @@ from exactgi.matrix import (
     _Packing,
     _trace_recurrence,
     clear_denominators,
-    column_space_contains,
     int_adjugate,
     int_det,
     int_matmul,
     int_rank,
-    row_space_contains,
 )
+from exactgi.oracles import column_space_contains, row_space_contains
 
 from cases import DZ_A, DZ_INDEX, LS_A, mat, sc
 from conftest import rand_index_matrix, rand_matrix, rand_low_rank, rand_unimodular
@@ -498,19 +497,6 @@ def test_inverse_divides_like_the_scalars(data):
     c = data.draw(_with_content)
     _, inv, _ = reference_gauss_jordan(square, ExactMatrix.identity(n))
     assert_same_value(inverse(square.scale(c)), ExactMatrix(n, n, [e / c for e in inv.entries]))
-
-
-@given(st.data())
-def test_divided_is_entrywise_scalar_division(data):
-    # the one division of the AXB solvers (`equations`), by values
-    # c (a + bi) / s with a content c
-    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    m = data.draw(_small_matrices(rows, cols))
-    c = data.draw(_with_content)
-    unit = data.draw(st.sampled_from((1, -1, sc(0, 1), sc(1, 1), sc(2, -1))))
-    value = sc(1) * c * unit / data.draw(st.sampled_from((1, 2, 5, 9)))
-    assert_same_value(matrix_module._divided(m, value),
-                      ExactMatrix(rows, cols, [e / value for e in m.entries]))
 
 
 @given(st.data())

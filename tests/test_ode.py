@@ -78,6 +78,26 @@ def test_poly_refuses_a_negative_degree():
     assert p.coefficient(2) == ExactMatrix.zeros(2, 2)
 
 
+def test_poly_arithmetic_with_a_non_polynomial_is_a_type_error():
+    # + and - return NotImplemented, so Python consults the other operand
+    # and raises TypeError, as it does for ExactMatrix
+    p = MatrixPoly([ExactMatrix.identity(2)])
+    for other in (1, sc(1), ExactMatrix.identity(2)):
+        for op in (lambda: p + other, lambda: p - other, lambda: other + p, lambda: other - p):
+            with pytest.raises(TypeError):
+                op()
+
+    class Reflected:
+        def __radd__(self, left):
+            return "radd"
+
+        def __rsub__(self, left):
+            return "rsub"
+
+    assert (p + Reflected(), p - Reflected()) == ("radd", "rsub")
+    assert (p + p).coefficient(0) == ExactMatrix.identity(2).scale(2)
+
+
 # -- the known 3x3 index-1 case -----------------------------------------------
 
 
