@@ -1,9 +1,13 @@
 """Parsing and rendering of scalar literals and matrix documents.
 
-Scalars travel as literals of the grammar defined, with its scanner and its
+Scalars travel as literals of the grammar defined, with its readers and its
 digit cap MAX_LITERAL_DIGITS, in exactgi.scalar; this module applies it to
 documents and re-exports the cap, CHUNK_DIGITS and the two error classes.
-A JSON integer obeys the same cap.
+A JSON integer obeys the same cap.  Every string entry, CSV cell and
+`parse_scalar` text goes through `scalar._scan_scalar`: a valid literal is
+read off one pattern match, and only a rejected literal, or one with a
+digit run over CHUNK_DIGITS digits, takes the step scanner, which gives
+the error its position.
 
 Matrix documents are JSON objects {"rows": m, "cols": n, "entries": [[...]]}
 whose entries are scalar literals (strings) or JSON integers.  JSON floats

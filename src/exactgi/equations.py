@@ -123,12 +123,18 @@ def _solve_both(left: _CramerRule, right: _CramerRule, a: ExactMatrix, b: ExactM
     """X = G_A (D G_B) from the column rule of A (`left`) and the row rule
     of B (`right`), the residual of A X B = D, and the replacement blocks
     D F_B and F_A (D G_B) as the intermediates.  When a side has rank 0, X
-    is zero, the residual is D, and there are no intermediates."""
+    is zero, the residual is D, and there are no intermediates.  When r is
+    A's row count and B's column count, A G_A = I and G_B B = I, so the
+    residual is zero and no product is formed."""
     if left.r == 0 or right.r == 0:
         return ExactMatrix.zeros(left.shape[0], right.shape[1]), d_rhs, {}
     y, _, d_check = right.apply(d_rhs, budget)
     x, _, d_hat = left.apply(y, budget)
-    return x, d_rhs - a @ x @ b, {"D_check": d_check, "D_hat": d_hat}
+    if left.r == a.rows and right.r == b.cols:
+        residual = ExactMatrix.zeros(*d_rhs.shape)
+    else:
+        residual = d_rhs - a @ x @ b
+    return x, residual, {"D_check": d_check, "D_hat": d_hat}
 
 
 # -- Drazin ---------------------------------------------------------------------------

@@ -26,9 +26,17 @@ Examples: "3", "-5/2", "1/2+3i", " 1 + 2i", "-i", "2-0.5i".  Decimal
 literals convert exactly ("-10.5" becomes -21/2).  `literal` renders the
 grammar back in canonical form, so a rendered literal parses to the value
 it came from.
-One scanner reads the grammar: `_scan_scalar` takes a whole literal (a
-`gi` document entry, see exactgi.documents), and a string part of
-ExactScalar is one real term, sign? number, with no whitespace in it.
+Two readers share the grammar.  `_scan_scalar` takes a whole literal (a
+`gi` document entry, see exactgi.documents).  It reads a valid literal
+off one match of a compiled pattern, `_LITERAL`, which accepts exactly the
+valid literals whose digit runs hold at most CHUNK_DIGITS digits, and
+converts each run with one int().  Any other text goes to the step
+scanner, `_scan_steps`, which reads one token at a time: a literal outside
+the grammar, which it refuses with the error's message and position; a
+zero denominator, refused the same way; and a longer digit run, which it
+converts in chunks or refuses over MAX_LITERAL_DIGITS.  Both return the
+same unreduced parts.  A string part of ExactScalar is one real term,
+sign? number, with no whitespace in it, read by the scanner's `_scan_term`.
 
 A run of digits in a literal, and a JSON integer, may hold at most
 MAX_LITERAL_DIGITS digits; a longer one is refused before any conversion.
@@ -136,9 +144,61 @@ def _scan_term(text: str, pos: int) -> tuple[int, int, bool, int]:
     return num, den, False, pos
 
 
+# A whole valid literal whose digit runs hold at most CHUNK_DIGITS digits,
+# for the fast path of `_scan_scalar`: sign? then a number with an optional
+# "i" or an imaginary second part, or a bare "i".  Each number is (whole,
+# denominator, fraction digits), and the lookahead keeps it from being empty.
+# [0-9], not \d, as in _NUMBER.
+_RUN = f"[0-9]{{1,{CHUNK_DIGITS}}}"
+_LITERAL_NUMBER = rf"(?=\.?[0-9])([0-9]{{0,{CHUNK_DIGITS}}})(?:/({_RUN})|\.({_RUN}))?"
+_LITERAL = re.compile(
+    rf"([+-]?) *(?:{_LITERAL_NUMBER}(?:(i)| *([+-]) *(?:{_LITERAL_NUMBER})?i)?|i)"
+)
+
+
 def _scan_scalar(text: str) -> tuple[int, int, int, int]:
     """Scan a scalar literal; return (a, b, c, d) for a/b + (c/d) i, b, d > 0
-    and not reduced."""
+    and not reduced.  A valid literal is read off one `_LITERAL` match, each
+    digit run by one int(), which converts CHUNK_DIGITS digits whatever the
+    interpreter's int/str digit limit.  Any other text, a digit run longer
+    than that and a zero denominator go to the step scanner."""
+    match = _LITERAL.fullmatch(text.strip())
+    if match is not None:
+        sign, whole, den, frac, imaginary, sign2, whole2, den2, frac2 = match.groups()
+        if whole is None:  # a bare "i"
+            return 0, 1, -1 if sign == "-" else 1, 1
+        # the two numbers convert inline: a helper call costs more than the int()s
+        if den is not None:
+            a, b = int(whole), int(den)
+        elif frac is not None:
+            b = 10 ** len(frac)
+            a = int(whole) * b + int(frac) if whole else int(frac)
+        else:
+            a, b = int(whole), 1
+        if sign == "-":
+            a = -a
+        if b:
+            if imaginary:
+                return 0, 1, a, b
+            if sign2 is None:
+                return a, b, 0, 1
+            if whole2 is None:
+                c, d = 1, 1
+            elif den2 is not None:
+                c, d = int(whole2), int(den2)
+            elif frac2 is not None:
+                d = 10 ** len(frac2)
+                c = int(whole2) * d + int(frac2) if whole2 else int(frac2)
+            else:
+                c, d = int(whole2), 1
+            if d:
+                return a, b, -c if sign2 == "-" else c, d
+    return _scan_steps(text)
+
+
+def _scan_steps(text: str) -> tuple[int, int, int, int]:
+    """`_scan_scalar` one token at a time, with the error and its position
+    for any text outside the grammar, and digit runs of any length."""
     stripped = text.strip()
     if not stripped:
         raise ScalarParseError(text, 0, "empty literal")
@@ -327,7 +387,9 @@ def _digits(n: int, width: int) -> str:
 
 def int_text(n: int) -> str:
     """str(n) for any size, whatever the interpreter's int/str digit limit."""
-    if abs(n) < _pow10(CHUNK_DIGITS):
+    # 10^CHUNK_DIGITS = 10^512 > 2^1700, as 512 log2(10) = 1700.8, so an n of
+    # at most 1700 bits has at most CHUNK_DIGITS digits
+    if n.bit_length() <= 1700:
         return str(n)
     return "-" + _digits(-n, 0) if n < 0 else _digits(n, 0)
 

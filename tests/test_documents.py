@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -26,6 +27,7 @@ from exactgi.documents import (
     parse_csv_matrix,
 )
 from exactgi.matrix import clear_denominators
+from exactgi.scalar import _LITERAL, _scan_scalar, _scan_steps
 
 from cases import mat, sc
 
@@ -258,6 +260,77 @@ _literals = st.one_of(
               st.one_of(st.just(""), _numbers), st.sampled_from(["", " "])),
 )
 _entries = st.one_of(_literals, st.integers(-(10**40), 10**40))
+
+
+# -- the literal pattern and the step scanner agree ---------------------------------
+
+
+@st.composite
+def _spaced_literals(draw):
+    """A valid literal with random spaces after its signs and before the
+    second part's sign, and whitespace at its ends."""
+    gap = st.text(" ", max_size=3)
+    first = draw(st.one_of(_numbers, _numbers.map(lambda x: f"{x}i"), st.just("i")))
+    text = draw(_signs) + draw(gap) + first
+    if not first.endswith("i") and draw(st.booleans()):
+        second = draw(st.one_of(st.just(""), _numbers))
+        text += f"{draw(gap)}{draw(st.sampled_from('+-'))}{draw(gap)}{second}i"
+    ends = st.sampled_from(["", " ", "\t", "\n "])
+    return draw(ends) + text + draw(ends)
+
+
+def _scanned(scan, text):
+    try:
+        return scan(text)
+    except ScalarParseError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.text("0123456789./+-i \t٣je", max_size=12),
+    # tokens, so that near misses of the grammar come up often
+    st.lists(st.sampled_from(["7", "20", "0", ".", "/", "+", "-", "i", " ", "\t", "٣"]),
+             max_size=9).map("".join),
+    _spaced_literals(),
+))
+@example("i+i")
+@example("2i+3i")
+@example("1/0")
+@example("1+2/0i")
+@example("-\t1")
+@example("1/٣")
+@example("1.")
+@example(".5")
+@example("-.5i")
+@example("3/4i")
+@example("1 +\t2i")
+@example("7" * CHUNK_DIGITS)
+@example("7" * (CHUNK_DIGITS + 1))
+@example("1/" + "0" * 600)
+@example("." + "5" * 520)
+@example("4" * CHUNK_DIGITS + "." + "4" * CHUNK_DIGITS + "i")  # over the lowest digit limit
+def test_literal_pattern_agrees_with_the_step_scanner_property(text):
+    # `_scan_scalar` reads a valid literal off one `_LITERAL` match and hands
+    # anything else to the step scanner: the parts, or the error message with
+    # its position, must be the scanner's
+    expected = _scanned(_scan_steps, text)
+    assert _scanned(_scan_scalar, text) == expected
+    # the pattern accepts exactly the valid literals whose digit runs hold at
+    # most CHUNK_DIGITS digits, and a zero denominator, which only the
+    # scanner refuses
+    matched = _LITERAL.fullmatch(text.strip()) is not None
+    if isinstance(expected, tuple):
+        assert matched == all(len(run) <= CHUNK_DIGITS for run in re.findall("[0-9]+", text))
+    else:
+        assert not matched or expected.endswith("zero denominator")
+
+
+def test_literal_pattern_parts_are_unreduced():
+    assert _scan_scalar(".5") == (5, 10, 0, 1)
+    assert _scan_scalar("2.50") == (250, 100, 0, 1)
+    assert _scan_scalar(" - 6/4 +  i") == (-6, 4, 1, 1)
+    assert _scan_scalar("-.5i") == (0, 1, -5, 10)
 
 
 def _reference(rows):

@@ -379,6 +379,33 @@ def test_axb_runs_one_cramer_ratio_per_side(rng, monkeypatch):
                       for alias in node.names}
             assert "adjugate_product" not in names, path.name
 
+def test_axb_at_full_rank_forms_no_residual_product(rng, monkeypatch):
+    # A of full row rank and B of full column rank give A A+ = I and B+ B = I,
+    # nonsingular A and B give A A^D = I and B^D B = I: either way D - A X B
+    # is zero, and the solve makes only the products of its two rule
+    # applications, 2 fewer than forming A X B would
+    product = matrix_module.int_matmul
+    calls = []
+    monkeypatch.setattr(matrix_module, "int_matmul",
+                        lambda *args: calls.append(1) or product(*args))
+    dz_rule = lambda m, side: inverses_module._drazin_rule(matrix_module.rank_profile(m), side)
+    cases = [
+        (ls_solve_both, inverses_module._mp_rule, mp_inverse_oracle,
+         mat([[1, sc(0, 1), 0], [0, 1, 2]]), mat([[1, 0], [sc(0, 1), 1], [2, -1]])),
+        (dz_solve_both, dz_rule, drazin_inverse_oracle,
+         mat([[1, 1], [0, sc(1, 1)]]), mat([[2, 1, 0], [1, 1, 0], [0, 3, 1]])),
+    ]
+    for solver, rule, oracle, a, b in cases:
+        d = rand_matrix(rng, a.rows, b.cols)
+        calls.clear()
+        result = solver(a, b, d)
+        solved = len(calls)
+        calls.clear()
+        rule(a, "column").apply(rule(b, "row").apply(d)[0])
+        assert solved == len(calls) > 0
+        assert result.residual == ExactMatrix.zeros(*d.shape)
+        assert result.X == oracle(a) @ d @ oracle(b)
+
 
 def _rectangular(rng, rows, cols):
     return _complex_rational(rng, rand_low_rank(rng, rows, cols, rng.randint(0, min(rows, cols))))

@@ -169,6 +169,13 @@ def test_string_part_over_the_digit_cap_is_refused():
     assert ExactScalar("9" * MAX_LITERAL_DIGITS) == ExactScalar(10**MAX_LITERAL_DIGITS - 1)
 
 
+def test_int_text_either_side_of_the_one_chunk_bound():
+    # one str() up to 1700 bits (2^1700 - 1), chunks above: 2^1700,
+    # 10^512 - 1 and 10^512 have 1701 bits, 2^1701 has 1702
+    for n in (2**1700 - 1, 2**1700, 10**512 - 1, 10**512, 2**1701):
+        assert int_text(n) == str(n) and int_text(-n) == str(-n)
+
+
 # -- how numbers enter a matrix -------------------------------------------------------
 
 
