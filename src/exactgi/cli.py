@@ -108,8 +108,11 @@ def _json_text(value, indent: str = "") -> str:
 def _emit(doc: dict, args: argparse.Namespace) -> None:
     text = _json_text(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
 
@@ -318,14 +321,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _run(args)
+        _emit(_run(args), args)
     except BudgetExceededError as exc:
         print(f"gi: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (DocumentError, ValueError, ZeroDivisionError) as exc:
         print(f"gi: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(doc, args)
     return EXIT_OK
 
 

@@ -1,13 +1,12 @@
 """Parsing and rendering of scalar literals and matrix documents.
 
-Scalars travel as literals of the grammar defined, with its readers and its
+Scalars travel as literals of the grammar defined, with its reader and its
 digit cap MAX_LITERAL_DIGITS, in exactgi.scalar; this module applies it to
 documents and re-exports the cap, CHUNK_DIGITS and the two error classes.
 A JSON integer obeys the same cap.  Every string entry, CSV cell and
-`parse_scalar` text goes through `scalar._scan_scalar`: a valid literal is
-read off one pattern match, and only a rejected literal, or one with a
-digit run over CHUNK_DIGITS digits, takes the step scanner, which gives
-the error its position.
+`parse_scalar` text goes through `scalar._scan_scalar`, which strips it,
+reads it off one pattern match and gives an error its position in the
+stripped text.
 
 Matrix documents are JSON objects {"rows": m, "cols": n, "entries": [[...]]}
 whose entries are scalar literals (strings) or JSON integers.  JSON floats
@@ -15,7 +14,7 @@ are rejected: exactness must survive transport.  CSV input is accepted for
 real matrices only.
 
 Entries parse straight to the matrix's canonical Gaussian-integer image (see
-exactgi.matrix): the scanner yields each part as an unreduced integer pair
+exactgi.matrix): the reader yields each part as an unreduced integer pair
 (num, den), and `matrix._from_parts`, the routine that builds the image of
 `ExactMatrix(...)` too, brings every part over Q, the lcm of the
 denominators, and reduces Q by one gcd pass to the least common
@@ -151,7 +150,7 @@ def parse_csv_matrix(text: str) -> ExactMatrix:
         row = []
         for col_no, cell in enumerate(record, start=1):
             try:
-                parts = _scan_scalar(cell.strip())
+                parts = _scan_scalar(cell)
             except ScalarParseError as exc:
                 raise DocumentError(f"CSV cell ({line_no},{col_no}): {exc}") from exc
             if parts[2]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add, sub
 from typing import Literal
 
 from .equations import _solve_one
@@ -101,25 +102,21 @@ class MatrixPoly:
             acc = acc.scale(t) + c
         return acc
 
-    def __add__(self, other: "MatrixPoly") -> "MatrixPoly":
+    def _combine(self, other: "MatrixPoly", op) -> "MatrixPoly":
         if not isinstance(other, MatrixPoly):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch between polynomials")
         length = max(len(self.coefficients), len(other.coefficients))
         return MatrixPoly(
-            [self.coefficient(j) + other.coefficient(j) for j in range(length)]
+            [op(self.coefficient(j), other.coefficient(j)) for j in range(length)]
         )
 
+    def __add__(self, other: "MatrixPoly") -> "MatrixPoly":
+        return self._combine(other, add)
+
     def __sub__(self, other: "MatrixPoly") -> "MatrixPoly":
-        if not isinstance(other, MatrixPoly):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch between polynomials")
-        length = max(len(self.coefficients), len(other.coefficients))
-        return MatrixPoly(
-            [self.coefficient(j) - other.coefficient(j) for j in range(length)]
-        )
+        return self._combine(other, sub)
 
     def left_mul(self, matrix: ExactMatrix) -> "MatrixPoly":
         return MatrixPoly([matrix @ c for c in self.coefficients])

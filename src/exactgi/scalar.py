@@ -26,17 +26,19 @@ Examples: "3", "-5/2", "1/2+3i", " 1 + 2i", "-i", "2-0.5i".  Decimal
 literals convert exactly ("-10.5" becomes -21/2).  `literal` renders the
 grammar back in canonical form, so a rendered literal parses to the value
 it came from.
-Two readers share the grammar.  `_scan_scalar` takes a whole literal (a
-`gi` document entry, see exactgi.documents).  It reads a valid literal
-off one match of a compiled pattern, `_LITERAL`, which accepts exactly the
-valid literals whose digit runs hold at most CHUNK_DIGITS digits, and
-converts each run with one int().  Any other text goes to the step
-scanner, `_scan_steps`, which reads one token at a time: a literal outside
-the grammar, which it refuses with the error's message and position; a
-zero denominator, refused the same way; and a longer digit run, which it
-converts in chunks or refuses over MAX_LITERAL_DIGITS.  Both return the
-same unreduced parts.  A string part of ExactScalar is one real term,
-sign? number, with no whitespace in it, read by the scanner's `_scan_term`.
+
+One reader reads the grammar.  A compiled pattern, `_SCALAR`, splits the
+stripped text into at most two parts, each a sign, a digit run, a "." or
+"/" run and an "i"; every piece may be empty, so the pattern matches any
+text and takes the longest run of each token.  One term routine, `_term`,
+reads a part's pieces in the grammar's order: it refuses the first one
+that is missing, wrong or over the cap, with the error's position, and
+converts a run of at most CHUNK_DIGITS digits with one int() and a longer
+one in chunks.  `_scan_scalar` reads a whole literal (a `gi` document
+entry, see exactgi.documents) with it, then checks what stands between and
+after the parts; its errors quote the stripped text their positions index.
+A string part of ExactScalar is one real term, sign? number, with no
+whitespace in it, read by the same pattern and routine.
 
 A run of digits in a literal, and a JSON integer, may hold at most
 MAX_LITERAL_DIGITS digits; a longer one is refused before any conversion.
@@ -85,11 +87,6 @@ class ScalarParseError(DocumentError):
         super().__init__(f"invalid scalar {shown!r} at position {position}: {reason}")
 
 
-# sign-free number: digits, then "." digits or "/" digits; the scan checks
-# which parts are empty.  [0-9], not \d: only ASCII digits are digits here.
-_NUMBER = re.compile(r"([0-9]*)(?:\.([0-9]*)|/([0-9]*))?")
-
-
 def _digits_value(digits: str, text: str, start: int) -> int:
     """The value of a digit run of text at start, refused over the cap."""
     if len(digits) <= CHUNK_DIGITS:
@@ -101,123 +98,88 @@ def _digits_value(digits: str, text: str, start: int) -> int:
     return _int_of(digits)
 
 
-def _scan_number(text: str, pos: int) -> tuple[int, int, int]:
-    """Scan digits/digits | [digits].digits | digits; return (num, den, next),
-    den > 0 and not reduced."""
-    whole, frac, den = _NUMBER.match(text, pos).groups()
-    after = pos + len(whole) + 1  # just past a "." or "/"
+# One part of a literal, in groups: sign, whole digits, fraction digits after
+# a ".", denominator digits after a "/", and "i"; spaces may follow the sign
+# and the part.  The second part must start with a sign.  Every piece may be
+# empty and every quantifier is greedy, so `match` always succeeds and takes
+# the longest run of each token; `_term` refuses what is missing.  [0-9], not
+# \d: only ASCII digits are digits here.
+_PART = r"([+-]?) *([0-9]*)(?:\.([0-9]*)|/([0-9]*))?(i?) *"
+_SCALAR = re.compile(f"{_PART}(?:(?=[+-]){_PART})?")
+
+
+def _term(
+    text: str, match: re.Match, k: int,
+    sign: str, whole: str, frac: str | None, den: str | None, imaginary: str,
+) -> tuple[int, int]:
+    """(num, den) of one part of a `_SCALAR` match of text, den > 0 and not
+    reduced.  sign to imaginary are the part's groups, from group k on; the
+    caller passes them from its one groups() call, as a second call here
+    costs more than the conversions, and the match serves only to place an
+    error.  The pieces are read in the grammar's order, and the first one
+    missing, wrong or over the cap is refused at its position in text.  A
+    run of at most CHUNK_DIGITS digits converts with one int(), whatever the
+    interpreter's int/str digit limit."""
     if frac is not None:
         if not frac:
-            raise ScalarParseError(text, after, "expected digits after decimal point")
-        scale = 10 ** len(frac)
-        value = _digits_value(whole, text, pos) * scale if whole else 0
-        return value + _digits_value(frac, text, after), scale, after + len(frac)
-    if not whole:
-        raise ScalarParseError(text, pos, "expected digits")
-    numerator = _digits_value(whole, text, pos)
-    if den is None:
-        return numerator, 1, after - 1
-    if not den:
-        raise ScalarParseError(text, after, "expected denominator digits")
-    denominator = _digits_value(den, text, after)
-    if denominator == 0:
-        raise ScalarParseError(text, after, "zero denominator")
-    return numerator, denominator, after + len(den)
-
-
-def _scan_term(text: str, pos: int) -> tuple[int, int, bool, int]:
-    """Scan sign? (number i | i | number); return (num, den, imaginary, next)."""
-    n = len(text)
-    negative = False
-    if pos < n and text[pos] in "+-":
-        negative = text[pos] == "-"
-        pos += 1
-    while pos < n and text[pos] == " ":
-        pos += 1
-    if pos < n and text[pos] == "i":
-        return -1 if negative else 1, 1, True, pos + 1
-    num, den, pos = _scan_number(text, pos)
-    if negative:
-        num = -num
-    if pos < n and text[pos] == "i":
-        return num, den, True, pos + 1
-    return num, den, False, pos
-
-
-# A whole valid literal whose digit runs hold at most CHUNK_DIGITS digits,
-# for the fast path of `_scan_scalar`: sign? then a number with an optional
-# "i" or an imaginary second part, or a bare "i".  Each number is (whole,
-# denominator, fraction digits), and the lookahead keeps it from being empty.
-# [0-9], not \d, as in _NUMBER.
-_RUN = f"[0-9]{{1,{CHUNK_DIGITS}}}"
-_LITERAL_NUMBER = rf"(?=\.?[0-9])([0-9]{{0,{CHUNK_DIGITS}}})(?:/({_RUN})|\.({_RUN}))?"
-_LITERAL = re.compile(
-    rf"([+-]?) *(?:{_LITERAL_NUMBER}(?:(i)| *([+-]) *(?:{_LITERAL_NUMBER})?i)?|i)"
-)
+            raise ScalarParseError(
+                text, match.end(k + 1) + 1, "expected digits after decimal point"
+            )
+        d = 10 ** len(frac)
+        if not whole:
+            n = 0
+        elif len(whole) <= CHUNK_DIGITS:
+            n = int(whole) * d
+        else:
+            n = _digits_value(whole, text, match.start(k + 1)) * d
+        if len(frac) <= CHUNK_DIGITS:
+            n += int(frac)
+        else:
+            n += _digits_value(frac, text, match.start(k + 2))
+    elif not whole:
+        if not imaginary or den is not None:
+            raise ScalarParseError(text, match.start(k + 1), "expected digits")
+        n = d = 1  # a bare "i"
+    else:
+        if len(whole) <= CHUNK_DIGITS:
+            n = int(whole)
+        else:
+            n = _digits_value(whole, text, match.start(k + 1))
+        if den is None:
+            d = 1
+        elif not den:
+            raise ScalarParseError(text, match.start(k + 3), "expected denominator digits")
+        else:
+            if len(den) <= CHUNK_DIGITS:
+                d = int(den)
+            else:
+                d = _digits_value(den, text, match.start(k + 3))
+            if not d:
+                raise ScalarParseError(text, match.start(k + 3), "zero denominator")
+    return (-n if sign == "-" else n), d
 
 
 def _scan_scalar(text: str) -> tuple[int, int, int, int]:
     """Scan a scalar literal; return (a, b, c, d) for a/b + (c/d) i, b, d > 0
-    and not reduced.  A valid literal is read off one `_LITERAL` match, each
-    digit run by one int(), which converts CHUNK_DIGITS digits whatever the
-    interpreter's int/str digit limit.  Any other text, a digit run longer
-    than that and a zero denominator go to the step scanner."""
-    match = _LITERAL.fullmatch(text.strip())
-    if match is not None:
-        sign, whole, den, frac, imaginary, sign2, whole2, den2, frac2 = match.groups()
-        if whole is None:  # a bare "i"
-            return 0, 1, -1 if sign == "-" else 1, 1
-        # the two numbers convert inline: a helper call costs more than the int()s
-        if den is not None:
-            a, b = int(whole), int(den)
-        elif frac is not None:
-            b = 10 ** len(frac)
-            a = int(whole) * b + int(frac) if whole else int(frac)
-        else:
-            a, b = int(whole), 1
-        if sign == "-":
-            a = -a
-        if b:
-            if imaginary:
-                return 0, 1, a, b
-            if sign2 is None:
-                return a, b, 0, 1
-            if whole2 is None:
-                c, d = 1, 1
-            elif den2 is not None:
-                c, d = int(whole2), int(den2)
-            elif frac2 is not None:
-                d = 10 ** len(frac2)
-                c = int(whole2) * d + int(frac2) if whole2 else int(frac2)
-            else:
-                c, d = int(whole2), 1
-            if d:
-                return a, b, -c if sign2 == "-" else c, d
-    return _scan_steps(text)
-
-
-def _scan_steps(text: str) -> tuple[int, int, int, int]:
-    """`_scan_scalar` one token at a time, with the error and its position
-    for any text outside the grammar, and digit runs of any length."""
+    and not reduced."""
     stripped = text.strip()
     if not stripped:
-        raise ScalarParseError(text, 0, "empty literal")
-    num, den, imag, pos = _scan_term(stripped, 0)
-    a, b, c, d = (0, 1, num, den) if imag else (num, den, 0, 1)
-    while pos < len(stripped) and stripped[pos] == " ":
-        pos += 1
-    if pos < len(stripped):
-        if stripped[pos] not in "+-":
-            raise ScalarParseError(text, pos, "expected '+' or '-'")
-        c, d, second, pos = _scan_term(stripped, pos)
-        if not second:
-            raise ScalarParseError(text, pos, "second part must be imaginary")
-        if imag:
-            raise ScalarParseError(text, pos, "two imaginary parts")
-        while pos < len(stripped) and stripped[pos] == " ":
-            pos += 1
-        if pos < len(stripped):
-            raise ScalarParseError(text, pos, "trailing characters")
+        raise ScalarParseError(stripped, 0, "empty literal")
+    match = _SCALAR.match(stripped)
+    sign, whole, frac, den, imaginary, sign2, whole2, frac2, den2, imaginary2 = match.groups()
+    a, b = _term(stripped, match, 1, sign, whole, frac, den, imaginary)
+    end = match.end()
+    if sign2 is None:
+        if end < len(stripped):
+            raise ScalarParseError(stripped, end, "expected '+' or '-'")
+        return (0, 1, a, b) if imaginary else (a, b, 0, 1)
+    c, d = _term(stripped, match, 6, sign2, whole2, frac2, den2, imaginary2)
+    if not imaginary2:
+        raise ScalarParseError(stripped, match.end(10), "second part must be imaginary")
+    if imaginary:
+        raise ScalarParseError(stripped, match.end(10), "two imaginary parts")
+    if end < len(stripped):
+        raise ScalarParseError(stripped, end, "trailing characters")
     return a, b, c, d
 
 
@@ -242,9 +204,10 @@ def _as_fraction(value: RationalLike | str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        num, den, imaginary, end = _scan_term(value, 0)
-        # the scan skips spaces after a sign, so a space is refused here
-        if imaginary or end < len(value) or " " in value:
+        match = _SCALAR.match(value)
+        num, den = _term(value, match, 1, *match.group(1, 2, 3, 4, 5))
+        # the pattern takes spaces after a sign, so a space is refused here
+        if match[5] or match.end(5) < len(value) or " " in value:
             raise ScalarParseError(value, 0, "a part is one real number with no spaces")
         return Fraction(num, den)
     raise TypeError(f"cannot build an exact rational from {value!r}")

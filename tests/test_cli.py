@@ -138,6 +138,14 @@ def test_out_file(tmp_path, capsys):
     assert doc["entries"] == [["1", "0"], ["0", "1"]]
 
 
+def test_out_file_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    a_path = write(tmp_path, "A.json", mat([[1, 0], [0, 1]]))
+    out_path = tmp_path / "missing" / "result.json"
+    code, out, err = run(capsys, ["pinv", "--in", a_path, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gi: cannot write {out_path}: ")
+
+
 def test_csv_input(tmp_path, capsys):
     path = tmp_path / "A.csv"
     path.write_text("1,0\n0,2\n")

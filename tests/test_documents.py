@@ -1,4 +1,3 @@
-import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -27,9 +26,10 @@ from exactgi.documents import (
     parse_csv_matrix,
 )
 from exactgi.matrix import clear_denominators
-from exactgi.scalar import _LITERAL, _scan_scalar, _scan_steps
+from exactgi.scalar import _scan_scalar
 
 from cases import mat, sc
+from scanner_reference import _scan_steps, part_fraction
 
 
 def test_parse_scalar_known_forms():
@@ -53,6 +53,18 @@ def test_parse_scalar_errors_carry_position():
     for bad in ("", "1+2", "i+i", "1/0", "1.", "3i4", "1+2i+3i", "+", "2 3"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+
+def test_errors_quote_the_stripped_literal_their_position_indexes():
+    for text, message in (
+        (" 1x", "invalid scalar '1x' at position 1: expected '+' or '-'"),
+        ("  1+2", "invalid scalar '1+2' at position 3: second part must be imaginary"),
+        (" 1/0", "invalid scalar '1/0' at position 2: zero denominator"),
+        ("  \t", "invalid scalar '' at position 0: empty literal"),
+    ):
+        with pytest.raises(ScalarParseError) as err:
+            parse_scalar(text)
+        assert str(err.value) == message
 
 
 def test_whitespace_rule():
@@ -262,7 +274,7 @@ _literals = st.one_of(
 _entries = st.one_of(_literals, st.integers(-(10**40), 10**40))
 
 
-# -- the literal pattern and the step scanner agree ---------------------------------
+# -- the reader and the step-by-step reference agree ----------------------------------
 
 
 @st.composite
@@ -310,20 +322,21 @@ def _scanned(scan, text):
 @example("1/" + "0" * 600)
 @example("." + "5" * 520)
 @example("4" * CHUNK_DIGITS + "." + "4" * CHUNK_DIGITS + "i")  # over the lowest digit limit
+# which cap error comes first: the whole digits before the fraction, the
+# numerator before a missing denominator, a run before what follows it, and
+# the first part before the second
+@example("8" * (MAX_LITERAL_DIGITS + 1) + "." + "9" * (MAX_LITERAL_DIGITS + 2))
+@example("8" * (MAX_LITERAL_DIGITS + 1) + "/")
+@example("8" * (MAX_LITERAL_DIGITS + 1) + "x")
+@example("1+" + "8" * (MAX_LITERAL_DIGITS + 1) + "i")
+@example("1/0+" + "8" * (MAX_LITERAL_DIGITS + 1) + "i")
 def test_literal_pattern_agrees_with_the_step_scanner_property(text):
-    # `_scan_scalar` reads a valid literal off one `_LITERAL` match and hands
-    # anything else to the step scanner: the parts, or the error message with
-    # its position, must be the scanner's
-    expected = _scanned(_scan_steps, text)
-    assert _scanned(_scan_scalar, text) == expected
-    # the pattern accepts exactly the valid literals whose digit runs hold at
-    # most CHUNK_DIGITS digits, and a zero denominator, which only the
-    # scanner refuses
-    matched = _LITERAL.fullmatch(text.strip()) is not None
-    if isinstance(expected, tuple):
-        assert matched == all(len(run) <= CHUNK_DIGITS for run in re.findall("[0-9]+", text))
-    else:
-        assert not matched or expected.endswith("zero denominator")
+    # `_scan_scalar` and ExactScalar's string parts read the grammar off one
+    # pattern and one term routine; the step-by-step reference reads it one
+    # token at a time.  The parts, or the error message with its position,
+    # must be the reference's.
+    assert _scanned(_scan_scalar, text) == _scanned(_scan_steps, text)
+    assert _scanned(lambda part: ExactScalar(part).re, text) == _scanned(part_fraction, text)
 
 
 def test_literal_pattern_parts_are_unreduced():
