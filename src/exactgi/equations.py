@@ -111,7 +111,7 @@ def ls_solve_both(
     m, n = a.shape
     p, q = b.shape
     if d_rhs.shape != (m, q):
-        raise ValueError(f"D must be {m}x{q}, got {d_rhs.shape}")
+        raise ValueError(f"D must be {m}x{q}, got {d_rhs.rows}x{d_rhs.cols}")
     left, right = _mp_rule(a, "column"), _mp_rule(b, "row")
     x, residual, inter = _solve_both(left, right, a, b, d_rhs, budget)
     tag = _axb_case_tag(left.r, n, right.r, p)
@@ -175,7 +175,7 @@ def dz_solve_both(
         raise ValueError("the Drazin solution needs square coefficient matrices")
     n, m = a.rows, b.rows
     if d_rhs.shape != (n, m):
-        raise ValueError(f"D must be {n}x{m}, got {d_rhs.shape}")
+        raise ValueError(f"D must be {n}x{m}, got {d_rhs.rows}x{d_rhs.cols}")
     pa, pb = rank_profile(a), rank_profile(b)
     k1, k2 = pa.index, pb.index
     left, right = _drazin_rule(pa, "column"), _drazin_rule(pb, "row")

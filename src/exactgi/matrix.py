@@ -28,7 +28,7 @@ a Gaussian integer p (`_over`, behind `inverse` and the Cramer ratios of
 `minors`) first takes out the content h = gcd(Re p, Im p): a real p only
 flips signs and puts |p| into q, and any other p multiplies by conj(p/h)
 over h |p/h|^2, which is |p|^2 / h.  A product
-A B with at least 2 rows and 6 columns packs each row of B into two integers
+A B with at least 2 rows and 7 columns packs each row of B into two integers
 with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
 the largest bit lengths of A and B.  A width of at most 64 bits is rounded
@@ -36,10 +36,14 @@ up to a native word, 8, 16, 32 or 64 bits, so that a row of the result is
 read back in one pass in C, its bytes cast to signed words; wider fields
 are read one by one with a shift and a mask.  A loop of products by one
 fixed right factor passes one `_Packing` to each product, which packs the
-factor once per field width.  A narrower product sums each entry's
-real and imaginary parts in one loop over a row of A and a column of B, and
-builds no other vectors.  A power chain is a list of matrices, each the
-product of the one before and A, with A packed once per width:
+factor once per field width; only the packed path reads it.  Every other
+product runs a function generated once per inner dimension n and column
+count p (`_kernel`), which unpacks B into locals and writes each entry of a
+result row out as one sum of products, so that only the rows of A are
+looped over; a single row with 7 or more columns runs as (B^T x^T)^T, on
+the n-by-1 kernel.  A power chain is a list of matrices, each the
+product of the one before and A (on the packed path, with A packed once
+per width):
 `rank_profile` keeps A^0, A^1, ... in its
 `RankProfile` and ranks A^(e+1) on the r-by-r block of the rows and columns
 where A^e has its pivots, r = rank(A^e), and forms no product once a power
@@ -59,7 +63,7 @@ det(M) off T and p; `inverse` divides the one by the other once, and the
 generalized-adjugate kernel of `minors` uses both at full order.  The
 characteristic-polynomial coefficients come from the trace recurrence
 (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products
-B_(k-1) M with M packed once, which
+B_(k-1) M with M packed once on the packed path, which
 never enumerate minors, so it serves as an independent cross-check for the
 enumeration primitives of `oracles`; the same run gives the kernel its
 matrices below full order.
@@ -421,10 +425,14 @@ def _splice(a: ExactMatrix, b: ExactMatrix, join) -> ExactMatrix:
 # -- Gaussian-integer elimination core ----------------------------------------
 
 
-# Products with fewer columns than this, or a single row, keep the dot-product
-# loop: replaying the products of the bench/ workloads with the word read,
-# packing lost below 5 columns, tied at 5 and won from 6 on.
-_PACKED_MIN_COLS = 6
+# Products of at least 2 rows and this many columns run packed, and the rest
+# run a generated kernel (see `int_matmul`).  Replaying the products of one
+# pass of each bench/ workload (seeds 0 and 101) on both paths, the kernel
+# beat a fresh packing at 6 columns (10.4 against 12.6 ms over 128
+# products), tied with one packing reused along a power chain or the trace
+# recurrence (7.0 against 6.8 ms over 92), and lost from 8 columns on, in
+# chains and alone; no workload product has 7 columns.
+_PACKED_MIN_COLS = 7
 
 # memoryview formats of the word-aligned field widths
 _WORD_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
@@ -434,6 +442,12 @@ if sys.byteorder == "little":
     _RE_WORDS, _IM_WORDS = slice(0, None, 2), slice(1, None, 2)
 else:
     _RE_WORDS, _IM_WORDS = slice(None, None, -2), slice(-2, None, -2)
+
+# the generated product kernels, by inner dimension and column count
+_KERNELS: dict = {}
+# pairs of terms per parenthesized run of a written-out sum: compiling one
+# unbroken chain of about 3000 terms raises RecursionError on Python 3.10-3.12
+_RUN = 8
 
 
 class _Packing:
@@ -451,28 +465,75 @@ class _Packing:
 def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
                packing: _Packing | None = None) -> tuple[list, list]:
     """The product of two Gaussian-integer matrices given as real and
-    imaginary rows.
+    imaginary rows, as lists of new row lists.
 
-    A caller that multiplies many left factors by one right factor B passes
-    the same `_Packing()` to each call, so that a packed product packs B
-    once per field width."""
-    if len(b_re[0]) >= _PACKED_MIN_COLS and len(a_re) > 1:
+    A product of at least 2 rows and `_PACKED_MIN_COLS` columns runs packed
+    (`_packed_matmul`).  Any other runs the kernel generated for its inner
+    dimension n and column count p (`_kernel`), and a single row x with
+    more columns runs as x B = (B^T x^T)^T, the (n, 1) kernel on the
+    transposes.  A caller that multiplies many left factors by one right
+    factor B passes the same `_Packing()` to each call, so that a packed
+    product packs B once per field width; the kernels do not read it."""
+    n, p = len(b_re), len(b_re[0])
+    if p < _PACKED_MIN_COLS:
+        return _kernel(n, p)(a_re, a_im, b_re, b_im)
+    if len(a_re) > 1:
         return _packed_matmul(a_re, a_im, b_re, b_im,
                               _Packing() if packing is None else packing)
-    cols = list(zip(zip(*b_re), zip(*b_im)))
-    out_re, out_im = [], []
-    for xr, xi in zip(a_re, a_im):
-        row_re, row_im = [], []
-        for yr, yi in cols:
-            sr = si = 0
-            for a, b, c, d in zip(xr, xi, yr, yi):
-                sr += a * c - b * d
-                si += a * d + b * c
-            row_re.append(sr)
-            row_im.append(si)
-        out_re.append(row_re)
-        out_im.append(row_im)
-    return out_re, out_im
+    out_re, out_im = _kernel(n, 1)(zip(*b_re), zip(*b_im), zip(*a_re), zip(*a_im))
+    return [list(chain(*out_re))], [list(chain(*out_im))]
+
+
+def _kernel(n: int, p: int):
+    """The product of any m-by-n by an n-by-p Gaussian-integer matrix, as a
+    function of the four row lists, compiled from `_kernel_source(n, p)` on
+    first use and kept in `_KERNELS`.  The code object is named after the
+    shape, so that a traceback says which kernel ran."""
+    kernel = _KERNELS.get((n, p))
+    if kernel is None:
+        namespace: dict = {}
+        exec(compile(_kernel_source(n, p), f"<exactgi product {n}x{p}>", "exec"), namespace)
+        kernel = _KERNELS[n, p] = namespace["product"]
+    return kernel
+
+
+def _kernel_source(n: int, p: int) -> str:
+    """The source of the (n, p) product kernel, made from n and p alone.
+
+    It unpacks the rows of B into locals r{k}_{j} and i{k}_{j} once, then
+    each row of A into x{k} and y{k}, and writes out each entry of the
+    result row: x0*r0_j - y0*i0_j + x1*r1_j - ... and
+    x0*i0_j + y0*r0_j + ...  Only the rows of A are looped over.  Each sum
+    is grouped into parenthesized runs of `_RUN` pairs, and runs of runs, so
+    that the compiler's recursion stays shallow at any n."""
+    ks, js = range(n), range(p)
+
+    def unpacked(names):
+        return "(" + ", ".join(names) + ",)"
+
+    def total(terms):
+        while len(terms) > _RUN:
+            terms = ["(" + " + ".join(terms[s : s + _RUN]) + ")"
+                     for s in range(0, len(terms), _RUN)]
+        return " + ".join(terms)
+
+    def b_rows(part):
+        return ", ".join(unpacked(f"{part}{k}_{j}" for j in js) for k in ks)
+
+    def row(pair):
+        return "[" + ", ".join(total([pair(k, j) for k in ks]) for j in js) + "]"
+
+    return "\n".join([
+        "def product(a_re, a_im, b_re, b_im):",
+        f"    {b_rows('r')}, = b_re",
+        f"    {b_rows('i')}, = b_im",
+        "    out_re, out_im = [], []",
+        f"    for {unpacked(f'x{k}' for k in ks)}, {unpacked(f'y{k}' for k in ks)}"
+        " in zip(a_re, a_im):",
+        f"        out_re.append({row(lambda k, j: f'x{k}*r{k}_{j} - y{k}*i{k}_{j}')})",
+        f"        out_im.append({row(lambda k, j: f'x{k}*i{k}_{j} + y{k}*r{k}_{j}')})",
+        "    return out_re, out_im",
+    ])
 
 
 def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
@@ -675,7 +736,8 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
     is built only at r = 1, and c_r is read as a sum of entry products, so
     the run takes r - 2 products.
     B_(k-1) is a polynomial in M, so the run forms M B_(k-1) as B_(k-1) M,
-    with M the fixed right factor, packed once (see `int_matmul`).
+    with M the fixed right factor, packed once when the products run packed
+    (see `int_matmul`).
     Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
     """
     n = len(re_rows)

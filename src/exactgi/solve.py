@@ -51,7 +51,8 @@ def _as_vector(values: VectorLike, shape: tuple[int, int]) -> ExactMatrix:
     if not isinstance(values, ExactMatrix):
         values = (ExactMatrix.column if shape[1] == 1 else ExactMatrix.row_vector)(list(values))
     if values.shape != shape:
-        raise ValueError(f"right-hand side must be {shape[0]}x{shape[1]}, got {values.shape}")
+        raise ValueError(f"right-hand side must be {shape[0]}x{shape[1]}, "
+                         f"got {values.rows}x{values.cols}")
     return values
 
 

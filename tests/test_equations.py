@@ -158,6 +158,15 @@ def test_axb_shapes_validated(rng):
         ls_solve_both(rand_matrix(rng, 3, 2), rand_matrix(rng, 2, 3), rand_matrix(rng, 2, 3))
 
 
+def test_axb_shape_errors_print_both_shapes_as_rows_by_columns():
+    a = b = mat([[1, 2], [3, 4]])
+    d = mat([[1], [2]])
+    with pytest.raises(ValueError, match=r"^D must be 2x2, got 2x1$"):
+        ls_solve_both(a, b, d)
+    with pytest.raises(ValueError, match=r"^D must be 2x2, got 2x1$"):
+        dz_solve_both(a, b, d)
+
+
 # -- Drazin: AX = B, XA = B, AXB = D ---------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction as F
 from itertools import chain
 from math import comb, gcd, lcm
@@ -561,20 +562,29 @@ def schoolbook_matmul(a_re, a_im, b_re, b_im):
 )
 @example(2, 3, 6, "bound", 0)
 @example(3, 1, 5, "bound", 1)
-# either side of the packing threshold (6 columns), with M = 10^40 (seed 9)
-# just under 2^133 and 2n = 14 just under 2^4: the largest slot value,
-# 2n M^2, is above 2^(w-2), so a field one bit narrower overflows
+# around the packing threshold (7 columns), with M = 10^40 (seed 9) just
+# under 2^133 and 2n = 14 just under 2^4: the largest slot value, 2n M^2, is
+# above 2^(w-2), so a field one bit narrower overflows
 @example(3, 7, 5, "bound", 9)
 @example(3, 7, 6, "bound", 9)
+@example(3, 7, 7, "bound", 9)
 # M = 3 (seed 1): the field width s + t + bitlen(2n) + 1 is 8 at n = 3, the
 # narrowest native word, and 9 at n = 4, which rounds up to 16
 @example(4, 3, 6, "bound", 1)
 @example(4, 4, 6, "bound", 1)
+@example(4, 3, 7, "bound", 1)
+@example(4, 4, 7, "bound", 1)
 def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
-    # shapes on both sides of the packing threshold.  "extreme" makes every
-    # entry +-M; "bound" picks the signs so that every real part in an even
-    # column and every imaginary part in an odd one is +-2n M^2, the largest
-    # a product of such factors can hold
+    # shapes on both sides of the packing threshold
+    a_re, a_im, b_re, b_im = product_operands(m, n, p, kind, seed)
+    assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+
+def product_operands(m, n, p, kind, seed):
+    """An m-by-n and an n-by-p Gaussian-integer matrix as tuples of rows.
+    "extreme" makes every entry +-M; "bound" picks the signs so that every
+    real part in an even column and every imaginary part in an odd one is
+    +-2n M^2, the largest a product of such factors can hold."""
     rng = random.Random(seed)
     top = {"small": 9, "zero": 9}.get(kind, rng.choice([1, 3, 2**20, 10**40]))
 
@@ -596,12 +606,89 @@ def test_int_matmul_matches_schoolbook_property(m, n, p, kind, seed):
             b_re = b_im = grid(n, p, lambda k, j: 0)
         elif kind == "zero":
             a_re = a_im = grid(m, n, lambda i, k: 0)
+    return a_re, a_im, b_re, b_im
+
+
+@given(
+    st.integers(1, 8), st.integers(1, 14), st.integers(1, 14),
+    st.sampled_from(["small", "huge", "extreme", "bound", "zero"]),
+    st.integers(0, 2**32),
+)
+@example(5, 5, 5, "bound", 9)
+@example(1, 7, 7, "extreme", 1)
+def test_int_matmul_on_row_lists_returns_fresh_row_lists_property(m, n, p, kind, seed):
+    # list operands, as the trace recurrence passes B_(k-1); it then adds
+    # c_k to the diagonal of the product in place
+    operands = [[list(row) for row in rows] for rows in product_operands(m, n, p, kind, seed)]
+    expected = schoolbook_matmul(*operands)
+    out_re, out_im = int_matmul(*operands)
+    assert (out_re, out_im) == expected
+    rows = out_re + out_im
+    operand_rows = [row for rows in operands for row in rows]
+    assert all(type(row) is list for row in rows)
+    assert len({id(row) for row in rows + operand_rows}) == len(rows) + len(operand_rows)
+    for row in rows:
+        row[0] += 1
+    assert int_matmul(*operands) == expected
+
+
+@given(
+    st.integers(1, 14), st.integers(7, 48),
+    st.sampled_from(["small", "huge", "extreme", "bound", "zero"]),
+    st.integers(0, 2**32),
+)
+@example(7, 7, "bound", 9)
+@example(14, 48, "bound", 9)
+@example(3, 7, "extreme", 1)
+@example(1, 7, "bound", 1)
+def test_single_row_product_runs_the_transposed_kernel_property(n, p, kind, seed):
+    # a single row with at least `_PACKED_MIN_COLS` columns runs as
+    # (B^T x^T)^T on the (n, 1) kernel
+    a_re, a_im, b_re, b_im = product_operands(1, n, p, kind, seed)
+    assert p >= matrix_module._PACKED_MIN_COLS
     assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+    assert (n, 1) in matrix_module._KERNELS and (n, p) not in matrix_module._KERNELS
+
+
+def test_deep_inner_dimension_compiles_and_matches_schoolbook():
+    # one unbroken chain of 3200 terms raises RecursionError when Python
+    # 3.10-3.12 compile it; the kernel nests its sums in runs of runs
+    rng = random.Random(1600)
+    a_re, a_im = ([[rng.randint(-9, 9) for _ in range(1600)] for _ in range(2)] for _ in "ri")
+    b_re, b_im = ([[rng.randint(-9, 9)] for _ in range(1600)] for _ in "ri")
+    assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+    def depth(node):
+        return 1 + max(map(depth, ast.iter_child_nodes(node)), default=0)
+
+    assert depth(ast.parse(matrix_module._kernel_source(1600, 1))) < 60
+
+
+def test_one_kernel_is_generated_per_shape(monkeypatch):
+    generated = []
+    source = matrix_module._kernel_source
+    monkeypatch.setattr(matrix_module, "_KERNELS", {})
+    monkeypatch.setattr(matrix_module, "_kernel_source",
+                        lambda n, p: generated.append((n, p)) or source(n, p))
+    a = ((1, 2, 3), (4, 5, 6))
+    b = ((1, 0, 2, 1), (0, 1, 1, 2), (3, 1, 0, 1))
+    first = int_matmul(a, a, b, b)
+    assert generated == [(3, 4)]
+    # another row count and other values: the same kernel
+    assert int_matmul(a[:1], a[1:], b, b) == schoolbook_matmul(a[:1], a[1:], b, b)
+    assert int_matmul(a, a, b, b) == first
+    assert generated == [(3, 4)]
+    # one row by 7 and by 9 columns both run the (3, 1) kernel
+    for p in (7, 9):
+        wide = tuple((row * 3)[:p] for row in b)
+        assert int_matmul(a[:1], a[1:], wide, wide) == schoolbook_matmul(a[:1], a[1:], wide, wide)
+    assert generated == [(3, 4), (3, 1)]
 
 
 @given(st.sampled_from([8, 16, 32, 64, 65]), st.integers(2, 6), st.integers(1, 15),
-       st.integers(6, 12), st.integers(0, 2**32))
+       st.integers(matrix_module._PACKED_MIN_COLS, 12), st.integers(0, 2**32))
 @example(64, 2, 15, 6, 0)
+@example(64, 2, 15, 7, 0)
 @example(65, 3, 8, 7, 1)
 def test_packed_field_width_boundaries_property(w, m, n, p, seed):
     # entries of A are +-(2^s - 1) and entries of B +-(2^t - 1), with
@@ -622,8 +709,9 @@ def test_packed_field_width_boundaries_property(w, m, n, p, seed):
     assert int_matmul(a_re, a_im, b_re, b_im, _Packing()) == schoolbook_matmul(a_re, a_im, b_re, b_im)
 
 
-@given(st.integers(2, 8), st.integers(6, 9), st.integers(0, 2**32))
+@given(st.integers(2, 8), st.integers(matrix_module._PACKED_MIN_COLS, 9), st.integers(0, 2**32))
 @example(2, 6, 0)
+@example(2, 7, 0)
 def test_one_packing_serves_a_chain_property(m, n, seed):
     # twelve products X_(e+1) = X_e B by one B, all given the same
     # `_Packing`, as a power chain passes it.  B = 64 I + E with |E_kj| <= sqrt(2), so each

@@ -278,6 +278,14 @@ def test_solver_input_validation(rng):
         )
 
 
+def test_rhs_shape_error_prints_both_shapes_as_rows_by_columns():
+    a = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=r"^right-hand side must be 1x2, got 2x1$"):
+        ls_min_norm_solve_row(ExactMatrix.column([1, 1]), a)
+    with pytest.raises(ValueError, match=r"^right-hand side must be 2x1, got 1x2$"):
+        ls_min_norm_solve(a, ExactMatrix.row_vector([1, 1]))
+
+
 def test_reimport_releases_old_package():
     # A module-level typing alias over the package's classes would sit in
     # typing's cache and keep a re-imported package's old modules alive.
