@@ -41,13 +41,21 @@ product runs a function generated once per inner dimension n and column
 count p (`_kernel`), which unpacks B into locals and writes each entry of a
 result row out as one sum of products, so that only the rows of A are
 looped over; a single row with 7 or more columns runs as (B^T x^T)^T, on
-the n-by-1 kernel.  A power chain is a list of matrices, each the
-product of the one before and A (on the packed path, with A packed once
-per width):
-`rank_profile` keeps A^0, A^1, ... in its
-`RankProfile` and ranks A^(e+1) on the r-by-r block of the rows and columns
-where A^e has its pivots, r = rank(A^e), and forms no product once a power
-is zero.
+the n-by-1 kernel.  Kernels are generated for n up to 64, and a longer
+inner dimension runs as a sum of products over blocks of at most 64.
+
+`rank_profile` keeps the powers it builds in its `RankProfile`, by
+exponent.  It ranks A^(e+1) = A^e A (on the packed path with A packed once
+per width) on the r-by-r block of the rows and columns where A^e has its
+pivots, r = rank(A^e), and forms no product once a power is zero.  Once
+the rank falls by exactly one at some e >= 2, to r >= 2, the rest of the
+rank sequence is forced, since the drops never grow, and one number fixes
+it, the core rank c: A^e is squared, each square ranked on the last block,
+until a rank leaves the forced slope r - (j - e) or the next square would
+pass e + r; then the r-by-r block of A^(e+r), a thin product of stored
+powers, has rank c.  On a 10x10 matrix of core rank 2 and index 8 that takes A^2, A^4
+and A^8 and five eliminations, where ranking every power took eight
+products and nine.
 
 Rank, determinant, adjugate and `inverse` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
@@ -79,7 +87,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
-from operator import lshift, mul, neg
+from operator import add, lshift, mul, neg
 
 from .scalar import ZERO, ExactScalar, RationalLike
 
@@ -445,6 +453,14 @@ else:
 
 # the generated product kernels, by inner dimension and column count
 _KERNELS: dict = {}
+# Kernels are generated for inner dimensions up to this; a longer one runs
+# as a sum of products over blocks of at most this many.  Compiling an (n, 6)
+# kernel took 2.6, 5.1, 10.4, 13.2 and 26.1 ms at n = 16, 32, 64, 128 and
+# 256, and an (n, 1) kernel 0.7 to 9.7 ms.  Against the unbroken kernel, 1
+# and 3 rows of inner dimension 100, 200 and 1000 ran at 0.96-1.04x in blocks
+# of 64 with 6 columns and 1.01-1.22x with 1 column; in blocks of 32 the
+# single column ran at 1.19-1.49x (2-core x86, Python 3.11).
+_MAX_INNER = 64
 # pairs of terms per parenthesized run of a written-out sum: compiling one
 # unbroken chain of about 3000 terms raises RecursionError on Python 3.10-3.12
 _RUN = 8
@@ -469,19 +485,41 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
 
     A product of at least 2 rows and `_PACKED_MIN_COLS` columns runs packed
     (`_packed_matmul`).  Any other runs the kernel generated for its inner
-    dimension n and column count p (`_kernel`), and a single row x with
+    dimension n and column count p (`_kernel`), or for n above `_MAX_INNER`
+    the kernels of its blocks (`_kernel_product`), and a single row x with
     more columns runs as x B = (B^T x^T)^T, the (n, 1) kernel on the
     transposes.  A caller that multiplies many left factors by one right
     factor B passes the same `_Packing()` to each call, so that a packed
     product packs B once per field width; the kernels do not read it."""
     n, p = len(b_re), len(b_re[0])
     if p < _PACKED_MIN_COLS:
-        return _kernel(n, p)(a_re, a_im, b_re, b_im)
+        return _kernel_product(a_re, a_im, b_re, b_im, n, p)
     if len(a_re) > 1:
         return _packed_matmul(a_re, a_im, b_re, b_im,
                               _Packing() if packing is None else packing)
-    out_re, out_im = _kernel(n, 1)(zip(*b_re), zip(*b_im), zip(*a_re), zip(*a_im))
+    out_re, out_im = _kernel_product(zip(*b_re), zip(*b_im), zip(*a_re), zip(*a_im), n, 1)
     return [list(chain(*out_re))], [list(chain(*out_im))]
+
+
+def _kernel_product(a_re, a_im, b_re, b_im, n: int, p: int) -> tuple[list, list]:
+    """A B on the (n, p) kernel, or for n above `_MAX_INNER` as the sum of
+    the products of A's column blocks and B's row blocks of at most
+    `_MAX_INNER`, so that no kernel is generated for a longer inner
+    dimension."""
+    if n <= _MAX_INNER:
+        return _kernel(n, p)(a_re, a_im, b_re, b_im)
+    a_re, a_im, b_re, b_im = list(a_re), list(a_im), list(b_re), list(b_im)
+    out_re = out_im = None
+    for s in range(0, n, _MAX_INNER):
+        t = min(s + _MAX_INNER, n)
+        part_re, part_im = _kernel(t - s, p)([row[s:t] for row in a_re], [row[s:t] for row in a_im],
+                                             b_re[s:t], b_im[s:t])
+        if out_re is None:
+            out_re, out_im = part_re, part_im
+        else:
+            out_re = [list(map(add, x, y)) for x, y in zip(out_re, part_re)]
+            out_im = [list(map(add, x, y)) for x, y in zip(out_im, part_im)]
+    return out_re, out_im
 
 
 def _kernel(n: int, p: int):
@@ -785,32 +823,45 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
 class RankProfile:
     """Rank history and index of a square matrix A, and its powers A^e.
 
-    The profile holds A^0, A^1, ... as one list of matrices, each the
-    product of the one before and A: `rank_profile` extends it while it
-    ranks the powers, and `power(e)` extends it further when a read asks
-    for a power past its end.
+    The profile keeps the powers built so far by exponent: A itself, those
+    `rank_profile` formed while it ranked them, and A^k.  `power(e)` returns
+    A^e for any e >= 0: A^0 and a power of rank 0 are built without a
+    product, and any other missing power as the nearest stored power below
+    it times the largest stored power that fits, step by step, each step
+    stored.  `powers` lists A^0 ... A^M, M the largest exponent built, and
+    builds the gaps when read.
     """
 
-    __slots__ = ("matrix", "rank_of_power", "index", "_powers")
+    __slots__ = ("matrix", "rank_of_power", "index", "_powers", "_packing")
 
     def __init__(self, matrix, rank_of_power, index, powers):
         self.matrix = matrix
         self.rank_of_power = rank_of_power  # rank(A^1), rank(A^2), ...
         self.index = index
-        self._powers = powers  # A^0, A^1, ...
+        self._powers = powers  # {e: A^e} for the exponents built
+        self._packing = _Packing()  # of A, for the products by A
 
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
             raise ValueError("negative powers are not supported here")
-        powers, packing = self._powers, _Packing()
-        while len(powers) <= exponent:
-            powers.append(powers[-1].__matmul__(self.matrix, packing))
+        powers, n = self._powers, self.matrix.rows
+        if exponent not in powers:
+            if exponent == 0:
+                powers[0] = ExactMatrix.identity(n)
+            elif self.rank_of(exponent) == 0:
+                powers[exponent] = ExactMatrix.zeros(n, n)
+        while exponent not in powers:
+            below = _largest(powers, exponent)
+            step = _largest(powers, exponent - below)
+            powers[below + step] = powers[below].__matmul__(
+                powers[step], self._packing if step == 1 else None)
         return powers[exponent]
 
     @property
     def powers(self) -> tuple[ExactMatrix, ...]:
-        """The powers A^0, A^1, ... built so far."""
-        return tuple(self._powers)
+        """A^0, A^1, ..., A^M, M the largest exponent built; a gap is built
+        when read."""
+        return tuple(map(self.power, range(max(self._powers) + 1)))
 
     def rank_of(self, exponent: int) -> int:
         if exponent < 0:
@@ -826,31 +877,99 @@ class RankProfile:
         return self.rank_of(self.index)
 
 
+def _largest(powers: dict, bound: int) -> int:
+    # the largest positive exponent stored that is at most bound (A^1 always is)
+    return max(e for e in powers if 0 < e <= bound)
+
+
 def rank_profile(matrix: ExactMatrix) -> RankProfile:
+    """The ranks of A, A^2, ..., A^(k+1), the index k, and A^k.
+
+    A^(e+1) = A^e A is ranked on the r-by-r block of the rows and columns
+    where A^e has its pivots (`_spanning_lines`), r = rank(A^e), until the
+    rank stops falling or A^e = 0.  At the first e >= 2 where the rank falls
+    by exactly one, to r >= 2, the rest is forced: the drops never grow
+    (r_j - r_(j+1) <= r_(j-1) - r_j by Frobenius's inequality
+    rank(XY) + rank(YZ) <= rank(Y) + rank(XYZ) with X = Z = A,
+    Y = A^(j-1)), so each later drop is 1 until the rank reaches
+    the core rank c, and 0 after.  `_core_rank` finds c; then k = e + r - c
+    and rank(A^j) = max(r - (j - e), c) for j > e.  A generic singular
+    matrix, whose rank falls by one and then stays, never gets there, and
+    at r = 1 the chain's next power, which callers read, settles the index
+    itself."""
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
-    powers, packing = [ExactMatrix.identity(n), matrix], _Packing()
+    profile = RankProfile(matrix, (), 0, {1: matrix})
+    powers, packing = profile._powers, profile._packing
     rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
     ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
     while ranks[-1] != ranks[-2]:
-        # A^e = 0 gives A^(e+1) = 0, which power() builds only when read
-        if rows:
-            powers.append(powers[-1].__matmul__(matrix, packing))
-            rows, cols = _spanning_lines(powers[-1]._re, powers[-1]._im, rows, cols)
-        ranks.append(len(rows))
+        e, r = len(ranks) - 1, ranks[-1]
+        if not r:
+            # A^e = 0 gives A^(e+1) = 0, which power() returns without a product
+            ranks.append(0)
+        elif e >= 2 and r >= 2 and ranks[-2] - r == 1:
+            c = _core_rank(powers, rows, cols, e, r)
+            ranks += [max(r - d, c) for d in range(1, r - c + 2)]
+        else:
+            powers[e + 1] = powers[e].__matmul__(matrix, packing)
+            rows, cols = _spanning_lines(powers[e + 1]._re, powers[e + 1]._im, rows, cols)
+            ranks.append(len(rows))
     # ranks[k + 1] == ranks[k] now holds; k is the index.
-    return RankProfile(matrix, tuple(ranks[1:]), len(ranks) - 2, powers)
+    profile.rank_of_power, profile.index = tuple(ranks[1:]), len(ranks) - 2
+    profile.power(profile.index)
+    return profile
+
+
+def _core_rank(powers: dict, rows, cols, e: int, r: int) -> int:
+    """The core rank c of A, given rank(A^e) = r >= 2 one less than
+    rank(A^(e-1)), e >= 2, and rows S and columns T that span A^e's row and
+    column spaces.  Past e the rank falls by one a power until it is c, so
+    rank(A^j) = max(r - (j - e), c) and rank(A^(e+r)) = c.
+
+    A^e is squared while the square stays below e + r, and each square A^j
+    is ranked on the block of the last lines, which then shrink to the
+    square's own: a rank above r - (j - e) is c.  Otherwise c is read off
+    A^(e+r) (`_tail_rank`)."""
+    top = e
+    while 2 * top < e + r:
+        powers[2 * top] = powers[top] @ powers[top]
+        top *= 2
+        rows, cols = _spanning_lines(powers[top]._re, powers[top]._im, rows, cols)
+        if len(rows) > r - (top - e):
+            return len(rows)
+    return _tail_rank(powers, rows, cols, e + r)
+
+
+def _tail_rank(powers: dict, rows, cols, exponent: int) -> int:
+    """rank(A^exponent) from rows S and columns T that span the row and
+    column spaces of a stored power at most `exponent`: the rank of the
+    block A^exponent[S, T] = A^x1[S, :] A^x2 ... A^xj[:, T], each x the
+    largest stored exponent that fits what is left."""
+    factors = []
+    while exponent:
+        x = _largest(powers, exponent)
+        factors.append(powers[x])
+        exponent -= x
+    first, *middle, last = factors
+    block_re, block_im = [first._re[i] for i in rows], [first._im[i] for i in rows]
+    for factor in middle:
+        block_re, block_im = int_matmul(block_re, block_im, factor._re, factor._im)
+    last_re = [[row[j] for j in cols] for row in last._re]
+    last_im = [[row[j] for j in cols] for row in last._im]
+    return int_rank(*int_matmul(block_re, block_im, last_re, last_im))
 
 
 def _spanning_lines(re_rows: Rows, im_rows: Rows, rows, cols) -> tuple[list, list]:
-    """Rows and columns of A^(e+1) that are bases of its row and column
-    spaces, from rows S and columns T of A^e that span A^e's.
+    """Rows and columns of a power A^j that are bases of its row and
+    column spaces, from rows S and columns T that span those of a power A^i,
+    i <= j.
 
-    Rows S of A^(e+1) = A^e A span its row space, and columns T of
-    A^(e+1) = A A^e span its column space, so rank(A^(e+1)) is the rank of
-    the block A^(e+1)[S, T], and the rows and columns of the block's pivots
-    are bases.  For A^1, S and T are every row and column."""
+    Rows S of A^j = A^i A^(j-i) span its row space, and columns T of
+    A^j = A^(j-i) A^i span its column space, so rank(A^j) is the rank of
+    the block A^j[S, T], and the rows and columns of the block's pivots are
+    bases.  For A^1, S and T are every row and column."""
     block_re = [[re_rows[i][j] for j in cols] for i in rows]
     block_im = [[im_rows[i][j] for j in cols] for i in rows]
     _, _, _, _, pivots, _, orig = _eliminate(block_re, block_im, len(cols), False)

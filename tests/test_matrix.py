@@ -664,6 +664,20 @@ def test_deep_inner_dimension_compiles_and_matches_schoolbook():
     assert depth(ast.parse(matrix_module._kernel_source(1600, 1))) < 60
 
 
+def test_long_inner_dimension_runs_in_blocks_of_capped_kernels(monkeypatch):
+    # no kernel is generated for an inner dimension above the cap: 5000 and
+    # 400 run as sums of products over blocks of at most the cap, one row by
+    # 7 columns on the transposes
+    monkeypatch.setattr(matrix_module, "_KERNELS", {})
+    rng = random.Random(5000)
+    for m, n, p in ((1, 5000, 7), (3, 400, 6), (2, 65, 1)):
+        a_re, a_im = ([[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)] for _ in "ri")
+        b_re, b_im = ([[rng.randint(-99, 99) for _ in range(p)] for _ in range(n)] for _ in "ri")
+        assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+    cap = matrix_module._MAX_INNER
+    assert set(matrix_module._KERNELS) == {(cap, 1), (5000 % cap, 1), (cap, 6), (400 % cap, 6), (1, 1)}
+
+
 def test_one_kernel_is_generated_per_shape(monkeypatch):
     generated = []
     source = matrix_module._kernel_source
@@ -845,9 +859,10 @@ def test_eliminate_consumers_match_the_scalar_elimination_property(
                             det_value.re, det_value.im)
 
 
-def core_plus_jordan(rng, n, core, blocks):
+def core_plus_jordan(rng, n, core, blocks, conjugate=True):
     """An invertible triangular Gaussian-integer core of order `core` and
-    nilpotent Jordan blocks of the given sizes, conjugated by unit shears."""
+    nilpotent Jordan blocks of the given sizes, conjugated by unit shears
+    unless `conjugate` is false."""
     rows = [[ExactScalar(0)] * n for _ in range(n)]
     for i in range(core):
         rows[i][i] = ExactScalar(rng.choice([-2, -1, 1, 2]), rng.randint(-1, 1))
@@ -858,6 +873,8 @@ def core_plus_jordan(rng, n, core, blocks):
         for i in range(start, start + size - 1):
             rows[i][i + 1] = ExactScalar(1)
         start += size
+    if not conjugate:
+        return ExactMatrix.from_rows(rows)
     shear = rand_unimodular(rng, n)
     return shear @ ExactMatrix.from_rows(rows) @ inverse(shear)
 
@@ -886,19 +903,122 @@ def test_rank_profile_matches_full_power_ranks_property(n, kind, rational, seed)
     assert len(profile.rank_of_power) == k + 1
 
 
+# (core, Jordan blocks) whose rank falls by exactly one at some A^e, e >= 2,
+# so that the rest of the rank sequence is forced and read off the core rank
+FORCED_TAILS = [
+    (2, [8]),  # one long block beside a core: the bench's high-index shape
+    (2, [10]),  # the same at n = 12
+    (5, [3, 1]),  # drops 2, 1, 1: the square A^4 already shows the core rank
+    (3, [4, 1, 1]),
+    (0, [7]),  # a single nilpotent block J_n: c = 0
+    (0, [12]),
+    (4, [2]),  # c = rank(A^2): the tail stops at the first power it forces
+    (6, [2, 1]),
+    (1, [6]),  # the block of A^7 is A^4 A^2 A, with a middle factor
+]
+
+
+@pytest.mark.parametrize("core, blocks", FORCED_TAILS)
+@pytest.mark.parametrize("rational, conjugate", [(False, True), (True, True), (False, False)])
+def test_forced_tail_matches_full_power_ranks(core, blocks, rational, conjugate, monkeypatch):
+    # the same reference as the property above: every rank up to A^(k+1)
+    # against the rank of the whole power, on profiles that take the tail.
+    # Unconjugated, a Jordan block's pivot rows and columns differ
+    n = core + sum(blocks)
+    rng = random.Random(n * 100 + core)
+    a = core_plus_jordan(rng, n, core, blocks, conjugate)
+    if rational:
+        a = a.scale(ExactScalar(F(5, 7), F(-1, 3)))
+    tails = []
+    core_rank = matrix_module._core_rank
+    monkeypatch.setattr(matrix_module, "_core_rank",
+                        lambda *args: tails.append(1) or core_rank(*args))
+    profile = rank_profile(a)
+    k = max(blocks)
+    assert profile.index == k
+    assert len(tails) == 1
+    power = ExactMatrix.identity(n)
+    for e in range(1, k + 2):
+        power = power @ a
+        expected = core + sum(max(size - e, 0) for size in blocks)
+        assert profile.rank_of_power[e - 1] == rank(power) == expected
+    assert len(profile.rank_of_power) == k + 1
+    assert profile.core_rank == core
+    for e in range(2 * k + 3):
+        assert profile.power(e) == a.power(e)
+
+
+@pytest.mark.parametrize("core, blocks", [(5, [1]), (0, [1]), (3, [2, 2]), (2, [3, 3]), (4, []),
+                                         (1, [2]), (0, [3])])
+def test_profile_takes_no_forced_tail_without_a_drop_of_one(core, blocks, monkeypatch):
+    # rank n - 1 and index 1 (drops 1, then 0), drops of 2 or more, and a
+    # nonsingular matrix: every power up to A^(k+1) is ranked in the chain.
+    # So is a fall by one to rank 1, which the next power settles
+    n = core + sum(blocks)
+    a = core_plus_jordan(random.Random(n), n, core, blocks)
+    monkeypatch.setattr(matrix_module, "_core_rank", None)
+    profile = rank_profile(a)
+    assert profile.index == max(blocks, default=0)
+    assert profile.rank_of_power == tuple(
+        core + sum(max(size - e, 0) for size in blocks) for e in range(1, profile.index + 2))
+
+
+def test_forced_tail_reads_its_block_on_the_pivot_columns():
+    # [[0, 1], [0, 1]] (core rank 1, left eigenvector (0, 1)) beside J_3:
+    # A^2 has its pivots in rows 1, 3 and columns 2, 5, and past the index
+    # columns 1 and 3 of every power are zero, so the block of A^4 that
+    # gives the core rank must be read on the pivot columns
+    a = mat([[0, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]])
+    profile = rank_profile(a)
+    assert (profile.index, profile.rank_of_power) == (3, (3, 2, 1, 1))
+
+
+def test_forced_tail_stops_at_the_first_square_off_the_slope(monkeypatch):
+    # core 15 and blocks 3, 1, 1: the rank falls 3, then 1 at A^2 to 16, and
+    # the square A^4, at rank 15 = c above the slope's 14, ends the tail.
+    # The profile makes A^2, A^4 and A^3 = A^k, and no square past A^4
+    a = core_plus_jordan(random.Random(20), 20, 15, [3, 1, 1])
+    product, calls = matrix_module.int_matmul, []
+    monkeypatch.setattr(matrix_module, "int_matmul", lambda *rows: calls.append(1) or product(*rows))
+    profile = rank_profile(a)
+    assert (profile.index, profile.core_rank, len(calls)) == (3, 15, 3)
+
+
+def test_profile_builds_a_missing_power_from_the_stored_ones(monkeypatch):
+    # core 2 beside J_8 stores A, A^2, A^4 and A^8 = A^k; a read builds a
+    # missing power from the nearest stored one below and the largest stored
+    # one that fits: A^9 = A^8 A, A^17 = A^9 A^8, A^3 = A^2 A, and A^0 and
+    # the stored powers take no product
+    a = core_plus_jordan(random.Random(10), 10, 2, [8])
+    profile = rank_profile(a)
+    assert profile.index == 8
+    reads = ((8, 0), (0, 0), (9, 1), (17, 1), (3, 1), (4, 0), (2, 0))
+    expected = {e: a.power(e) for e, _ in reads}
+    product, calls = matrix_module.int_matmul, []
+    monkeypatch.setattr(matrix_module, "int_matmul", lambda *rows: calls.append(1) or product(*rows))
+    for e, made in reads:
+        calls.clear()
+        assert profile.power(e) == expected[e]
+        assert len(calls) == made, e
+
+
 def test_nilpotent_profile_stops_the_chain_at_the_zero_power(rng, monkeypatch):
-    # once A^k = 0 its rank is 0 and A^(k+1) = 0 is not formed, so a nilpotent
-    # matrix of index k makes k - 1 chain products and the zero matrix none
-    cases = [(rand_index_matrix(rng, n, 0, k), k) for n, k in ((6, 6), (8, 5), (10, 8), (3, 2))]
-    cases += [(ExactMatrix.zeros(n, n), 1) for n in (1, 4)]
+    # once A^k = 0 its rank is 0 and A^(k+1) = 0 is not formed.  J_2 makes
+    # its one chain product, A^2, and the zero matrix none.  J_6, J_5 and J_8
+    # fall by one at A^2, so their tails are forced: each makes A^2, the
+    # square A^4, ranked on the last block, and one thin product for the
+    # block of A^k; A^k = 0 is then stored without a product
+    cases = [(rand_index_matrix(rng, n, 0, k), k, products)
+             for n, k, products in ((6, 6, 3), (8, 5, 3), (10, 8, 3), (3, 2, 1))]
+    cases += [(ExactMatrix.zeros(n, n), 1, 0) for n in (1, 4)]
     product = matrix_module.int_matmul
-    for a, k in cases:
+    for a, k, products in cases:
         calls = []
         monkeypatch.setattr(
             matrix_module, "int_matmul", lambda *rows: calls.append(1) or product(*rows)
         )
         profile = rank_profile(a)
-        assert (profile.index, len(calls)) == (k, k - 1)
+        assert (profile.index, len(calls)) == (k, products)
         assert profile.rank_of_power[-2:] == (0, 0)
         monkeypatch.setattr(matrix_module, "int_matmul", product)
         assert profile.power(k + 1) == ExactMatrix.zeros(a.rows, a.rows)
