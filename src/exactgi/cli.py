@@ -4,7 +4,8 @@ Reads matrices from JSON (or CSV for real matrices), dispatches to the
 library, and writes a result document to stdout or --out.  All computation
 is exact; --decimal only affects rendering.
 
-Exit codes: 0 ok, 2 input/validation error, 3 work-budget error.
+Exit codes: 0 ok, 2 input/validation error, 3 work-budget error.  Any
+other exception is an internal fault and propagates with its traceback.
 
 The argument parser is built once per process, on the first `main()` call,
 and reused by every later call: its ten sub-parsers cost far more to build
@@ -325,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"gi: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DocumentError, ValueError, ZeroDivisionError) as exc:
+    except (DocumentError, ValueError) as exc:
         print(f"gi: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -461,9 +461,6 @@ _KERNELS: dict = {}
 # of 64 with 6 columns and 1.01-1.22x with 1 column; in blocks of 32 the
 # single column ran at 1.19-1.49x (2-core x86, Python 3.11).
 _MAX_INNER = 64
-# pairs of terms per parenthesized run of a written-out sum: compiling one
-# unbroken chain of about 3000 terms raises RecursionError on Python 3.10-3.12
-_RUN = 8
 
 
 class _Packing:
@@ -542,24 +539,18 @@ def _kernel_source(n: int, p: int) -> str:
     each row of A into x{k} and y{k}, and writes out each entry of the
     result row: x0*r0_j - y0*i0_j + x1*r1_j - ... and
     x0*i0_j + y0*r0_j + ...  Only the rows of A are looped over.  Each sum
-    is grouped into parenthesized runs of `_RUN` pairs, and runs of runs, so
-    that the compiler's recursion stays shallow at any n."""
+    is one flat chain of 2n products, n at most `_MAX_INNER`: Python 3.11
+    compiles chains of up to about 3000 terms, then raises RecursionError."""
     ks, js = range(n), range(p)
 
     def unpacked(names):
         return "(" + ", ".join(names) + ",)"
 
-    def total(terms):
-        while len(terms) > _RUN:
-            terms = ["(" + " + ".join(terms[s : s + _RUN]) + ")"
-                     for s in range(0, len(terms), _RUN)]
-        return " + ".join(terms)
-
     def b_rows(part):
         return ", ".join(unpacked(f"{part}{k}_{j}" for j in js) for k in ks)
 
     def row(pair):
-        return "[" + ", ".join(total([pair(k, j) for k in ks]) for j in js) + "]"
+        return "[" + ", ".join(" + ".join(pair(k, j) for k in ks) for j in js) + "]"
 
     return "\n".join([
         "def product(a_re, a_im, b_re, b_im):",

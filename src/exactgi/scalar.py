@@ -33,10 +33,11 @@ stripped text into at most two parts, each a sign, a digit run, a "." or
 text and takes the longest run of each token.  One term routine, `_term`,
 reads a part's pieces in the grammar's order: it refuses the first one
 that is missing, wrong or over the cap, with the error's position, and
-converts a run of at most CHUNK_DIGITS digits with one int() and a longer
-one in chunks.  `_scan_scalar` reads a whole literal (a `gi` document
-entry, see exactgi.documents) with it, then checks what stands between and
-after the parts; its errors quote the stripped text their positions index.
+converts each digit run in `_digits_value`: a run of at most CHUNK_DIGITS
+digits with one int(), a longer one in chunks.  `_scan_scalar` reads a
+whole literal (a `gi` document entry, see exactgi.documents) with it, then
+checks what stands between and after the parts; its errors quote the
+stripped text their positions index.
 A string part of ExactScalar is one real term, sign? number, with no
 whitespace in it, read by the same pattern and routine.
 
@@ -117,43 +118,29 @@ def _term(
     caller passes them from its one groups() call, as a second call here
     costs more than the conversions, and the match serves only to place an
     error.  The pieces are read in the grammar's order, and the first one
-    missing, wrong or over the cap is refused at its position in text.  A
-    run of at most CHUNK_DIGITS digits converts with one int(), whatever the
-    interpreter's int/str digit limit."""
+    missing, wrong or over the cap is refused at its position in text.  Each
+    digit run converts in `_digits_value`, with one int() up to CHUNK_DIGITS
+    digits and in chunks above, whatever the int/str digit limit."""
     if frac is not None:
         if not frac:
             raise ScalarParseError(
                 text, match.end(k + 1) + 1, "expected digits after decimal point"
             )
         d = 10 ** len(frac)
-        if not whole:
-            n = 0
-        elif len(whole) <= CHUNK_DIGITS:
-            n = int(whole) * d
-        else:
-            n = _digits_value(whole, text, match.start(k + 1)) * d
-        if len(frac) <= CHUNK_DIGITS:
-            n += int(frac)
-        else:
-            n += _digits_value(frac, text, match.start(k + 2))
+        n = _digits_value(whole, text, match.start(k + 1)) * d if whole else 0
+        n += _digits_value(frac, text, match.start(k + 2))
     elif not whole:
         if not imaginary or den is not None:
             raise ScalarParseError(text, match.start(k + 1), "expected digits")
         n = d = 1  # a bare "i"
     else:
-        if len(whole) <= CHUNK_DIGITS:
-            n = int(whole)
-        else:
-            n = _digits_value(whole, text, match.start(k + 1))
+        n = _digits_value(whole, text, match.start(k + 1))
         if den is None:
             d = 1
         elif not den:
             raise ScalarParseError(text, match.start(k + 3), "expected denominator digits")
         else:
-            if len(den) <= CHUNK_DIGITS:
-                d = int(den)
-            else:
-                d = _digits_value(den, text, match.start(k + 3))
+            d = _digits_value(den, text, match.start(k + 3))
             if not d:
                 raise ScalarParseError(text, match.start(k + 3), "zero denominator")
     return (-n if sign == "-" else n), d

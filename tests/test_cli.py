@@ -251,6 +251,20 @@ def test_group_inverse_error_exits_2(tmp_path, capsys):
     assert "index" in err
 
 
+def test_internal_zero_division_propagates_out_of_main(tmp_path, capsys, monkeypatch):
+    # no gi input divides by zero (the only inverse taken is of a checked
+    # weight, and every d_r is a product of nonzero eigenvalues), so a
+    # ZeroDivisionError is an internal fault, not an input error (exit 2)
+    def fault(*args):
+        raise ZeroDivisionError("internal fault")
+
+    monkeypatch.setattr(exactgi.inverses, "mp_inverse", fault)
+    a_path = write(tmp_path, "A.json", LS_A)
+    with pytest.raises(ZeroDivisionError, match="internal fault"):
+        main(["pinv", "--in", a_path])
+    assert capsys.readouterr().out == ""
+
+
 def test_threads_flag_is_refused(tmp_path, capsys):
     a_path = write(tmp_path, "A.json", LS_A)
     with pytest.raises(SystemExit) as exit_info:

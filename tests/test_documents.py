@@ -330,6 +330,12 @@ def _scanned(scan, text):
 @example("8" * (MAX_LITERAL_DIGITS + 1) + "x")
 @example("1+" + "8" * (MAX_LITERAL_DIGITS + 1) + "i")
 @example("1/0+" + "8" * (MAX_LITERAL_DIGITS + 1) + "i")
+# the cap and the chunked conversion at every other run of a term: the
+# denominator, the fraction digits alone and after whole digits
+@example("1/" + "7" * (MAX_LITERAL_DIGITS + 1))
+@example("." + "7" * (MAX_LITERAL_DIGITS + 1))
+@example("1." + "7" * (MAX_LITERAL_DIGITS + 1))
+@example("1/" + "7" * (CHUNK_DIGITS + 1))
 def test_literal_pattern_agrees_with_the_step_scanner_property(text):
     # `_scan_scalar` and ExactScalar's string parts read the grammar off one
     # pattern and one term routine; the step-by-step reference reads it one
