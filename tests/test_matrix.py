@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction as F
 from itertools import chain
 from math import comb, gcd, lcm
@@ -649,15 +650,32 @@ def test_single_row_product_runs_the_transposed_kernel_property(n, p, kind, seed
     assert (n, 1) in matrix_module._KERNELS and (n, p) not in matrix_module._KERNELS
 
 
+def test_deep_inner_dimension_compiles_and_matches_schoolbook(monkeypatch):
+    # one unbroken chain of 3200 terms raises RecursionError when Python
+    # 3.10-3.12 compile it; an inner dimension of 1600 runs in blocks of
+    # capped kernels, flat sums of at most 2 cap terms whose depth does not
+    # grow with the inner dimension
+    monkeypatch.setattr(matrix_module, "_KERNELS", {})
+    rng = random.Random(1600)
+    a_re, a_im = ([[rng.randint(-9, 9) for _ in range(1600)] for _ in range(2)] for _ in "ri")
+    b_re, b_im = ([[rng.randint(-9, 9)] for _ in range(1600)] for _ in "ri")
+    assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
+
+    def depth(node):
+        return 1 + max(map(depth, ast.iter_child_nodes(node)), default=0)
+
+    cap = matrix_module._MAX_INNER
+    assert set(matrix_module._KERNELS) == {(cap, 1)}
+    assert depth(ast.parse(matrix_module._kernel_source(cap, 1))) < 2 * cap + 16
+
+
 def test_long_inner_dimension_runs_in_blocks_of_capped_kernels(monkeypatch):
-    # no kernel is generated for an inner dimension above the cap: 5000,
-    # 400 and 1600 run as sums of products over blocks of at most the cap,
-    # one row by 7 columns on the transposes.  The (cap, 1) and (cap, 6)
-    # kernels are the largest the cap allows, flat sums of 2 cap terms that
-    # every supported interpreter must compile
+    # no kernel is generated for an inner dimension above the cap: 5000 and
+    # 400 run as sums of products over blocks of at most the cap, one row by
+    # 7 columns on the transposes
     monkeypatch.setattr(matrix_module, "_KERNELS", {})
     rng = random.Random(5000)
-    for m, n, p in ((1, 5000, 7), (3, 400, 6), (2, 65, 1), (2, 1600, 1)):
+    for m, n, p in ((1, 5000, 7), (3, 400, 6), (2, 65, 1)):
         a_re, a_im = ([[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)] for _ in "ri")
         b_re, b_im = ([[rng.randint(-99, 99) for _ in range(p)] for _ in range(n)] for _ in "ri")
         assert int_matmul(a_re, a_im, b_re, b_im) == schoolbook_matmul(a_re, a_im, b_re, b_im)
