@@ -34,28 +34,27 @@ one dot product of length 2n (`_packed_matmul`); the field width comes from
 the largest bit lengths of A and B.  A width of at most 64 bits is rounded
 up to a native word, 8, 16, 32 or 64 bits, so that a row of the result is
 read back in one pass in C, its bytes cast to signed words; wider fields
-are read one by one with a shift and a mask.  A loop of products by one
-fixed right factor passes one `_Packing` to each product, which packs the
-factor once per field width; only the packed path reads it.  Every other
-product runs a function generated once per inner dimension n and column
-count p (`_kernel`), which unpacks B into locals and writes each entry of a
-result row out as one sum of products, so that only the rows of A are
-looped over; a single row with 7 or more columns runs as (B^T x^T)^T, on
-the n-by-1 kernel.  Kernels are generated for n up to 64, and a longer
-inner dimension runs as a sum of products over blocks of at most 64.
+are read one by one with a shift and a mask.  A matrix keeps the packs of
+its image as a right factor, one per field width (`_Packing`, made when it
+is first the right factor of a product of 7 or more columns), so products by
+one factor pack it once per width.  Every other product runs a function
+generated once per inner dimension n and column count p (`_kernel`), which
+unpacks B into locals and writes each entry of a result row out as one sum
+of products, so that only the rows of A are looped over; a single row with 7
+or more columns runs as (B^T x^T)^T, on the n-by-1 kernel.  Kernels are
+generated for n up to 64, and a longer inner dimension runs as a sum of
+products over blocks of at most 64.
 
 `rank_profile` keeps the powers it builds in its `RankProfile`, by
-exponent.  It ranks A^(e+1) = A^e A (on the packed path with A packed once
-per width) on the r-by-r block of the rows and columns where A^e has its
-pivots, r = rank(A^e), and forms no product once a power is zero.  Once
-the rank falls by exactly one at some e >= 2, to r >= 2, the rest of the
-rank sequence is forced, since the drops never grow, and one number fixes
-it, the core rank c: A^e is squared, each square ranked on the last block,
-until a rank leaves the forced slope r - (j - e) or the next square would
-pass e + r; then the r-by-r block of A^(e+r), a thin product of stored
-powers, has rank c.  On a 10x10 matrix of core rank 2 and index 8 that takes A^2, A^4
-and A^8 and five eliminations, where ranking every power took eight
-products and nine.
+exponent.  It ranks A^(e+1) = A^e A on the r-by-r block of the rows and
+columns where A^e has its pivots, r = rank(A^e), and forms no product once
+a power is zero.  Once the rank falls by exactly one at some e >= 2, to
+r >= 2, the rest of the rank sequence is forced, since the drops never
+grow, and one number fixes it, the core rank c: A^e is squared, each square
+ranked on the last block, until a rank leaves the forced slope r - (j - e)
+or the next square would pass e + r; then the r-by-r block of A^(e+r), a
+thin product of stored powers, has rank c.  On a 10x10 matrix of core rank
+2 and index 8 that takes A^2, A^4 and A^8 and five eliminations.
 
 Rank, determinant, adjugate and `inverse` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
@@ -71,10 +70,9 @@ det(M) off T and p; `inverse` divides the one by the other once, and the
 generalized-adjugate kernel of `minors` uses both at full order.  The
 characteristic-polynomial coefficients come from the trace recurrence
 (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products
-B_(k-1) M with M packed once on the packed path, which
-never enumerate minors, so it serves as an independent cross-check for the
-enumeration primitives of `oracles`; the same run gives the kernel its
-matrices below full order.
+B_(k-1) M with one `_Packing` of M, which never enumerate minors, so it
+serves as an independent cross-check for the enumeration primitives of
+`oracles`; the same run gives the kernel its matrices below full order.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -131,7 +129,7 @@ class ExactMatrix:
     """An immutable dense m-by-n matrix over the Gaussian rationals, stored
     as its canonical Gaussian-integer image (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries")
+    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_packing")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
         _check_shape(rows, cols)
@@ -141,7 +139,7 @@ class ExactMatrix:
                 f"got {len(entries)}"
             )
         image = _from_parts(rows, cols, list(map(_parts, entries)))
-        self.rows, self.cols, self._entries = rows, cols, None
+        self.rows, self.cols, self._entries, self._packing = rows, cols, None, None
         self._re, self._im, self._q = image._re, image._im, image._q
 
     @property
@@ -252,15 +250,17 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return _image(_negated(self._re), _negated(self._im), self._q)
 
-    def __matmul__(self, other: "ExactMatrix", packing: "_Packing | None" = None) -> "ExactMatrix":
-        # a loop of products by one right factor passes one `_Packing` to
-        # each, so that the factor is packed once (see `int_matmul`)
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # the right factor keeps its packs, made where `int_matmul` reads them
+        packing = other._packing
+        if packing is None and other.cols >= _PACKED_MIN_COLS:
+            packing = other._packing = _Packing()
         return _from_int(*int_matmul(self._re, self._im, other._re, other._im, packing),
                          self._q * other._q)
 
@@ -340,7 +340,8 @@ def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
     # a matrix from a canonical image with tuple rows, as it is
     matrix = object.__new__(ExactMatrix)
     matrix.rows, matrix.cols = len(re), len(re[0])
-    matrix._re, matrix._im, matrix._q, matrix._entries = re, im, q, None
+    matrix._re, matrix._im, matrix._q = re, im, q
+    matrix._entries = matrix._packing = None
     return matrix
 
 
@@ -464,9 +465,10 @@ _MAX_INNER = 64
 
 
 class _Packing:
-    """What `_packed_matmul` keeps of one right factor B across a loop of
-    products by B: B's largest bit length, and by field width the packs of
-    B and the bias."""
+    """What `_packed_matmul` keeps of one right factor B for the next
+    product by B: B's largest bit length, and by field width the packs of B
+    and the bias.  Each is a function of B's image, written once; two threads
+    may build the same pack, and either reads off exactly."""
 
     __slots__ = ("bits", "by_width")
 
@@ -485,9 +487,9 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
     dimension n and column count p (`_kernel`), or for n above `_MAX_INNER`
     the kernels of its blocks (`_kernel_product`), and a single row x with
     more columns runs as x B = (B^T x^T)^T, the (n, 1) kernel on the
-    transposes.  A caller that multiplies many left factors by one right
-    factor B passes the same `_Packing()` to each call, so that a packed
-    product packs B once per field width; the kernels do not read it."""
+    transposes.  `packing` keeps B's packs between products by B: `@`
+    passes the right factor's own, and the trace recurrence one of its M.
+    Without it a packed product packs B afresh; the kernels do not read it."""
     n, p = len(b_re), len(b_re[0])
     if p < _PACKED_MIN_COLS:
         return _kernel_product(a_re, a_im, b_re, b_im, n, p)
@@ -765,15 +767,15 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
     is built only at r = 1, and c_r is read as a sum of entry products, so
     the run takes r - 2 products.
     B_(k-1) is a polynomial in M, so the run forms M B_(k-1) as B_(k-1) M,
-    with M the fixed right factor, packed once when the products run packed
-    (see `int_matmul`).
+    with M the fixed right factor, packed once per width when the products
+    run packed (see `int_matmul`).
     Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
     """
     n = len(re_rows)
     if r == 1:
         b_re = [[int(i == j) for j in range(n)] for i in range(n)]
         b_im = [[0] * n for _ in range(n)]
-    coeffs, packing = [], _Packing()
+    coeffs, packing = [], _Packing() if n >= _PACKED_MIN_COLS else None
     for k in range(1, r):
         if k == 1:
             b_re, b_im = [list(row) for row in re_rows], [list(row) for row in im_rows]
@@ -823,14 +825,13 @@ class RankProfile:
     builds the gaps when read.
     """
 
-    __slots__ = ("matrix", "rank_of_power", "index", "_powers", "_packing")
+    __slots__ = ("matrix", "rank_of_power", "index", "_powers")
 
     def __init__(self, matrix, rank_of_power, index, powers):
         self.matrix = matrix
         self.rank_of_power = rank_of_power  # rank(A^1), rank(A^2), ...
         self.index = index
         self._powers = powers  # {e: A^e} for the exponents built
-        self._packing = _Packing()  # of A, for the products by A
 
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
@@ -844,8 +845,7 @@ class RankProfile:
         while exponent not in powers:
             below = _largest(powers, exponent)
             step = _largest(powers, exponent - below)
-            powers[below + step] = powers[below].__matmul__(
-                powers[step], self._packing if step == 1 else None)
+            powers[below + step] = powers[below] @ powers[step]
         return powers[exponent]
 
     @property
@@ -892,7 +892,7 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
         raise ValueError("matrix index needs a square matrix")
     n = matrix.rows
     profile = RankProfile(matrix, (), 0, {1: matrix})
-    powers, packing = profile._powers, profile._packing
+    powers = profile._powers
     rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
     ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
     while ranks[-1] != ranks[-2]:
@@ -904,7 +904,7 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
             c = _core_rank(powers, rows, cols, e, r)
             ranks += [max(r - d, c) for d in range(1, r - c + 2)]
         else:
-            powers[e + 1] = powers[e].__matmul__(matrix, packing)
+            powers[e + 1] = powers[e] @ matrix
             rows, cols = _spanning_lines(powers[e + 1]._re, powers[e + 1]._im, rows, cols)
             ranks.append(len(rows))
     # ranks[k + 1] == ranks[k] now holds; k is the index.

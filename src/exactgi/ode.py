@@ -30,7 +30,7 @@ from typing import Literal
 
 from .equations import _solve_one
 from .inverses import _drazin_rule
-from .matrix import ExactMatrix, _Packing, rank_profile
+from .matrix import ExactMatrix, rank_profile
 from .scalar import ExactScalar
 
 Side = Literal["left", "right"]
@@ -148,14 +148,12 @@ def _ode_partial(
     rule = _drazin_rule(profile, "column" if side == "left" else "row")
     # X0 = A^D B and E = B - A X0 (left), or X0 = B A^D and E = B - X0 A (right)
     x0, e, _ = _solve_one(rule, a, b, budget)
-    # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k.  Both chains
-    # multiply by one fixed right factor, packed once: E, by the profile's
-    # powers A^(j-1), on the left; A, on the right.
+    # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k.  Each chain
+    # multiplies by one fixed right factor that keeps its packs: E on the
+    # left, by the profile's powers; A, packed by the profile, on the right.
     chain = [e] if rule.k else []
-    packing = _Packing()
     for j in range(1, rule.k):
-        chain.append(profile.power(j).__matmul__(e, packing) if side == "left"
-                     else chain[-1].__matmul__(a, packing))
+        chain.append(profile.power(j) @ e if side == "left" else chain[-1] @ a)
     return MatrixPoly(
         [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, p in enumerate(chain)]
     )

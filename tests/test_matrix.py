@@ -733,10 +733,11 @@ def test_packed_field_width_boundaries_property(w, m, n, p, seed):
 @example(2, 7, 0)
 def test_one_packing_serves_a_chain_property(m, n, seed):
     # twelve products X_(e+1) = X_e B by one B, all given the same
-    # `_Packing`, as a power chain passes it.  B = 64 I + E with |E_kj| <= sqrt(2), so each
-    # row of X gains a factor of at least 64 - 9 sqrt(2) > 2^5.6 in 1-norm
-    # per product: the field width starts at 16 bits and ends past 64, and
-    # the packing has to keep B packed at each width
+    # `_Packing`, as the trace recurrence passes it.  B = 64 I + E with
+    # |E_kj| <= sqrt(2), so each row of X gains a factor of at least
+    # 64 - 9 sqrt(2) > 2^5.6 in 1-norm per product: the field width starts
+    # at 16 bits and ends past 64, and the packing has to keep B packed at
+    # each width
     rng = random.Random(seed)
     unit = (-1, 0, 1)
     b_re = tuple(tuple(64 * (k == j) + rng.choice(unit) for j in range(n)) for k in range(n))
@@ -749,6 +750,37 @@ def test_one_packing_serves_a_chain_property(m, n, seed):
         assert product == schoolbook_matmul(x_re, x_im, b_re, b_im)
         x_re, x_im = product
     assert min(max(abs(x) for x in chain(*rows)).bit_length() for rows in zip(x_re, x_im)) > 64
+
+
+def test_a_right_factor_keeps_one_packing_per_width():
+    # B is 8x8 with entries below 2^2 and X has entries +-(2^s - 1), so the
+    # field width s + 2 + bitlen(16) + 1 = s + 8 is 16 at s = 8 and 7, 28
+    # (a 32-bit word) at s = 20, 58 (a 64-bit word) at s = 50, and 68 at
+    # s = 60, past the native words.  B keeps one packing, built on its first
+    # packed product, with one pack per width; a repeated width reuses it
+    rng = random.Random(27)
+    n = 8
+    b = ExactMatrix(n, n, [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                           for _ in range(n * n)])
+    packing, packs = None, {}
+    for s, w in ((8, 16), (20, 32), (50, 64), (60, 68), (8, 16), (7, 16), (50, 64)):
+        top = (1 << s) - 1
+        x = ExactMatrix(3, n, [ExactScalar(rng.choice([-top, top]), rng.choice([-top, top, 0]))
+                               for _ in range(3 * n)])
+        assert x @ b == reference_matmul(x, b)
+        packing = packing or b._packing
+        assert b._packing is packing
+        assert packing.by_width[w][0] is packs.setdefault(w, packing.by_width[w][0])
+    assert sorted(packing.by_width) == [16, 32, 64, 68]
+
+
+def test_a_packed_right_factor_equals_and_hashes_like_a_fresh_one(rng):
+    b = rand_rational_matrix(rng, 7, 7)
+    rand_rational_matrix(rng, 2, 7) @ b
+    assert b._packing.by_width
+    fresh = ExactMatrix(7, 7, b.entries)
+    assert fresh._packing is None
+    assert_same_value(b, fresh)
 
 
 def reference_recurrences(re_rows, im_rows):

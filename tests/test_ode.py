@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import exactgi.matrix as matrix_module
 from exactgi import (
     BudgetExceededError,
     ExactMatrix,
@@ -14,6 +15,7 @@ from exactgi import (
     index_of,
     ode_left_partial,
     ode_right_partial,
+    rank_profile,
     substitute_check,
 )
 
@@ -246,3 +248,37 @@ def test_ode_shape_validation(rng):
             rand_matrix(rng, 2, 2),
             "up",
         )
+
+
+def test_right_chain_builds_no_pack_of_a_the_profile_built(rng, monkeypatch):
+    # the chain E A^(j-1) multiplies by A, which keeps the packs of its image
+    # that the rank profile built: a width packed there is read, not rebuilt
+    built, read = [], []
+
+    class Widths(dict):
+        def __setitem__(self, w, packs):
+            built.append((self, w))
+            super().__setitem__(w, packs)
+
+        def __getitem__(self, w):
+            read.append((self, w))
+            return super().__getitem__(w)
+
+    class Packing(matrix_module._Packing):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.by_width = Widths()
+
+    monkeypatch.setattr(matrix_module, "_Packing", Packing)
+    a, b = rand_index_matrix(rng, 10, 2, 8), rand_matrix(rng, 10, 10)
+    rank_profile(a)
+    of_a = a._packing.by_width
+    profiled = set(of_a)
+    built.clear()
+    read.clear()
+    poly = ode_right_partial(a, b)
+    assert substitute_check(poly, a, b, "right")[0]
+    assert not [w for packs, w in built if packs is of_a and w in profiled]
+    assert [w for packs, w in read if packs is of_a and w in profiled]

@@ -95,3 +95,15 @@ def test_no_operation_imports_the_oracles(module):
             assert "oracles" not in (node.module or "").split(".")
             for alias in node.names:
                 assert alias.name != "oracles" and alias.name not in references
+
+
+def test_only_the_matrix_module_names_the_packing():
+    # a matrix keeps the packs of its own image, so no other module hands a
+    # `_Packing` around
+    naming = set()
+    for path in Path(exactgi.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            if "_Packing" in (getattr(node, "id", None), getattr(node, "attr", None), *names):
+                naming.add(path.name)
+    assert naming == {"matrix.py"}
