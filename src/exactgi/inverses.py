@@ -173,25 +173,38 @@ def _drazin_rule(profile: RankProfile, form: Form) -> _CramerRule:
     )
 
 
-def _w_drazin_rule(
-    matrix: ExactMatrix, weight: ExactMatrix, form: Form
-) -> tuple[_CramerRule, RankProfile]:
-    """The rule of the W-weighted Drazin inverse, and the rank profile of WA."""
+def _w_drazin_rule(matrix: ExactMatrix, weight: ExactMatrix, form: Form) -> _CramerRule:
+    """The rule of the W-weighted Drazin inverse, from the rank profile of
+    the one product, AW or WA, whose powers its side reads."""
     m, n = matrix.shape
     if weight.shape != (n, m):
         raise ValueError(f"weight must be {n}x{m} for a {m}x{n} matrix")
-    aw = rank_profile(matrix @ weight)
-    wa = rank_profile(weight @ matrix)
-    k = max(aw.index, wa.index)
-    r = aw.core_rank  # rank((AW)^k): k >= Ind(AW)
     side = _resolve_form(form, m, n)  # (AW)^(k+2) is m x m, (WA)^(k+2) n x n
+    x, y = (matrix, weight) if side == "column" else (weight, matrix)
+    profile = rank_profile(x @ y)
+    k = _w_index(profile, x, y)
 
     def parts():
         if side == "column":
-            return aw.power(k + 2), aw.power(k) @ matrix
-        return wa.power(k + 2), matrix @ wa.power(k)
+            return profile.power(k + 2), profile.power(k) @ matrix
+        return profile.power(k + 2), matrix @ profile.power(k)
 
-    return _CramerRule(side, r, k, (m, n), parts), wa
+    return _CramerRule(side, profile.core_rank, k, (m, n), parts)
+
+
+def _w_index(profile: RankProfile, x: ExactMatrix, y: ExactMatrix) -> int:
+    """max(Ind(XY), Ind(YX)) from the rank profile of XY and one rank.
+
+    (YX)^j = Y (XY)^(j-1) X and (XY)^(j+1) = X (YX)^j Y, so the ranks
+    interlace: rank (XY)^(j+1) <= rank (YX)^j <= rank (XY)^(j-1).  So the
+    two products share the core rank c, and with k = Ind(XY), YX reaches c
+    by its power k + 1: the maximum is k + 1 exactly when
+    rank (YX)^k > c, (YX)^0 the identity."""
+    k, c = profile.index, profile.core_rank
+    if k == 0:
+        return int(y.rows > c)
+    middle = y if k == 1 else y @ profile.power(k - 1)
+    return k + (rank(middle @ x) > c)
 
 
 # -- Moore-Penrose ---------------------------------------------------------------
@@ -275,7 +288,7 @@ def w_drazin_inverse(
     """Weighted Drazin inverse of a rectangular A with respect to W, by minor
     sums over (AW)^(k+2) with columns of (AW)^k A, or over (WA)^(k+2) with
     rows of A(WA)^k; k = max(Ind(AW), Ind(WA))."""
-    return _w_drazin_rule(matrix, weight, form)[0].report(budget)
+    return _w_drazin_rule(matrix, weight, form).report(budget)
 
 
 # -- projectors ---------------------------------------------------------------------
@@ -357,15 +370,10 @@ def verify_defining_equations(
     elif kind in ("drazin", "group"):
         if not a.is_square or x.shape != a.shape:
             raise ValueError("Drazin verification needs square same-size matrices")
+        if kind == "drazin":
+            return EquationReport(kind, _drazin_equations(rank_profile(a), x))
         ax, xa = a @ x, x @ a
-        if kind == "group":
-            results = {"AXA=A": ax @ a == a}
-        else:
-            profile = rank_profile(a)
-            k = profile.index
-            results = {"A^(k+1)X=A^k": profile.power(k + 1) @ x == profile.power(k)}
-        results["XAX=X"] = xa @ x == x
-        results["AX=XA"] = ax == xa
+        results = {"AXA=A": ax @ a == a, "XAX=X": xa @ x == x, "AX=XA": ax == xa}
     elif kind == "w_drazin":
         if weight is None:
             raise ValueError("w_drazin verification needs the weight matrix")
@@ -373,7 +381,7 @@ def verify_defining_equations(
             raise ValueError("candidate has the wrong shape for a weighted Drazin inverse")
         aw, xw = a @ weight, x @ weight
         profile = rank_profile(aw)
-        k = max(profile.index, rank_profile(weight @ a).index)
+        k = _w_index(profile, a, weight)
         results = {
             "(AW)^(k+1)XW=(AW)^k": profile.power(k + 1) @ xw == profile.power(k),
             "XWAWX=X": xw @ aw @ x == x,
@@ -382,3 +390,15 @@ def verify_defining_equations(
     else:
         raise ValueError(f"unknown inverse kind {kind!r}")
     return EquationReport(kind, results)
+
+
+def _drazin_equations(profile: RankProfile, x: ExactMatrix) -> dict[str, bool]:
+    """The three defining equations of the Drazin inverse for a candidate X,
+    read on the rank profile of A, which holds A^k and A^(k+1)."""
+    a, k = profile.matrix, profile.index
+    ax, xa = a @ x, x @ a
+    return {
+        "A^(k+1)X=A^k": profile.power(k + 1) @ x == profile.power(k),
+        "XAX=X": xa @ x == x,
+        "AX=XA": ax == xa,
+    }

@@ -62,7 +62,14 @@ growth: Bareiss for rank and determinant, Gauss-Jordan for the adjugate.
 Both update each row in place in one loop.  A Bareiss step updates only the
 columns right of its pivot, the only ones a later step reads; its callers
 read only the pivots, the sign and the row order, and `_spanning_lines`
-turns these into pivot rows and columns.
+turns these into pivot rows and columns.  A step leaves a row alone while
+its entry in the pivot column is zero, since it would only multiply the row
+by k/p, pivot over previous pivot: the row keeps the pivot q it was last
+updated with, and these factors telescope, so its true entries are its
+stored ones times D/q, D the current pivot.  Its next update divides the
+usual step by its own q in place of D, and a stale row that becomes the
+pivot row, or ends a Gauss-Jordan run, is first multiplied by D/q, so every
+result is that of the eager elimination.
 Gauss-Jordan runs in place on [M | I] without storing I: the slot of each
 eliminated column takes over its pivot row's identity column, so n columns
 end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
@@ -669,15 +676,29 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
     end every pivot equals the last one, p.  A Bareiss step updates only the
     columns right of its pivot, the only ones a later pivot search reads, so
     in Bareiss mode the returned rows are valid only right of each row's
-    pivot (and at it, in the pivot row).  Returns the rows, p, the 0-based
-    pivot columns, the sign of the row permutation and `orig`, the input row
-    now at each position."""
+    pivot (and at it, in the pivot row).
+
+    A row whose entry in the pivot column is zero is left alone: the step
+    would only multiply it by k/p.  Such a row is stale: it keeps the pivot
+    q it was last updated with (in `stale`, by position), and its true
+    entries are its stored ones times D/q, D the current pivot, since the
+    skipped factors telescope.  Its entries are zero exactly where the true
+    ones are, so the pivot search reads it as it is.  It is touched again
+    only when it next has a nonzero multiplier m, and then turned into
+    (k x - m y)/q, the true update (k (x D/q) - (m D/q) y)/D, exact as
+    before; its identity slot takes -m D/q.  A stale row that becomes the
+    pivot row is first multiplied by D/q, from the pivot column on (every
+    column in Gauss-Jordan mode), and at the end of a Gauss-Jordan run every
+    stale row is, so that the rows are those of the eager elimination.
+    Returns the rows, p, the 0-based pivot columns, the sign of the row
+    permutation and `orig`, the input row now at each position."""
     ar = [list(row) for row in re_rows]
     ai = [list(row) for row in im_rows]
     m = len(ar)
     orig = list(range(m))
     pr, pi, sign = 1, 0, 1
     pivots: list[int] = []
+    stale: dict[int, tuple[int, int]] = {}
     for col in range(width):
         row = len(pivots)
         for found in range(row, m):
@@ -685,11 +706,16 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
                 break
         else:
             continue
+        lag = stale.pop(found, None) if stale else None
         if found != row:
             ar[row], ar[found], ai[row], ai[found] = ar[found], ar[row], ai[found], ai[row]
             orig[row], orig[found] = orig[found], orig[row]
             sign = -sign
+            if row in stale:
+                stale[found] = stale.pop(row)
         yr, yi = ar[row], ai[row]
+        if lag is not None:
+            _catch_up(yr, yi, 0 if jordan else col, pr, pi, *lag)
         kr, ki = yr[col], yi[col]
         # (k x - m y) / p = (k' x - m' y) / |p|^2 with k' = k conj(p), m' = m conj(p)
         if pi:
@@ -706,11 +732,27 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
                 continue
             xr, xi = ar[i], ai[i]
             mr, mi = xr[col], xi[col]
-            vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
+            if not (mr or mi):
+                stale.setdefault(i, (pr, pi))
+                continue
+            if stale and i in stale:
+                # the same step over the row's own q in place of p
+                qr, qi = stale.pop(i)
+                if qi:
+                    d, er, ei = qr * qr + qi * qi, kr * qr + ki * qi, ki * qr - kr * qi
+                    vr, vi = mr * qr + mi * qi, mi * qr - mr * qi
+                else:
+                    d, er, ei, vr, vi = qr, kr, ki, mr, mi
+                if jordan:
+                    # m D / q = m' D / |q|^2, the true multiplier
+                    mr, mi = (vr * pr - vi * pi) // d, (vr * pi + vi * pr) // d
+            else:
+                d, er, ei = norm, ur, ui
+                vr, vi = (mr * pr + mi * pi, mi * pr - mr * pi) if pi else (mr, mi)
             j = start
-            for a, b, c, d in islice(zip(xr, xi, yr, yi), start, None):
-                xr[j] = (a * ur - b * ui - vr * c + vi * d) // norm
-                xi[j] = (a * ui + b * ur - vr * d - vi * c) // norm
+            for a, b, c, e in islice(zip(xr, xi, yr, yi), start, None):
+                xr[j] = (a * er - b * ei - vr * c + vi * e) // d
+                xi[j] = (a * ei + b * er - vr * e - vi * c) // d
                 j += 1
             if jordan:
                 xr[col], xi[col] = -mr, -mi
@@ -720,7 +762,22 @@ def _eliminate(re_rows: Rows, im_rows: Rows, width: int, jordan: bool):
         pivots.append(col)
         if row + 1 == m:
             break
+    if jordan:
+        for i, (qr, qi) in stale.items():
+            _catch_up(ar[i], ai[i], 0, pr, pi, qr, qi)
     return ar, ai, pr, pi, pivots, sign, orig
+
+
+def _catch_up(xr: list, xi: list, start: int, dr: int, di: int, qr: int, qi: int) -> None:
+    """Multiply a stale row of `_eliminate` by D/q from column `start` on,
+    in place and exactly: the result is a row of the eager elimination."""
+    if qi:
+        dr, di, q = dr * qr + di * qi, di * qr - dr * qi, qr * qr + qi * qi
+    else:
+        q = qr
+    for j in range(start, len(xr)):
+        a, b = xr[j], xi[j]
+        xr[j], xi[j] = (a * dr - b * di) // q, (a * di + b * dr) // q
 
 
 # -- rank / determinant / characteristic polynomial ---------------------------

@@ -144,16 +144,20 @@ def _ode_partial(
 ) -> MatrixPoly:
     if not a.is_square or a.shape != b.shape:
         raise ValueError("coefficient and right-hand side must be square, same size")
-    profile = rank_profile(a)
-    rule = _drazin_rule(profile, "column" if side == "left" else "row")
+    rule = _drazin_rule(rank_profile(a), "column" if side == "left" else "row")
     # X0 = A^D B and E = B - A X0 (left), or X0 = B A^D and E = B - X0 A (right)
     x0, e, _ = _solve_one(rule, a, b, budget)
     # C_j = ((-1)^(j-1)/j!) A^(j-1) E (or E A^(j-1)), j = 1..k.  Each chain
-    # multiplies by one fixed right factor that keeps its packs: E on the
-    # left, by the profile's powers; A, packed by the profile, on the right.
-    chain = [e] if rule.k else []
-    for j in range(1, rule.k):
-        chain.append(profile.power(j) @ e if side == "left" else chain[-1] @ a)
+    # multiplies by one fixed right factor that keeps its packs: A, packed by
+    # the profile, on the right, and A^T on the left, where A^(j-1) E is the
+    # transpose of E^T (A^T)^(j-1), so that no power of A is built for it.
+    left = side == "left"
+    factor = a.transpose() if left else a
+    chain = [e.transpose() if left else e] if rule.k else []
+    for _ in range(1, rule.k):
+        chain.append(chain[-1] @ factor)
+    if left:
+        chain = [p.transpose() for p in chain]
     return MatrixPoly(
         [x0] + [p.scale(Fraction((-1) ** j, factorial(j + 1))) for j, p in enumerate(chain)]
     )

@@ -112,10 +112,9 @@ def w_drazin_solve(
     When y lies in the range of (WA)^Ind(WA) (reported), the solution
     satisfies W A W x = y exactly.
     """
-    rule, wa = _w_drazin_rule(matrix, weight, "column")
+    rule = _w_drazin_rule(matrix, weight, "column")
     y = _as_vector(rhs, (matrix.cols, 1))
     x, _, block = rule.apply(y, budget)
-    # W A W x = (WA)(W x), and the profile holds WA
-    residual = y if block is None else wa.matrix @ (weight @ x) - y
+    residual = y if block is None else weight @ (matrix @ (weight @ x)) - y
     residual_sq = ExactScalar(residual.frobenius_norm_sq())
     return SolveReport(x, rule.r, rule.k, residual_sq, "w_drazin", residual.is_zero())

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from exactgi import (
     ExactMatrix,
+    ExactScalar,
     WeightPair,
     det,
     drazin_inverse,
@@ -19,10 +20,13 @@ from exactgi import (
     projector,
     rank,
     verify_defining_equations,
+    rank_profile,
     w_drazin_inverse,
+    w_drazin_solve,
     weighted_mp_inverse,
 )
-from exactgi.inverses import _resolve_form
+import exactgi.inverses as inverses_module
+from exactgi.inverses import _resolve_form, _w_drazin_rule, _w_index
 from exactgi.minors import kernel_work
 
 from cases import DZ_A, DZ_AD, LS_A, LS_PINV, mat, sc
@@ -320,6 +324,68 @@ def test_w_drazin_rectangular_forms_and_equations(rng):
         # independent construction through the certified Drazin oracle
         wad = drazin_inverse_oracle(w @ a)
         assert col.inverse == a @ wad @ wad
+
+
+@given(st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["low_rank", "nilpotent", "dense", "sparse"]), st.integers(0, 2**32))
+@example(3, 3, "nilpotent", 0)
+@example(2, 4, "dense", 1)  # AW nonsingular: Ind(AW) = 0 and Ind(WA) = 1
+@example(3, 3, "dense", 2)  # both nonsingular: both indices 0
+@example(4, 2, "low_rank", 3)
+@example(4, 4, "sparse", 0)  # Ind(AW) = 1, Ind(WA) = 2, core rank 2
+@example(4, 4, "sparse", 4)  # Ind(AW) = 2, Ind(WA) = 1
+def test_w_index_is_the_larger_of_the_two_profile_indices_property(m, n, kind, seed):
+    # the index of one profile and one rank of W (AW)^(k-1) A give
+    # max(Ind(AW), Ind(WA)) on either side, as ranking both products does
+    rng = random.Random(seed)
+    if kind == "nilpotent":
+        # A = [N | 0] with N strictly upper triangular and W = [U; R], U upper
+        # triangular: AW = N U is nilpotent, and so is WA
+        m = min(m, n)
+        a = ExactMatrix.from_rows([[sc(rng.randint(-2, 2)) if i < j < m else sc(0) for j in range(n)]
+                                  for i in range(m)])
+        w = ExactMatrix.from_rows([[sc(rng.randint(-2, 2), rng.randint(-1, 1)) if i >= m or i <= j
+                                    else sc(0) for j in range(m)] for i in range(n)])
+    elif kind == "dense":
+        a, w = rand_matrix(rng, m, n, span=3), rand_matrix(rng, n, m, span=3)
+    elif kind == "sparse":
+        a, w = (ExactMatrix.from_rows([[sc(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(cols)]
+                                       for _ in range(rows)]) for rows, cols in ((m, n), (n, m)))
+    else:
+        a = rand_low_rank(rng, m, n, rng.randint(0, min(m, n)))
+        w = rand_low_rank(rng, n, m, rng.randint(0, min(m, n)))
+    aw, wa = rank_profile(a @ w), rank_profile(w @ a)
+    k = max(aw.index, wa.index)
+    assert aw.core_rank == wa.core_rank
+    assert _w_index(aw, a, w) == k
+    assert _w_index(wa, w, a) == k
+    for side in ("column", "row"):
+        rule = _w_drazin_rule(a, w, side)
+        assert (rule.side, rule.k, rule.r) == (side, k, aw.core_rank)
+
+
+def test_w_drazin_ranks_one_product_on_either_side(rng, monkeypatch):
+    # the rule profiles AW on the column side and WA on the row side, and the
+    # verifier and the solver profile AW once
+    profiled = []
+    profile = inverses_module.rank_profile
+    monkeypatch.setattr(inverses_module, "rank_profile",
+                        lambda m: profiled.append(m) or profile(m))
+    for _ in range(6):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        a, w = rand_matrix(rng, m, n, span=1), rand_matrix(rng, n, m, span=1)
+        for form, product in (("column", a @ w), ("row", w @ a)):
+            profiled.clear()
+            x = w_drazin_inverse(a, w, form=form).inverse
+            assert profiled == [product]
+        profiled.clear()
+        assert verify_defining_equations(a, x, "w_drazin", weight=w).all_satisfied
+        y = rand_matrix(rng, n, 1)
+        report = w_drazin_solve(a, w, y)
+        assert profiled == [a @ w] * 2
+        residual = w @ a @ w @ report.solution - y
+        assert report.residual_norm_sq == ExactScalar(residual.frobenius_norm_sq())
+        assert report.in_prescribed_range == residual.is_zero()
 
 
 def test_w_drazin_shape_validation(rng):

@@ -33,6 +33,7 @@ from exactgi.oracles import column_space_contains, row_space_contains
 
 from cases import DZ_A, DZ_INDEX, LS_A, mat, sc
 from conftest import rand_index_matrix, rand_matrix, rand_low_rank, rand_unimodular
+import elimination_reference
 
 
 def reference_matmul(a, b):
@@ -894,6 +895,96 @@ def test_eliminate_consumers_match_the_scalar_elimination_property(
         adj = inv.scale(det_value).to_lists()
         assert adjugate == ([[x.re for x in row] for row in adj], [[x.im for x in row] for row in adj],
                             det_value.re, det_value.im)
+
+
+def assert_same_elimination(re_rows, im_rows, width, jordan):
+    """`_eliminate` against the eager reference: the same pivots, sign, row
+    order and last pivot, and the same rows wherever a caller reads them:
+    every Gauss-Jordan row, and every Bareiss pivot row from its pivot on."""
+    lazy = matrix_module._eliminate(re_rows, im_rows, width, jordan)
+    eager = elimination_reference.eliminate(re_rows, im_rows, width, jordan)
+    assert lazy[2:] == eager[2:]
+    if jordan:
+        assert lazy[:2] == eager[:2]
+    else:
+        for t, col in enumerate(lazy[4]):
+            assert lazy[0][t][col:] == eager[0][t][col:]
+            assert lazy[1][t][col:] == eager[1][t][col:]
+
+
+# A stale row swapped up to become the pivot (rows 1 and 2 skip the first
+# step, and row 2 is swapped up at the second), and stale rows left when a
+# Gauss-Jordan run ends (the rows with a zero in the last pivot column)
+STALE_PIVOT = ((2, 1, 0), (0, 0, 1), (0, 3, 0))
+STALE_PIVOT_IM = ((1, 0, 0), (0, 0, 2), (0, -1, 0))
+
+
+@given(
+    st.integers(1, 9), st.integers(1, 9),
+    st.sampled_from(["sparse", "block", "low_rank", "dense"]), st.booleans(),
+    st.integers(0, 2**32),
+)
+@example(3, 3, "sparse", False, 0)
+@example(6, 6, "block", False, 1)
+@example(7, 5, "low_rank", False, 2)
+@example(5, 7, "dense", True, 3)
+def test_lazy_elimination_matches_the_eager_reference_property(m, n, kind, real, seed):
+    # sparse: most entries zero; block: Gaussian blocks down the diagonal,
+    # rows and columns permuted, so that whole rows skip a step; low_rank:
+    # m-by-r times r-by-n, so pivots go missing; dense: every entry drawn
+    rng = random.Random(seed)
+    top = rng.choice([3, 10**12])
+
+    def entry():
+        return 0 if kind == "sparse" and rng.random() < 0.7 else rng.randint(-top, top)
+
+    if kind == "block":
+        re, im = [[0] * n for _ in range(m)], [[0] * n for _ in range(m)]
+        i = 0
+        while i < min(m, n):
+            size = rng.randint(1, 3)
+            for a in range(i, min(i + size, m)):
+                for b in range(i, min(i + size, n)):
+                    re[a][b], im[a][b] = entry(), entry()
+            i += size
+        rows, cols = rng.sample(range(m), m), rng.sample(range(n), n)
+        re = [[re[a][b] for b in cols] for a in rows]
+        im = [[im[a][b] for b in cols] for a in rows]
+    elif kind == "low_rank":
+        r = rng.randint(0, min(m, n))
+        left = [[(entry(), entry()) for _ in range(r)] for _ in range(m)]
+        cols = [[(entry(), entry()) for _ in range(r)] for _ in range(n)]
+        re = [[sum(a * c - b * d for (a, b), (c, d) in zip(row, col)) for col in cols]
+              for row in left]
+        im = [[sum(a * d + b * c for (a, b), (c, d) in zip(row, col)) for col in cols]
+              for row in left]
+    else:
+        re, im = ([[entry() for _ in range(n)] for _ in range(m)] for _ in range(2))
+    if real:
+        im = [[0] * n for _ in range(m)]
+    re_rows, im_rows = tuple(map(tuple, re)), tuple(map(tuple, im))
+    assert_same_elimination(re_rows, im_rows, n, False)
+    k = min(m, n)
+    block_re, block_im = tuple(row[:k] for row in re_rows[:k]), tuple(row[:k] for row in im_rows[:k])
+    assert_same_elimination(block_re, block_im, k, False)
+    assert_same_elimination(block_re, block_im, k, True)
+
+
+@pytest.mark.parametrize("im_rows", [((0,) * 3,) * 3, STALE_PIVOT_IM])
+@pytest.mark.parametrize("jordan", [False, True])
+def test_stale_rows_catch_up_as_the_pivot_and_at_the_end(im_rows, jordan, monkeypatch):
+    # the pivot row of the second step was skipped by the first, and so is
+    # caught up before it pivots; a Gauss-Jordan run ends with stale rows
+    starts = []
+    catch_up = matrix_module._catch_up
+    monkeypatch.setattr(matrix_module, "_catch_up",
+                        lambda xr, xi, start, *rest: starts.append(start)
+                        or catch_up(xr, xi, start, *rest))
+    assert_same_elimination(STALE_PIVOT, im_rows, 3, jordan)
+    if jordan:
+        assert starts[0] == 0 and len(starts) > 2
+    else:
+        assert starts[0] == 1
 
 
 def core_plus_jordan(rng, n, core, blocks, conjugate=True):

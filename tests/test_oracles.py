@@ -7,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactgi
+import exactgi.inverses
 import exactgi.oracles
 from exactgi import (
     ExactMatrix,
     ExactScalar,
+    VerificationError,
+    drazin_inverse_oracle,
     enumerate_subsets,
     mp_inverse,
     mp_inverse_oracle,
     subset_count,
     verify_defining_equations,
 )
+
+from cases import DZ_A, DZ_AD, mat
 
 # -- subset helpers ---------------------------------------------------------------
 
@@ -75,6 +80,28 @@ def test_pivot_line_factorization_matches_the_kernel_property(data):
     oracle = mp_inverse_oracle(a)
     assert oracle == mp_inverse(a).inverse
     assert verify_defining_equations(a, oracle, "mp").all_satisfied
+
+
+def test_drazin_oracle_checks_its_candidate_on_the_profile_it_built(monkeypatch):
+    # one rank profile of A per call: the three equations read its powers
+    profiled = []
+    for module in (exactgi.oracles, exactgi.inverses):
+        profile = module.rank_profile
+        monkeypatch.setattr(module, "rank_profile",
+                            lambda m, profile=profile: profiled.append(m) or profile(m))
+    for a in (DZ_A, ExactMatrix.zeros(3, 3), ExactMatrix.identity(2), mat([[0, 1], [0, 0]])):
+        profiled.clear()
+        candidate = drazin_inverse_oracle(a)
+        assert profiled == [a]
+        assert verify_defining_equations(a, candidate, "drazin").all_satisfied
+    assert drazin_inverse_oracle(DZ_A) == DZ_AD
+
+
+def test_drazin_oracle_refuses_a_candidate_that_fails_its_equations(monkeypatch):
+    monkeypatch.setattr(exactgi.oracles, "mp_inverse_oracle",
+                        lambda m: ExactMatrix.identity(m.rows))
+    with pytest.raises(VerificationError, match=r"'A\^\(k\+1\)X=A\^k': False"):
+        drazin_inverse_oracle(DZ_A)
 
 
 # -- the references stay apart from the operations -------------------------------------
