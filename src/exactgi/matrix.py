@@ -33,11 +33,13 @@ with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
 the largest bit lengths of A and B.  A width of at most 64 bits is rounded
 up to a native word, 8, 16, 32 or 64 bits, so that a row of the result is
-read back in one pass in C, its bytes cast to signed words; wider fields
-are read one by one with a shift and a mask.  A matrix keeps the packs of
-its image as a right factor, one per field width (`_Packing`, made when it
-is first the right factor of a product of 7 or more columns), so products by
-one factor pack it once per width.  Every other product runs a function
+read back in one pass in C, its bytes cast to signed words; a wider one is
+rounded up to a multiple of 64, and its fields are read one by one with a
+shift and a mask.  A matrix keeps the packs of its image as a right factor,
+one per field width (`_Packing`, made when it is first the right factor of
+a product of 7 or more columns), so products by one factor pack it once per
+width, and a chain whose left factor grows adds a pack per 64 bits of
+width, not per bit.  Every other product runs a function
 generated once per inner dimension n and column count p (`_kernel`), which
 unpacks B into locals and writes each entry of a result row out as one sum
 of products, so that only the rows of A are looped over; a single row with 7
@@ -45,8 +47,17 @@ or more columns runs as (B^T x^T)^T, on the n-by-1 kernel.  Kernels are
 generated for n up to 64, and a longer inner dimension runs as a sum of
 products over blocks of at most 64.
 
-`rank_profile` keeps the powers it builds in its `RankProfile`, by
-exponent.  It ranks A^(e+1) = A^e A on the r-by-r block of the rows and
+A matrix keeps its rank and its rank profile the same way, on first use of
+`rank` or `rank_profile` (which keeps the rank too): its index, the ranks of
+its powers and the powers built, by exponent, A^k and A^(k+1) once a rule
+has read them.  So every later Moore-Penrose rule on the matrix reads the
+kept rank, and every later Drazin-family rule the kept index, ranks and
+powers.  No kernel result (L_r, d_r) and no Gram base A*A or AA* is kept:
+each call runs the kernel on its own replacement block.  A^1 is
+the matrix itself and not one of the kept powers: the kept state holds no
+reference to its matrix, so reference counting frees a matrix with all it
+keeps.  `rank_profile` returns a new `RankProfile` over the kept state on
+each call.  It ranks A^(e+1) = A^e A on the r-by-r block of the rows and
 columns where A^e has its pivots, r = rank(A^e), and forms no product once
 a power is zero.  Once the rank falls by exactly one at some e >= 2, to
 r >= 2, the rest of the rank sequence is forced, since the drops never
@@ -136,7 +147,7 @@ class ExactMatrix:
     """An immutable dense m-by-n matrix over the Gaussian rationals, stored
     as its canonical Gaussian-integer image (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_packing")
+    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_packing", "_rank", "_profile")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
         _check_shape(rows, cols)
@@ -146,7 +157,8 @@ class ExactMatrix:
                 f"got {len(entries)}"
             )
         image = _from_parts(rows, cols, list(map(_parts, entries)))
-        self.rows, self.cols, self._entries, self._packing = rows, cols, None, None
+        self.rows, self.cols = rows, cols
+        self._entries = self._packing = self._rank = self._profile = None
         self._re, self._im, self._q = image._re, image._im, image._q
 
     @property
@@ -348,7 +360,7 @@ def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
     matrix = object.__new__(ExactMatrix)
     matrix.rows, matrix.cols = len(re), len(re[0])
     matrix._re, matrix._im, matrix._q = re, im, q
-    matrix._entries = matrix._packing = None
+    matrix._entries = matrix._packing = matrix._rank = matrix._profile = None
     return matrix
 
 
@@ -588,10 +600,11 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
     added to every slot no slot borrows from or carries into the next, and
     each reads off exactly.
 
-    A width up to 64 is rounded up to 8, 16, 32 or 64 bits, which only
-    widens the slots.  A slot then holds f + 2^(w-1), and XOR with the same
-    bias turns it into f in w-bit two's complement, so the row's bytes read
-    back as native signed words in one pass.  Wider slots are read one by
+    A width up to 64 is rounded up to 8, 16, 32 or 64 bits, and a wider
+    one up to a multiple of 64, which only widens the slots.  A slot then
+    holds f + 2^(w-1), and XOR with the same bias turns it into f in w-bit
+    two's complement, so the row's bytes read back as native signed words
+    in one pass.  Wider slots are read one by
     one, with a shift and a mask.  `packing` keeps t and, by width, the
     packs of B and the bias, for the next product by B."""
     n, p = len(b_re), len(b_re[0])
@@ -599,8 +612,7 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
     if t is None:
         t = packing.bits = max(map(int.bit_length, chain(*b_re, *b_im)))
     w = max(map(int.bit_length, chain(*a_re, *a_im))) + t + (2 * n).bit_length() + 1
-    if w <= 64:
-        w = max(8, 1 << (w - 1).bit_length())
+    w = max(8, 1 << (w - 1).bit_length()) if w <= 64 else -(-w // 64) * 64
     by_width = packing.by_width
     if w in by_width:
         packs, bias = by_width[w]
@@ -784,8 +796,10 @@ def _catch_up(xr: list, xi: list, start: int, dr: int, di: int, qr: int, qi: int
 
 
 def rank(matrix: ExactMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    return int_rank(matrix._re, matrix._im)
+    """Exact rank via fraction-free elimination, kept on the matrix."""
+    if matrix._rank is None:
+        matrix._rank = int_rank(matrix._re, matrix._im)
+    return matrix._rank
 
 
 def det(matrix: ExactMatrix) -> ExactScalar:
@@ -873,13 +887,20 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
 class RankProfile:
     """Rank history and index of a square matrix A, and its powers A^e.
 
-    The profile keeps the powers built so far by exponent: A itself, those
-    `rank_profile` formed while it ranked them, and A^k.  `power(e)` returns
-    A^e for any e >= 0: A^0 and a power of rank 0 are built without a
-    product, and any other missing power as the nearest stored power below
-    it times the largest stored power that fits, step by step, each step
-    stored.  `powers` lists A^0 ... A^M, M the largest exponent built, and
-    builds the gaps when read.
+    A matrix keeps what `rank_profile` finds: the ranks of its powers, its
+    index and the powers built so far, by exponent, each made once in the
+    matrix's life.  Each call returns a new profile over that kept state,
+    so assigning to a profile's fields changes no later result.  A^1 is
+    `matrix`, not an entry of the kept powers, so the state holds no
+    reference to its matrix and reference counting frees both.  Kernel
+    results (L_r, d_r) are not kept: each rule applies them to its own
+    replacement block.
+
+    `power(e)` returns A^e for any e >= 0: A^0 and a power of rank 0 are
+    built without a product, and any other missing power as the nearest
+    stored power below it times the largest stored power that fits, step by
+    step, each step kept.  `powers` lists A^0 ... A^M, M the largest
+    exponent built, and builds the gaps when read.
     """
 
     __slots__ = ("matrix", "rank_of_power", "index", "_powers")
@@ -888,11 +909,13 @@ class RankProfile:
         self.matrix = matrix
         self.rank_of_power = rank_of_power  # rank(A^1), rank(A^2), ...
         self.index = index
-        self._powers = powers  # {e: A^e} for the exponents built
+        self._powers = powers  # {e: A^e} for the exponents built but 1
 
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
             raise ValueError("negative powers are not supported here")
+        if exponent == 1:
+            return self.matrix
         powers, n = self._powers, self.matrix.rows
         if exponent not in powers:
             if exponent == 0:
@@ -902,14 +925,14 @@ class RankProfile:
         while exponent not in powers:
             below = _largest(powers, exponent)
             step = _largest(powers, exponent - below)
-            powers[below + step] = powers[below] @ powers[step]
+            powers[below + step] = self.power(below) @ self.power(step)
         return powers[exponent]
 
     @property
     def powers(self) -> tuple[ExactMatrix, ...]:
         """A^0, A^1, ..., A^M, M the largest exponent built; a gap is built
         when read."""
-        return tuple(map(self.power, range(max(self._powers) + 1)))
+        return tuple(map(self.power, range(max((1, *self._powers)) + 1)))
 
     def rank_of(self, exponent: int) -> int:
         if exponent < 0:
@@ -926,12 +949,14 @@ class RankProfile:
 
 
 def _largest(powers: dict, bound: int) -> int:
-    # the largest positive exponent stored that is at most bound (A^1 always is)
-    return max(e for e in powers if 0 < e <= bound)
+    # the largest exponent built that is at most bound, A^1 (never stored) if none
+    return max((e for e in powers if 1 < e <= bound), default=1)
 
 
 def rank_profile(matrix: ExactMatrix) -> RankProfile:
-    """The ranks of A, A^2, ..., A^(k+1), the index k, and A^k.
+    """The ranks of A, A^2, ..., A^(k+1), the index k, and A^k, found on the
+    first call and kept on the matrix with rank(A) and every power built
+    (see `RankProfile`).
 
     A^(e+1) = A^e A is ranked on the r-by-r block of the rows and columns
     where A^e has its pivots (`_spanning_lines`), r = rank(A^e), until the
@@ -947,9 +972,10 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     itself."""
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
+    if matrix._profile is not None:
+        return RankProfile(matrix, *matrix._profile)
     n = matrix.rows
-    profile = RankProfile(matrix, (), 0, {1: matrix})
-    powers = profile._powers
+    powers = {1: matrix}
     rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
     ranks = [n, len(rows)]  # rank(A^0), rank(A^1), ...
     while ranks[-1] != ranks[-2]:
@@ -964,8 +990,11 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
             powers[e + 1] = powers[e] @ matrix
             rows, cols = _spanning_lines(powers[e + 1]._re, powers[e + 1]._im, rows, cols)
             ranks.append(len(rows))
-    # ranks[k + 1] == ranks[k] now holds; k is the index.
-    profile.rank_of_power, profile.index = tuple(ranks[1:]), len(ranks) - 2
+    # ranks[k + 1] == ranks[k] now holds; k is the index.  The kept powers
+    # leave out A^1, so that they hold no reference to the matrix
+    del powers[1]
+    matrix._rank, matrix._profile = ranks[1], (tuple(ranks[1:]), len(ranks) - 2, powers)
+    profile = RankProfile(matrix, *matrix._profile)
     profile.power(profile.index)
     return profile
 

@@ -1,5 +1,7 @@
 import ast
+from contextlib import contextmanager
 from fractions import Fraction as F
+import gc
 from itertools import chain
 from math import comb, gcd, lcm
 import random
@@ -15,8 +17,14 @@ from exactgi import (
     char_poly_coeffs,
     conj_transpose,
     det,
+    drazin_inverse,
+    drazin_solve,
     index_of,
     inverse,
+    ls_min_norm_solve,
+    mp_inverse,
+    ode_left_partial,
+    projector,
     rank,
     rank_profile,
 )
@@ -757,14 +765,15 @@ def test_a_right_factor_keeps_one_packing_per_width():
     # B is 8x8 with entries below 2^2 and X has entries +-(2^s - 1), so the
     # field width s + 2 + bitlen(16) + 1 = s + 8 is 16 at s = 8 and 7, 28
     # (a 32-bit word) at s = 20, 58 (a 64-bit word) at s = 50, and 68 at
-    # s = 60, past the native words.  B keeps one packing, built on its first
-    # packed product, with one pack per width; a repeated width reuses it
+    # s = 60, past the native words, which is rounded up to 128.  B keeps one
+    # packing, built on its first packed product, with one pack per width; a
+    # repeated width reuses it
     rng = random.Random(27)
     n = 8
     b = ExactMatrix(n, n, [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3))
                            for _ in range(n * n)])
     packing, packs = None, {}
-    for s, w in ((8, 16), (20, 32), (50, 64), (60, 68), (8, 16), (7, 16), (50, 64)):
+    for s, w in ((8, 16), (20, 32), (50, 64), (60, 128), (8, 16), (7, 16), (50, 64)):
         top = (1 << s) - 1
         x = ExactMatrix(3, n, [ExactScalar(rng.choice([-top, top]), rng.choice([-top, top, 0]))
                                for _ in range(3 * n)])
@@ -772,7 +781,7 @@ def test_a_right_factor_keeps_one_packing_per_width():
         packing = packing or b._packing
         assert b._packing is packing
         assert packing.by_width[w][0] is packs.setdefault(w, packing.by_width[w][0])
-    assert sorted(packing.by_width) == [16, 32, 64, 68]
+    assert sorted(packing.by_width) == [16, 32, 64, 128]
 
 
 def test_a_packed_right_factor_equals_and_hashes_like_a_fresh_one(rng):
@@ -1151,3 +1160,102 @@ def test_nilpotent_profile_stops_the_chain_at_the_zero_power(rng, monkeypatch):
         monkeypatch.setattr(matrix_module, "int_matmul", product)
         assert profile.power(k + 1) == ExactMatrix.zeros(a.rows, a.rows)
         assert profile.power(k) == a.power(k)
+
+
+# -- the rank and the profile a matrix keeps ------------------------------------------
+
+
+@contextmanager
+def counting_rankings_and_powers(a):
+    """Counts the Bareiss eliminations, which rank, and the products of two
+    powers of A (A itself or a power it keeps) made inside the block."""
+    eliminate, matmul = matrix_module._eliminate, ExactMatrix.__matmul__
+    kept = {id(a)} | {id(p) for p in (a._profile[2].values() if a._profile else ())}
+    counts = {"rankings": 0, "powers": 0}
+
+    def counted_eliminate(re_rows, im_rows, width, jordan):
+        counts["rankings"] += not jordan
+        return eliminate(re_rows, im_rows, width, jordan)
+
+    def counted_matmul(x, y):
+        counts["powers"] += id(x) in kept and id(y) in kept
+        return matmul(x, y)
+
+    matrix_module._eliminate, ExactMatrix.__matmul__ = counted_eliminate, counted_matmul
+    try:
+        yield counts
+    finally:
+        matrix_module._eliminate, ExactMatrix.__matmul__ = eliminate, matmul
+
+
+DRAZIN_FAMILY = (
+    ("drazin_inverse", lambda a, b: drazin_inverse(a)),
+    ("projector_drazin_left", lambda a, b: projector(a, "drazin_left")),
+    ("drazin_solve", lambda a, b: drazin_solve(a, b.col(1))),
+    ("ode_left_partial", ode_left_partial),
+)
+MP_FAMILY = (
+    ("mp_inverse", lambda a, b: mp_inverse(a)),
+    ("projector_out", lambda a, b: projector(a, "out")),
+    ("ls_min_norm_solve", lambda a, b: ls_min_norm_solve(a, b.col(1))),
+)
+
+
+@given(st.data())
+def test_a_second_call_reads_the_kept_rank_and_profile_property(data):
+    # a second call of one rule on one matrix ranks nothing (no Bareiss
+    # elimination; a full-order kernel still runs Gauss-Jordan) and forms no
+    # power of A, and every call equals the one on a freshly built equal
+    # matrix, which keeps nothing yet
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        index = data.draw(st.integers(1, n))
+        a = rand_index_matrix(rng, n, data.draw(st.integers(0, n - index)), index)
+        m = n
+    else:
+        m = data.draw(st.integers(1, 6))
+        a = rand_low_rank(rng, m, n, data.draw(st.integers(0, min(m, n))))
+    b = rand_matrix(rng, m, m)
+    family = MP_FAMILY + DRAZIN_FAMILY if a.is_square else MP_FAMILY
+    for name, call in data.draw(st.permutations(family)):
+        first = call(a, b)
+        with counting_rankings_and_powers(a) as counts:
+            again = call(a, b)
+        assert counts == {"rankings": 0, "powers": 0}, name
+        assert first == again == call(ExactMatrix(m, n, a.entries), b), name
+
+
+def test_a_profiled_matrix_is_freed_by_reference_counting(rng):
+    # the kept state holds no reference to its own matrix, so dropping a
+    # profiled matrix leaves no cycle for the collector
+    def profiled_matrices():
+        shapes = [rand_index_matrix(rng, 8, 2, 5), rand_low_rank(rng, 6, 6, 3),
+                  core_plus_jordan(random.Random(10), 10, 2, [8])]
+        for a in shapes:
+            rank_profile(a)
+            drazin_inverse(a)
+            mp_inverse(a)
+            ode_left_partial(a, a)
+        return shapes
+
+    profiled_matrices()
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(a._profile for a in profiled_matrices())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_assigning_to_a_returned_profile_changes_no_later_result(rng):
+    a = rand_index_matrix(rng, 7, 2, 4)
+    expected = drazin_inverse(ExactMatrix(7, 7, a.entries))
+    profile = rank_profile(a)
+    assert (profile.index, profile.rank_of_power) == (4, (5, 4, 3, 2, 2))
+    profile.index, profile.rank_of_power = 1, (7, 7)
+    assert drazin_inverse(a) == expected
+    again = rank_profile(a)
+    assert again is not profile
+    assert (again.index, again.rank_of_power, again.core_rank) == (4, (5, 4, 3, 2, 2), 2)
