@@ -26,7 +26,10 @@ classical adjugate ratio).  Rank-0 and nilpotent inputs give the zero matrix,
 the unique solution of the defining equations, building no base or factor.
 The projectors A+A, AA+, AA^D and A^D A are the rules of A+ and A^D applied
 to A itself; factor A (A factor on the row side) is the base, so the base
-serves as its own replacement block.  All functions are pure.
+serves as its own replacement block.  A matrix keeps A* and its Gram bases
+A*A and AA*, once built, as it keeps its rank, index and powers (see
+`matrix`); the weighted bases depend on a weight and are built per call.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -115,8 +118,8 @@ def _resolve_form(form: Form, column_order: int, row_order: int) -> str:
 class _CramerRule(NamedTuple):
     """The Cramer rule of one generalized inverse G (see the module
     docstring): its side, the order r of the minor sums, the index k, the
-    shape of G, and `parts()`, which builds (base, factor), so that a rank-0
-    rule builds neither."""
+    shape of G, and `parts()`, which builds (base, factor) or reads them off
+    the matrix, so that a rank-0 rule builds neither."""
 
     side: str
     r: int
@@ -158,8 +161,15 @@ def _mp_rule(matrix: ExactMatrix, form: Form) -> _CramerRule:
     side = _resolve_form(form, n, m)  # A*A is n x n, AA* is m x m
 
     def parts():
-        a_star = matrix.conj_transpose()
-        return (a_star @ matrix if side == "column" else matrix @ a_star), a_star
+        # A* and the Gram base of the side, each made once and kept on the
+        # matrix; neither refers to it
+        kept = matrix._gram
+        if kept is None:
+            kept = matrix._gram = {"factor": matrix.conj_transpose()}
+        a_star = kept["factor"]
+        if side not in kept:
+            kept[side] = a_star @ matrix if side == "column" else matrix @ a_star
+        return kept[side], a_star
 
     return _CramerRule(side, r, 0, (n, m), parts)
 

@@ -52,8 +52,11 @@ A matrix keeps its rank and its rank profile the same way, on first use of
 its powers and the powers built, by exponent, A^k and A^(k+1) once a rule
 has read them.  So every later Moore-Penrose rule on the matrix reads the
 kept rank, and every later Drazin-family rule the kept index, ranks and
-powers.  No kernel result (L_r, d_r) and no Gram base A*A or AA* is kept:
-each call runs the kernel on its own replacement block.  A^1 is
+powers.  A matrix keeps A* and the Gram base of each side a Moore-Penrose
+rule has used, A*A or AA* (`_gram`, filled by `inverses`), with their
+packs, so a later Moore-Penrose rule forms no Gram product.  No kernel
+result (L_r, d_r) is kept: each call runs the kernel on its own
+replacement block.  A^1 is
 the matrix itself and not one of the kept powers: the kept state holds no
 reference to its matrix, so reference counting frees a matrix with all it
 keeps.  `rank_profile` returns a new `RankProfile` over the kept state on
@@ -88,9 +91,11 @@ det(M) off T and p; `inverse` divides the one by the other once, and the
 generalized-adjugate kernel of `minors` uses both at full order.  The
 characteristic-polynomial coefficients come from the trace recurrence
 (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products
-B_(k-1) M with one `_Packing` of M, which never enumerate minors, so it
-serves as an independent cross-check for the enumeration primitives of
-`oracles`; the same run gives the kernel its matrices below full order.
+B_(k-1) M through the packs M's matrix keeps (`_packing_of`), which never
+enumerate minors, so it serves as an independent cross-check for the
+enumeration primitives of `oracles`; the same run gives the kernel its
+matrices below full order, and packs a base that a matrix keeps (A^(k+1),
+A*A, AA*) once per width in the base's life.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -147,7 +152,8 @@ class ExactMatrix:
     """An immutable dense m-by-n matrix over the Gaussian rationals, stored
     as its canonical Gaussian-integer image (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_packing", "_rank", "_profile")
+    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_packing", "_rank", "_profile",
+                 "_gram")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
         _check_shape(rows, cols)
@@ -158,7 +164,7 @@ class ExactMatrix:
             )
         image = _from_parts(rows, cols, list(map(_parts, entries)))
         self.rows, self.cols = rows, cols
-        self._entries = self._packing = self._rank = self._profile = None
+        self._entries = self._packing = self._rank = self._profile = self._gram = None
         self._re, self._im, self._q = image._re, image._im, image._q
 
     @property
@@ -276,12 +282,8 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # the right factor keeps its packs, made where `int_matmul` reads them
-        packing = other._packing
-        if packing is None and other.cols >= _PACKED_MIN_COLS:
-            packing = other._packing = _Packing()
-        return _from_int(*int_matmul(self._re, self._im, other._re, other._im, packing),
-                         self._q * other._q)
+        return _from_int(*int_matmul(self._re, self._im, other._re, other._im,
+                                     _packing_of(other)), self._q * other._q)
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
         # (re + i im)/q times (sr + i si)/qs, in Z[i] and divided once
@@ -360,7 +362,7 @@ def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
     matrix = object.__new__(ExactMatrix)
     matrix.rows, matrix.cols = len(re), len(re[0])
     matrix._re, matrix._im, matrix._q = re, im, q
-    matrix._entries = matrix._packing = matrix._rank = matrix._profile = None
+    matrix._entries = matrix._packing = matrix._rank = matrix._profile = matrix._gram = None
     return matrix
 
 
@@ -496,6 +498,16 @@ class _Packing:
         self.by_width = {}
 
 
+def _packing_of(matrix: ExactMatrix) -> _Packing | None:
+    """The packs `matrix` keeps as a right factor, made on first use where
+    `int_matmul` reads them: at `_PACKED_MIN_COLS` columns or more, None
+    below."""
+    packing = matrix._packing
+    if packing is None and matrix.cols >= _PACKED_MIN_COLS:
+        packing = matrix._packing = _Packing()
+    return packing
+
+
 def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
                packing: _Packing | None = None) -> tuple[list, list]:
     """The product of two Gaussian-integer matrices given as real and
@@ -507,8 +519,9 @@ def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
     the kernels of its blocks (`_kernel_product`), and a single row x with
     more columns runs as x B = (B^T x^T)^T, the (n, 1) kernel on the
     transposes.  `packing` keeps B's packs between products by B: `@`
-    passes the right factor's own, and the trace recurrence one of its M.
-    Without it a packed product packs B afresh; the kernels do not read it."""
+    passes the right factor's own, and the trace recurrence its base's own
+    (`_packing_of`).  Without it a packed product packs B afresh; the
+    kernels do not read it."""
     n, p = len(b_re), len(b_re[0])
     if p < _PACKED_MIN_COLS:
         return _kernel_product(a_re, a_im, b_re, b_im, n, p)
@@ -819,14 +832,14 @@ def char_poly_coeffs(matrix: ExactMatrix) -> tuple[ExactScalar, ...]:
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    _, coeffs = _trace_recurrence(matrix._re, matrix._im, matrix.rows)
+    _, coeffs = _trace_recurrence(matrix._re, matrix._im, matrix.rows, _packing_of(matrix))
     q = matrix._q
     # d_k = (-1)^k c_k for det(tI - M) = t^n + c_1 t^(n-1) + ...
     return tuple(_scalar((-1) ** k * cr, (-1) ** k * ci, q**k)
                  for k, (cr, ci) in enumerate(coeffs, 1))
 
 
-def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
+def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int, packing: _Packing | None = None):
     """B_(r-1) and c_1..c_r of the trace (Faddeev-LeVerrier) recurrence on a
     Gaussian-integer n-by-n matrix M, 1 <= r <= n: B_0 = I and
 
@@ -839,14 +852,15 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int):
     the run takes r - 2 products.
     B_(k-1) is a polynomial in M, so the run forms M B_(k-1) as B_(k-1) M,
     with M the fixed right factor, packed once per width when the products
-    run packed (see `int_matmul`).
+    run packed (see `int_matmul`) and `packing` is given: the packs M's
+    matrix keeps (`_packing_of`).
     Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
     """
     n = len(re_rows)
     if r == 1:
         b_re = [[int(i == j) for j in range(n)] for i in range(n)]
         b_im = [[0] * n for _ in range(n)]
-    coeffs, packing = [], _Packing() if n >= _PACKED_MIN_COLS else None
+    coeffs = []
     for k in range(1, r):
         if k == 1:
             b_re, b_im = [list(row) for row in re_rows], [list(row) for row in im_rows]
@@ -900,7 +914,7 @@ class RankProfile:
     built without a product, and any other missing power as the nearest
     stored power below it times the largest stored power that fits, step by
     step, each step kept.  `powers` lists A^0 ... A^M, M the largest
-    exponent built, and builds the gaps when read.
+    exponent built, and builds the gaps for the list alone: it keeps none.
     """
 
     __slots__ = ("matrix", "rank_of_power", "index", "_powers")
@@ -931,8 +945,10 @@ class RankProfile:
     @property
     def powers(self) -> tuple[ExactMatrix, ...]:
         """A^0, A^1, ..., A^M, M the largest exponent built; a gap is built
-        when read."""
-        return tuple(map(self.power, range(max((1, *self._powers)) + 1)))
+        as `power` builds it, on a copy of the kept powers, so it is not
+        kept."""
+        unkept = RankProfile(self.matrix, self.rank_of_power, self.index, dict(self._powers))
+        return tuple(map(unkept.power, range(max((1, *self._powers)) + 1)))
 
     def rank_of(self, exponent: int) -> int:
         if exponent < 0:

@@ -19,8 +19,10 @@ recurrence of `matrix._trace_recurrence` on the Gaussian-integer image,
     B_0 = I,  c_k = -tr(M B_(k-1)) / k,  B_k = M B_(k-1) + c_k I,
 
 and reads L_r = (-1)^(r-1) B_(r-1) and d_r = (-1)^r c_r (Decell, SIAM
-Rev. 7, 1965): r - 2 integer products, each division by k exact because a
+Rev. 7, 1965): r - 2 integer products by M, through the packs the base
+keeps as a right factor, each division by k exact because a
 Gaussian-integer matrix has Gaussian-integer characteristic coefficients.
+No L_r or d_r is kept: each call runs the recurrence for its own block.
 At r = n a nonsingular M takes adj(M) and det(M) from `matrix.int_adjugate`,
 the Gauss-Jordan elimination behind `inverse`.  A singular M runs the
 recurrence to its end; no rule reaches that case, since each runs at
@@ -44,6 +46,7 @@ from .matrix import (
     ExactMatrix,
     _from_int,
     _over,
+    _packing_of,
     _trace_recurrence,
     clear_denominators,
     int_adjugate,
@@ -104,16 +107,18 @@ def kernel_work(n: int, r: int, s: int) -> int:
     return comb(n, r) * 2 * r**3 + n * n * s
 
 
-def _adjugate_sum(re_rows, im_rows, r):
+def _adjugate_sum(base, r):
     """L_r (sum over the r-subsets S of adj(M_S) embedded at S) and d_r (sum
-    of det(M_S)) of a Gaussian-integer matrix, r >= 2: adj(M) and det(M) at
-    r = n when M is nonsingular, otherwise L_r = (-1)^(r-1) B_(r-1) and
-    d_r = (-1)^r c_r of the trace recurrence."""
+    of det(M_S)) of the Gaussian-integer image M of the base, r >= 2:
+    adj(M) and det(M) at r = n when M is nonsingular, otherwise
+    L_r = (-1)^(r-1) B_(r-1) and d_r = (-1)^r c_r of the trace recurrence,
+    which multiplies by M through the packs the base keeps."""
+    re_rows, im_rows, _ = clear_denominators(base)
     if r == len(re_rows):
         adjugate = int_adjugate(re_rows, im_rows)
         if adjugate is not None:
             return adjugate
-    (b_re, b_im), coeffs = _trace_recurrence(re_rows, im_rows, r)
+    (b_re, b_im), coeffs = _trace_recurrence(re_rows, im_rows, r, _packing_of(base))
     cr, ci = coeffs[-1]
     if r % 2:
         return b_re, b_im, -cr, -ci
@@ -141,7 +146,7 @@ def _kernel(base, r, vectors, side, budget):
         # L_1 = I and d_1 = tr M: N is the block itself
         return (v_re, v_im, sum(row[i] for i, row in enumerate(re_rows)),
                 sum(row[i] for i, row in enumerate(im_rows)), q, qv)
-    l_re, l_im, d_re, d_im = _adjugate_sum(re_rows, im_rows, r)
+    l_re, l_im, d_re, d_im = _adjugate_sum(base, r)
     if side == "column":
         n_re, n_im = int_matmul(l_re, l_im, v_re, v_im)
     else:

@@ -393,7 +393,9 @@ def test_axb_at_full_rank_forms_no_residual_product(rng, monkeypatch):
     # A of full row rank and B of full column rank give A A+ = I and B+ B = I,
     # nonsingular A and B give A A^D = I and B^D B = I: either way D - A X B
     # is zero, and the solve makes only the products of its two rule
-    # applications, 2 fewer than forming A X B would
+    # applications, 2 fewer than forming A X B would.  A matrix keeps its
+    # Gram bases and powers, so the two applications run on freshly built
+    # equal matrices, which build them again as the solve did
     product = matrix_module.int_matmul
     calls = []
     monkeypatch.setattr(matrix_module, "int_matmul",
@@ -411,7 +413,8 @@ def test_axb_at_full_rank_forms_no_residual_product(rng, monkeypatch):
         result = solver(a, b, d)
         solved = len(calls)
         calls.clear()
-        rule(a, "column").apply(rule(b, "row").apply(d)[0])
+        fresh_a, fresh_b = ExactMatrix(*a.shape, a.entries), ExactMatrix(*b.shape, b.entries)
+        rule(fresh_a, "column").apply(rule(fresh_b, "row").apply(d)[0])
         assert solved == len(calls) > 0
         assert result.residual == ExactMatrix.zeros(*d.shape)
         assert result.X == oracle(a) @ d @ oracle(b)

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import exactgi.matrix as matrix_module
+import exactgi.minors as minors_module
 from exactgi import (
     ExactMatrix,
     ExactScalar,
@@ -22,6 +23,10 @@ from exactgi import (
     index_of,
     inverse,
     ls_min_norm_solve,
+    ls_min_norm_solve_row,
+    ls_solve_both,
+    ls_solve_left,
+    ls_solve_right,
     mp_inverse,
     ode_left_partial,
     projector,
@@ -1226,9 +1231,102 @@ def test_a_second_call_reads_the_kept_rank_and_profile_property(data):
         assert first == again == call(ExactMatrix(m, n, a.entries), b), name
 
 
+def _auto_side(a):
+    # the side `form="auto"` takes: the smaller Gram base, A*A on a tie
+    return "column" if a.cols <= a.rows else "row"
+
+
+# each Moore-Penrose-family call on A (and, for AXB = D, on C), with the
+# Cramer rules it applies as (matrix, side); D (column side) and E (row
+# side) give the right-hand sides
+MP_RULE_CALLS = (
+    ("mp_inverse", lambda a, c, d, e: mp_inverse(a), lambda a, c: [(a, _auto_side(a))]),
+    ("mp_inverse column", lambda a, c, d, e: mp_inverse(a, form="column"),
+     lambda a, c: [(a, "column")]),
+    ("mp_inverse row", lambda a, c, d, e: mp_inverse(a, form="row"), lambda a, c: [(a, "row")]),
+    ("projector_in", lambda a, c, d, e: projector(a, "in"), lambda a, c: [(a, "column")]),
+    ("projector_out", lambda a, c, d, e: projector(a, "out"), lambda a, c: [(a, "row")]),
+    ("ls_min_norm_solve", lambda a, c, d, e: ls_min_norm_solve(a, d.col(1)),
+     lambda a, c: [(a, "column")]),
+    ("ls_min_norm_solve_row", lambda a, c, d, e: ls_min_norm_solve_row(e.row(1), a),
+     lambda a, c: [(a, "row")]),
+    ("ls_solve_left", lambda a, c, d, e: ls_solve_left(a, d), lambda a, c: [(a, "column")]),
+    ("ls_solve_right", lambda a, c, d, e: ls_solve_right(a, e),
+     lambda a, c: [(a, "row")]),
+    ("ls_solve_both", lambda a, c, d, e: ls_solve_both(a, c, d),
+     lambda a, c: [(c, "row"), (a, "column")] if rank(a) and rank(c) else []),
+)
+
+
+@contextmanager
+def counting_gram_products_and_recurrences(*matrices):
+    """Counts the products, made inside the block, of one of `matrices` by
+    a matrix equal to its conjugate transpose, in either order, and the
+    trace recurrences the kernel runs."""
+    matmul, recurrence = ExactMatrix.__matmul__, minors_module._trace_recurrence
+    stars = [(a, a.conj_transpose()) for a in matrices]
+    counts = {"gram_products": 0, "recurrences": 0}
+
+    def counted_matmul(x, y):
+        counts["gram_products"] += any((x is a and y == star) or (y is a and x == star)
+                                       for a, star in stars)
+        return matmul(x, y)
+
+    def counted_recurrence(*args):
+        counts["recurrences"] += 1
+        return recurrence(*args)
+
+    ExactMatrix.__matmul__, minors_module._trace_recurrence = counted_matmul, counted_recurrence
+    try:
+        yield counts
+    finally:
+        ExactMatrix.__matmul__, minors_module._trace_recurrence = matmul, recurrence
+
+
+def kept_pack_widths(*matrices):
+    """The pack widths of each kept Moore-Penrose part (A*, A*A, AA*)."""
+    return [(key, sorted(part._packing.by_width) if part._packing else [])
+            for a in matrices for key, part in sorted((a._gram or {}).items())]
+
+
+@given(st.data())
+def test_a_second_moore_penrose_call_forms_no_gram_product_property(data):
+    # a matrix keeps A* and the Gram base of each side it has used, so a
+    # second call of one Moore-Penrose-family rule forms no Gram product and
+    # packs its base at no new width; it still runs the trace recurrence
+    # whenever 1 < r < the base order, since no kernel result is kept, and
+    # it equals the call on freshly built equal matrices, which keep nothing
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    a = rand_low_rank(rng, m, n, data.draw(st.integers(0, min(m, n))))
+    # C is (m + 1) x (m + 2), D is m x (m + 2) and E is (n + 1) x n, so no
+    # residual product multiplies A or C by a matrix of the shape of its
+    # conjugate transpose
+    c = rand_low_rank(rng, m + 1, m + 2, data.draw(st.integers(0, m + 1)))
+    d, e = rand_matrix(rng, m, m + 2), rand_matrix(rng, n + 1, n)
+    for name, call, rules in data.draw(st.permutations(MP_RULE_CALLS)):
+        first = call(a, c, d, e)
+        widths = kept_pack_widths(a, c)
+        with counting_gram_products_and_recurrences(a, c) as counts:
+            again = call(a, c, d, e)
+        runs = sum(1 < rank(x) < (x.cols if side == "column" else x.rows)
+                   for x, side in rules(a, c))
+        assert counts == {"gram_products": 0, "recurrences": runs}, name
+        assert kept_pack_widths(a, c) == widths, name
+        for x, side in rules(a, c):
+            order = x.cols if side == "column" else x.rows
+            if order >= matrix_module._PACKED_MIN_COLS and 2 < rank(x) < order:
+                # the recurrence made packed products by the kept base
+                packing = x._gram[side]._packing
+                assert packing is not None and packing.by_width, name
+        fresh = ExactMatrix(m, n, a.entries), ExactMatrix(m + 1, m + 2, c.entries)
+        assert first == again == call(*fresh, d, e), name
+
+
 def test_a_profiled_matrix_is_freed_by_reference_counting(rng):
     # the kept state holds no reference to its own matrix, so dropping a
-    # profiled matrix leaves no cycle for the collector
+    # profiled matrix, or one that keeps the Moore-Penrose parts of both
+    # sides, leaves no cycle for the collector
     def profiled_matrices():
         shapes = [rand_index_matrix(rng, 8, 2, 5), rand_low_rank(rng, 6, 6, 3),
                   core_plus_jordan(random.Random(10), 10, 2, [8])]
@@ -1237,16 +1335,37 @@ def test_a_profiled_matrix_is_freed_by_reference_counting(rng):
             drazin_inverse(a)
             mp_inverse(a)
             ode_left_partial(a, a)
-        return shapes
+        gram = [rand_low_rank(rng, 9, 7, 4), rand_low_rank(rng, 8, 8, 5)]
+        for a in gram:
+            mp_inverse(a, form="column")
+            mp_inverse(a, form="row")
+        return shapes, gram
 
     profiled_matrices()
     gc.collect()
     gc.disable()
     try:
-        assert all(a._profile for a in profiled_matrices())
+        shapes, gram = profiled_matrices()
+        assert all(a._profile for a in shapes)
+        assert all(a._gram.keys() == {"factor", "column", "row"} for a in gram)
+        assert all(part._packing for a in gram for part in a._gram.values())
+        del shapes, gram
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_reading_the_powers_keeps_no_gap():
+    # `powers` builds the gaps below the largest power built for the tuple
+    # alone: the matrix keeps the exponents it kept before the read
+    a = core_plus_jordan(random.Random(10), 10, 2, [8])
+    drazin_inverse(a)
+    assert sorted(a._profile[2]) == [2, 4, 8, 9]
+    profile = rank_profile(a)
+    powers = profile.powers
+    assert sorted(a._profile[2]) == [2, 4, 8, 9]
+    assert powers == tuple(profile.power(e) for e in range(10))
+    assert powers == tuple(a.power(e) for e in range(10))
 
 
 def test_assigning_to_a_returned_profile_changes_no_later_result(rng):
