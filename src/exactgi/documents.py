@@ -41,6 +41,7 @@ from .scalar import (  # the cap, CHUNK_DIGITS and the errors are re-exported
     DocumentError,
     ExactScalar,
     ScalarParseError,
+    _SCALAR,
     _digits_value,
     _scan_scalar,
     int_text,
@@ -50,9 +51,10 @@ from .scalar import (  # the cap, CHUNK_DIGITS and the errors are re-exported
 
 
 def _json_int(text: str) -> int:
-    if text.startswith("-"):
-        return -_digits_value(text[1:], text, 1)
-    return _digits_value(text, text, 0)
+    # a JSON integer, -? and digits, is a sign and a digit run of `_SCALAR`
+    match = _SCALAR.match(text)
+    n = _digits_value(match[2], match, 2)
+    return -n if match[1] else n
 
 
 def parse_scalar(text: str) -> ExactScalar:

@@ -42,6 +42,7 @@ from .matrix import (
     ExactMatrix,
     RankProfile,
     _eliminate,
+    _keep,
     clear_denominators,
     inverse,
     rank,
@@ -163,13 +164,10 @@ def _mp_rule(matrix: ExactMatrix, form: Form) -> _CramerRule:
     def parts():
         # A* and the Gram base of the side, each made once and kept on the
         # matrix; neither refers to it
-        kept = matrix._gram
-        if kept is None:
-            kept = matrix._gram = {"factor": matrix.conj_transpose()}
-        a_star = kept["factor"]
-        if side not in kept:
-            kept[side] = a_star @ matrix if side == "column" else matrix @ a_star
-        return kept[side], a_star
+        a_star = _keep(matrix, "A*", matrix.conj_transpose)
+        if side == "column":
+            return _keep(matrix, "A*A", lambda: a_star @ matrix), a_star
+        return _keep(matrix, "AA*", lambda: matrix @ a_star), a_star
 
     return _CramerRule(side, r, 0, (n, m), parts)
 

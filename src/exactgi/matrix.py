@@ -31,15 +31,14 @@ over h |p/h|^2, which is |p|^2 / h.  A product
 A B with at least 2 rows and 7 columns packs each row of B into two integers
 with a bit field per real and imaginary part, so that a row of the result is
 one dot product of length 2n (`_packed_matmul`); the field width comes from
-the largest bit lengths of A and B.  A width of at most 64 bits is rounded
-up to a native word, 8, 16, 32 or 64 bits, so that a row of the result is
-read back in one pass in C, its bytes cast to signed words; a wider one is
-rounded up to a multiple of 64, and its fields are read one by one with a
-shift and a mask.  A matrix keeps the packs of its image as a right factor,
-one per field width (`_Packing`, made when it is first the right factor of
-a product of 7 or more columns), so products by one factor pack it once per
-width, and a chain whose left factor grows adds a pack per 64 bits of
-width, not per bit.  Every other product runs a function
+the largest bit lengths of A and B, rounded up to a native word of 8 to 64
+bits, which a row of the result reads back in one pass in C, or past 64
+bits to a multiple of 64.  A matrix keeps the packs of its image as a right
+factor (`_Packing`, made when it is first the right factor of a product of
+7 or more columns), one per native width, so products by one factor pack it
+once per width; a wider pack serves only the call that built it, a product
+or a trace recurrence, and is dropped when that call returns
+(`_drop_wide`).  Every other product runs a function
 generated once per inner dimension n and column count p (`_kernel`), which
 unpacks B into locals and writes each entry of a result row out as one sum
 of products, so that only the rows of A are looped over; a single row with 7
@@ -47,28 +46,17 @@ or more columns runs as (B^T x^T)^T, on the n-by-1 kernel.  Kernels are
 generated for n up to 64, and a longer inner dimension runs as a sum of
 products over blocks of at most 64.
 
-A matrix keeps its rank and its rank profile the same way, on first use of
-`rank` or `rank_profile` (which keeps the rank too): its index, the ranks of
-its powers and the powers built, by exponent, A^k and A^(k+1) once a rule
-has read them.  So every later Moore-Penrose rule on the matrix reads the
-kept rank, and every later Drazin-family rule the kept index, ranks and
-powers.  A matrix keeps A* and the Gram base of each side a Moore-Penrose
-rule has used, A*A or AA* (`_gram`, filled by `inverses`), with their
-packs, so a later Moore-Penrose rule forms no Gram product.  No kernel
-result (L_r, d_r) is kept: each call runs the kernel on its own
-replacement block.  A^1 is
-the matrix itself and not one of the kept powers: the kept state holds no
-reference to its matrix, so reference counting frees a matrix with all it
-keeps.  `rank_profile` returns a new `RankProfile` over the kept state on
-each call.  It ranks A^(e+1) = A^e A on the r-by-r block of the rows and
-columns where A^e has its pivots, r = rank(A^e), and forms no product once
-a power is zero.  Once the rank falls by exactly one at some e >= 2, to
-r >= 2, the rest of the rank sequence is forced, since the drops never
-grow, and one number fixes it, the core rank c: A^e is squared, each square
-ranked on the last block, until a rank leaves the forced slope r - (j - e)
-or the next square would pass e + r; then the r-by-r block of A^(e+r), a
-thin product of stored powers, has rank c.  On a 10x10 matrix of core rank
-2 and index 8 that takes A^2, A^4 and A^8 and five eliminations.
+A matrix keeps, in one record filled only through `_keep`, what a rule
+reads again and nothing else: its packs, its rank, its rank profile (the
+ranks of its powers and its index), the powers a caller reads through
+`RankProfile.power` (A^k and A^(k+1) for a Drazin rule, A^2 for the group
+inverse), and A* with the Gram base of each side a Moore-Penrose rule has
+used, A*A or AA*.  So a later rule on the matrix ranks nothing and forms
+no power or Gram product.  The powers a profile forms on the way (A^2, A^4
+and A^8 on a 10x10 matrix of core rank 2 and index 8, which keeps A^8), the
+steps `power` builds and every kernel result (L_r, d_r) are built per call.
+A^1 is the matrix itself, so the record holds no reference to its matrix,
+and reference counting frees a matrix with all it keeps.
 
 Rank, determinant, adjugate and `inverse` share one fraction-free
 elimination on the image (`_eliminate`), which bounds intermediate bit
@@ -77,25 +65,19 @@ Both update each row in place in one loop.  A Bareiss step updates only the
 columns right of its pivot, the only ones a later step reads; its callers
 read only the pivots, the sign and the row order, and `_spanning_lines`
 turns these into pivot rows and columns.  A step leaves a row alone while
-its entry in the pivot column is zero, since it would only multiply the row
-by k/p, pivot over previous pivot: the row keeps the pivot q it was last
-updated with, and these factors telescope, so its true entries are its
-stored ones times D/q, D the current pivot.  Its next update divides the
-usual step by its own q in place of D, and a stale row that becomes the
-pivot row, or ends a Gauss-Jordan run, is first multiplied by D/q, so every
-result is that of the eager elimination.
-Gauss-Jordan runs in place on [M | I] without storing I: the slot of each
-eliminated column takes over its pivot row's identity column, so n columns
-end as T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and
-det(M) off T and p; `inverse` divides the one by the other once, and the
+its entry in the pivot column is zero, and catches it up exactly when it is
+next read, so every result is that of the eager elimination.  Gauss-Jordan
+runs in place on [M | I] without storing I: the slot of each eliminated
+column takes over its pivot row's identity column, so n columns end as
+T = p M^(-1), p the last pivot.  `int_adjugate` reads adj(M) and det(M) off
+T and p; `inverse` divides the one by the other once, and the
 generalized-adjugate kernel of `minors` uses both at full order.  The
 characteristic-polynomial coefficients come from the trace recurrence
 (Faddeev-LeVerrier) run in Z[i] on the image, n - 2 integer products
 B_(k-1) M through the packs M's matrix keeps (`_packing_of`), which never
 enumerate minors, so it serves as an independent cross-check for the
 enumeration primitives of `oracles`; the same run gives the kernel its
-matrices below full order, and packs a base that a matrix keeps (A^(k+1),
-A*A, AA*) once per width in the base's life.
+matrices below full order.
 
 Public matrix indices are 1-based throughout the package; only internal row
 lists are 0-based.
@@ -152,8 +134,7 @@ class ExactMatrix:
     """An immutable dense m-by-n matrix over the Gaussian rationals, stored
     as its canonical Gaussian-integer image (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_packing", "_rank", "_profile",
-                 "_gram")
+    __slots__ = ("rows", "cols", "_re", "_im", "_q", "_entries", "_kept")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[EntryLike]):
         _check_shape(rows, cols)
@@ -164,7 +145,7 @@ class ExactMatrix:
             )
         image = _from_parts(rows, cols, list(map(_parts, entries)))
         self.rows, self.cols = rows, cols
-        self._entries = self._packing = self._rank = self._profile = self._gram = None
+        self._entries = self._kept = None
         self._re, self._im, self._q = image._re, image._im, image._q
 
     @property
@@ -282,8 +263,11 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return _from_int(*int_matmul(self._re, self._im, other._re, other._im,
-                                     _packing_of(other)), self._q * other._q)
+        packing = _packing_of(other)
+        product = int_matmul(self._re, self._im, other._re, other._im, packing)
+        if packing is not None:
+            _drop_wide(packing)
+        return _from_int(*product, self._q * other._q)
 
     def scale(self, factor: EntryLike) -> "ExactMatrix":
         # (re + i im)/q times (sr + i si)/qs, in Z[i] and divided once
@@ -362,8 +346,20 @@ def _image(re: Rows, im: Rows, q: int) -> ExactMatrix:
     matrix = object.__new__(ExactMatrix)
     matrix.rows, matrix.cols = len(re), len(re[0])
     matrix._re, matrix._im, matrix._q = re, im, q
-    matrix._entries = matrix._packing = matrix._rank = matrix._profile = matrix._gram = None
+    matrix._entries = matrix._kept = None
     return matrix
+
+
+def _keep(matrix: ExactMatrix, key, build, *args):
+    """What `matrix` keeps under `key`, made by `build(*args)` on first use: "packing",
+    "rank", "profile", "A*", "A*A", "AA*", or e for a power A^e a caller has read."""
+    kept = matrix._kept
+    if kept is None:
+        kept = matrix._kept = {}
+    value = kept.get(key)
+    if value is None:
+        value = kept[key] = build(*args)
+    return value
 
 
 def _negated(rows) -> Rows:
@@ -488,8 +484,8 @@ _MAX_INNER = 64
 class _Packing:
     """What `_packed_matmul` keeps of one right factor B for the next
     product by B: B's largest bit length, and by field width the packs of B
-    and the bias.  Each is a function of B's image, written once; two threads
-    may build the same pack, and either reads off exactly."""
+    and the bias.  Each is a function of B's image; two threads may build
+    the same pack, and either reads off exactly."""
 
     __slots__ = ("bits", "by_width")
 
@@ -499,13 +495,15 @@ class _Packing:
 
 
 def _packing_of(matrix: ExactMatrix) -> _Packing | None:
-    """The packs `matrix` keeps as a right factor, made on first use where
-    `int_matmul` reads them: at `_PACKED_MIN_COLS` columns or more, None
-    below."""
-    packing = matrix._packing
-    if packing is None and matrix.cols >= _PACKED_MIN_COLS:
-        packing = matrix._packing = _Packing()
-    return packing
+    """The packs `matrix` keeps as a right factor, made on first use: at
+    `_PACKED_MIN_COLS` columns or more, where `int_matmul` reads them."""
+    return _keep(matrix, "packing", _Packing) if matrix.cols >= _PACKED_MIN_COLS else None
+
+
+def _drop_wide(packing: _Packing) -> None:
+    """Drop a kept packing's packs wider than 64 bits, which serve the call that built them."""
+    for w in [w for w in list(packing.by_width) if w > 64]:
+        packing.by_width.pop(w, None)
 
 
 def int_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
@@ -626,10 +624,9 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
         t = packing.bits = max(map(int.bit_length, chain(*b_re, *b_im)))
     w = max(map(int.bit_length, chain(*a_re, *a_im))) + t + (2 * n).bit_length() + 1
     w = max(8, 1 << (w - 1).bit_length()) if w <= 64 else -(-w // 64) * 64
-    by_width = packing.by_width
-    if w in by_width:
-        packs, bias = by_width[w]
-    else:
+    try:
+        packs, bias = packing.by_width[w]
+    except KeyError:
         even = range(0, 2 * p * w, 2 * w)
         packs_re = [sum(map(lshift, row, even)) for row in b_re]
         packs_im = [sum(map(lshift, row, even)) for row in b_im]
@@ -637,7 +634,7 @@ def _packed_matmul(a_re: Rows, a_im: Rows, b_re: Rows, b_im: Rows,
         packs += [(x << w) - y for x, y in zip(packs_re, packs_im)]
         # 2^(w-1) in each of the 2p slots
         bias = ((1 << (2 * p * w)) - 1) // ((1 << w) - 1) << (w - 1)
-        by_width[w] = packs, bias
+        packing.by_width[w] = packs, bias
     out_re, out_im = [], []
     if w <= 64:
         size, fmt = 2 * p * w // 8, _WORD_FORMATS[w]
@@ -810,9 +807,7 @@ def _catch_up(xr: list, xi: list, start: int, dr: int, di: int, qr: int, qi: int
 
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank via fraction-free elimination, kept on the matrix."""
-    if matrix._rank is None:
-        matrix._rank = int_rank(matrix._re, matrix._im)
-    return matrix._rank
+    return _keep(matrix, "rank", int_rank, matrix._re, matrix._im)
 
 
 def det(matrix: ExactMatrix) -> ExactScalar:
@@ -853,7 +848,8 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int, packing: _Packing | 
     B_(k-1) is a polynomial in M, so the run forms M B_(k-1) as B_(k-1) M,
     with M the fixed right factor, packed once per width when the products
     run packed (see `int_matmul`) and `packing` is given: the packs M's
-    matrix keeps (`_packing_of`).
+    matrix keeps (`_packing_of`), less those wider than 64 bits once the run
+    ends (`_drop_wide`).
     Returns B_(r-1) as real and imaginary row lists and the c_k as pairs.
     """
     n = len(re_rows)
@@ -878,6 +874,8 @@ def _trace_recurrence(re_rows: Rows, im_rows: Rows, r: int, packing: _Packing | 
         tr_re += sum(map(mul, mr, br)) - sum(map(mul, mi, bi))
         tr_im += sum(map(mul, mr, bi)) + sum(map(mul, mi, br))
     coeffs.append((-tr_re // r, -tr_im // r))
+    if packing is not None:
+        _drop_wide(packing)
     return (b_re, b_im), coeffs
 
 
@@ -895,60 +893,53 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     return _over(*adjugate, matrix._q)
 
 
-# -- index and cached powers ---------------------------------------------------
+# -- index and kept powers -----------------------------------------------------
 
 
 class RankProfile:
     """Rank history and index of a square matrix A, and its powers A^e.
 
-    A matrix keeps what `rank_profile` finds: the ranks of its powers, its
-    index and the powers built so far, by exponent, each made once in the
-    matrix's life.  Each call returns a new profile over that kept state,
-    so assigning to a profile's fields changes no later result.  A^1 is
-    `matrix`, not an entry of the kept powers, so the state holds no
-    reference to its matrix and reference counting frees both.  Kernel
-    results (L_r, d_r) are not kept: each rule applies them to its own
-    replacement block.
+    Each `rank_profile` call returns a new profile over what the matrix
+    keeps, so assigning to a profile's fields changes no later result.
+    `power(e)` returns A^e for any e >= 0 and keeps it on the matrix: A^0
+    and a power of rank 0 take no product, and any other missing power is
+    the nearest kept power below it times the largest kept power that fits,
+    step by step, the steps not kept.  `powers` lists A^0 ... A^M, M the
+    largest exponent kept, and builds the gaps for the list alone."""
 
-    `power(e)` returns A^e for any e >= 0: A^0 and a power of rank 0 are
-    built without a product, and any other missing power as the nearest
-    stored power below it times the largest stored power that fits, step by
-    step, each step kept.  `powers` lists A^0 ... A^M, M the largest
-    exponent built, and builds the gaps for the list alone: it keeps none.
-    """
+    __slots__ = ("matrix", "rank_of_power", "index")
 
-    __slots__ = ("matrix", "rank_of_power", "index", "_powers")
-
-    def __init__(self, matrix, rank_of_power, index, powers):
+    def __init__(self, matrix, rank_of_power, index):
         self.matrix = matrix
         self.rank_of_power = rank_of_power  # rank(A^1), rank(A^2), ...
         self.index = index
-        self._powers = powers  # {e: A^e} for the exponents built but 1
 
     def power(self, exponent: int) -> ExactMatrix:
         if exponent < 0:
             raise ValueError("negative powers are not supported here")
         if exponent == 1:
             return self.matrix
-        powers, n = self._powers, self.matrix.rows
-        if exponent not in powers:
-            if exponent == 0:
-                powers[0] = ExactMatrix.identity(n)
-            elif self.rank_of(exponent) == 0:
-                powers[exponent] = ExactMatrix.zeros(n, n)
+        return _keep(self.matrix, exponent, self._built, exponent)
+
+    def _built(self, exponent: int, powers: dict | None = None) -> ExactMatrix:
+        # A^exponent from powers, {e: A^e} with A^1 (by default those the
+        # matrix keeps); the steps go into powers
+        powers = _kept_powers(self.matrix) if powers is None else powers
+        n = self.matrix.rows
+        if exponent == 0:
+            return ExactMatrix.identity(n)
+        if exponent not in powers and self.rank_of(exponent) == 0:
+            return ExactMatrix.zeros(n, n)
         while exponent not in powers:
             below = _largest(powers, exponent)
             step = _largest(powers, exponent - below)
-            powers[below + step] = self.power(below) @ self.power(step)
+            powers[below + step] = powers[below] @ powers[step]
         return powers[exponent]
 
     @property
     def powers(self) -> tuple[ExactMatrix, ...]:
-        """A^0, A^1, ..., A^M, M the largest exponent built; a gap is built
-        as `power` builds it, on a copy of the kept powers, so it is not
-        kept."""
-        unkept = RankProfile(self.matrix, self.rank_of_power, self.index, dict(self._powers))
-        return tuple(map(unkept.power, range(max((1, *self._powers)) + 1)))
+        powers = _kept_powers(self.matrix)
+        return tuple(self._built(e, powers) for e in range(max(powers) + 1))
 
     def rank_of(self, exponent: int) -> int:
         if exponent < 0:
@@ -964,15 +955,20 @@ class RankProfile:
         return self.rank_of(self.index)
 
 
+def _kept_powers(matrix: ExactMatrix) -> dict:
+    # {e: A^e} for A^1 and every power the matrix keeps
+    return {1: matrix, **{e: p for e, p in (matrix._kept or {}).items() if type(e) is int}}
+
+
 def _largest(powers: dict, bound: int) -> int:
-    # the largest exponent built that is at most bound, A^1 (never stored) if none
+    # the largest exponent in powers that is at most bound, 1 if none above 1
     return max((e for e in powers if 1 < e <= bound), default=1)
 
 
 def rank_profile(matrix: ExactMatrix) -> RankProfile:
-    """The ranks of A, A^2, ..., A^(k+1), the index k, and A^k, found on the
-    first call and kept on the matrix with rank(A) and every power built
-    (see `RankProfile`).
+    """The ranks of A, A^2, ..., A^(k+1) and the index k, found on the
+    first call and kept on the matrix with rank(A), A^k, and A^(k+1) when
+    the chain formed it.
 
     A^(e+1) = A^e A is ranked on the r-by-r block of the rows and columns
     where A^e has its pivots (`_spanning_lines`), r = rank(A^e), until the
@@ -980,16 +976,19 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
     by exactly one, to r >= 2, the rest is forced: the drops never grow
     (r_j - r_(j+1) <= r_(j-1) - r_j by Frobenius's inequality
     rank(XY) + rank(YZ) <= rank(Y) + rank(XYZ) with X = Z = A,
-    Y = A^(j-1)), so each later drop is 1 until the rank reaches
-    the core rank c, and 0 after.  `_core_rank` finds c; then k = e + r - c
-    and rank(A^j) = max(r - (j - e), c) for j > e.  A generic singular
-    matrix, whose rank falls by one and then stays, never gets there, and
-    at r = 1 the chain's next power, which callers read, settles the index
-    itself."""
+    Y = A^(j-1)), so each later drop is 1 until the rank reaches the core
+    rank c, and 0 after.  `_core_rank` finds c; then k = e + r - c and
+    rank(A^j) = max(r - (j - e), c) for j > e.  A generic singular matrix,
+    whose rank falls by one and then stays, never gets there, and at r = 1
+    the chain's next power, which callers read, settles the index itself."""
     if not matrix.is_square:
         raise ValueError("matrix index needs a square matrix")
-    if matrix._profile is not None:
-        return RankProfile(matrix, *matrix._profile)
+    return RankProfile(matrix, *_keep(matrix, "profile", _profiled, matrix))
+
+
+def _profiled(matrix: ExactMatrix) -> tuple[tuple[int, ...], int]:
+    # the ranks and the index of `rank_profile`, keeping rank(A) and A^k, and
+    # A^(k+1) when the chain formed it: a Drazin rule reads both
     n = matrix.rows
     powers = {1: matrix}
     rows, cols = _spanning_lines(matrix._re, matrix._im, range(n), range(n))
@@ -1006,13 +1005,13 @@ def rank_profile(matrix: ExactMatrix) -> RankProfile:
             powers[e + 1] = powers[e] @ matrix
             rows, cols = _spanning_lines(powers[e + 1]._re, powers[e + 1]._im, rows, cols)
             ranks.append(len(rows))
-    # ranks[k + 1] == ranks[k] now holds; k is the index.  The kept powers
-    # leave out A^1, so that they hold no reference to the matrix
-    del powers[1]
-    matrix._rank, matrix._profile = ranks[1], (tuple(ranks[1:]), len(ranks) - 2, powers)
-    profile = RankProfile(matrix, *matrix._profile)
-    profile.power(profile.index)
-    return profile
+    # ranks[k + 1] == ranks[k] now holds; k is the index
+    profile = RankProfile(matrix, tuple(ranks[1:]), len(ranks) - 2)
+    k = profile.index
+    _keep(matrix, "rank", lambda: ranks[1])
+    for e in {k, k + 1} & ({k, *powers} - {1}):
+        _keep(matrix, e, profile._built, e, powers)
+    return profile.rank_of_power, k
 
 
 def _core_rank(powers: dict, rows, cols, e: int, r: int) -> int:
@@ -1037,9 +1036,9 @@ def _core_rank(powers: dict, rows, cols, e: int, r: int) -> int:
 
 def _tail_rank(powers: dict, rows, cols, exponent: int) -> int:
     """rank(A^exponent) from rows S and columns T that span the row and
-    column spaces of a stored power at most `exponent`: the rank of the
+    column spaces of a power in `powers` at most `exponent`: the rank of the
     block A^exponent[S, T] = A^x1[S, :] A^x2 ... A^xj[:, T], each x the
-    largest stored exponent that fits what is left."""
+    largest exponent in `powers` that fits what is left."""
     factors = []
     while exponent:
         x = _largest(powers, exponent)

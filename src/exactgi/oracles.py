@@ -213,7 +213,7 @@ def drazin_inverse_oracle(matrix: ExactMatrix) -> ExactMatrix:
         candidate = ExactMatrix.zeros(matrix.rows, matrix.rows)
     else:
         power_k = profile.power(k)
-        candidate = power_k @ mp_inverse_oracle(profile.power(2 * k + 1)) @ power_k
+        candidate = power_k @ mp_inverse_oracle(power_k @ profile.power(k + 1)) @ power_k
     equations = _drazin_equations(profile, candidate)
     if not all(equations.values()):
         raise VerificationError(f"Drazin oracle failed its defining equations: {equations}")

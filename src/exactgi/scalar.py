@@ -88,14 +88,14 @@ class ScalarParseError(DocumentError):
         super().__init__(f"invalid scalar {shown!r} at position {position}: {reason}")
 
 
-def _digits_value(digits: str, text: str, start: int) -> int:
-    """The value of a digit run of text at start, refused over the cap."""
+def _digits_value(digits: str, match: re.Match, group: int) -> int:
+    """The value of digits, group `group` of a match; only a run over the
+    cap reads the match, to place its refusal in the matched text."""
     if len(digits) <= CHUNK_DIGITS:
         return int(digits)
     if len(digits) > MAX_LITERAL_DIGITS:
-        raise ScalarParseError(
-            text, start, f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"
-        )
+        raise ScalarParseError(match.string, match.start(group),
+                               f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
     return _int_of(digits)
 
 
@@ -127,20 +127,20 @@ def _term(
                 text, match.end(k + 1) + 1, "expected digits after decimal point"
             )
         d = 10 ** len(frac)
-        n = _digits_value(whole, text, match.start(k + 1)) * d if whole else 0
-        n += _digits_value(frac, text, match.start(k + 2))
+        n = _digits_value(whole, match, k + 1) * d if whole else 0
+        n += _digits_value(frac, match, k + 2)
     elif not whole:
         if not imaginary or den is not None:
             raise ScalarParseError(text, match.start(k + 1), "expected digits")
         n = d = 1  # a bare "i"
     else:
-        n = _digits_value(whole, text, match.start(k + 1))
+        n = _digits_value(whole, match, k + 1)
         if den is None:
             d = 1
         elif not den:
             raise ScalarParseError(text, match.start(k + 3), "expected denominator digits")
         else:
-            d = _digits_value(den, text, match.start(k + 3))
+            d = _digits_value(den, match, k + 3)
             if not d:
                 raise ScalarParseError(text, match.start(k + 3), "zero denominator")
     return (-n if sign == "-" else n), d

@@ -7,9 +7,10 @@ agreement property in test_documents.py compares the two: the same tuple,
 or the same error message with the same position, on every input.  No
 library module imports it.
 
-The code is the library's former reader as it was, with one change that the
+The code is the library's former reader as it was, with two changes that the
 library made too: an error found on the whole literal quotes the stripped
-text, which its position indexes, as an error inside a part always did.
+text, which its position indexes, as an error inside a part always did, and
+a digit run converts from its match and group, which place a refusal.
 """
 
 from __future__ import annotations
@@ -27,22 +28,23 @@ _NUMBER = re.compile(r"([0-9]*)(?:\.([0-9]*)|/([0-9]*))?")
 def _scan_number(text: str, pos: int) -> tuple[int, int, int]:
     """Scan digits/digits | [digits].digits | digits; return (num, den, next),
     den > 0 and not reduced."""
-    whole, frac, den = _NUMBER.match(text, pos).groups()
+    match = _NUMBER.match(text, pos)
+    whole, frac, den = match.groups()
     after = pos + len(whole) + 1  # just past a "." or "/"
     if frac is not None:
         if not frac:
             raise ScalarParseError(text, after, "expected digits after decimal point")
         scale = 10 ** len(frac)
-        value = _digits_value(whole, text, pos) * scale if whole else 0
-        return value + _digits_value(frac, text, after), scale, after + len(frac)
+        value = _digits_value(whole, match, 1) * scale if whole else 0
+        return value + _digits_value(frac, match, 2), scale, after + len(frac)
     if not whole:
         raise ScalarParseError(text, pos, "expected digits")
-    numerator = _digits_value(whole, text, pos)
+    numerator = _digits_value(whole, match, 1)
     if den is None:
         return numerator, 1, after - 1
     if not den:
         raise ScalarParseError(text, after, "expected denominator digits")
-    denominator = _digits_value(den, text, after)
+    denominator = _digits_value(den, match, 3)
     if denominator == 0:
         raise ScalarParseError(text, after, "zero denominator")
     return numerator, denominator, after + len(den)

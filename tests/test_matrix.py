@@ -2,9 +2,12 @@ import ast
 from contextlib import contextmanager
 from fractions import Fraction as F
 import gc
+import importlib.util
 from itertools import chain
 from math import comb, gcd, lcm
+from pathlib import Path
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -19,7 +22,9 @@ from exactgi import (
     conj_transpose,
     det,
     drazin_inverse,
+    drazin_inverse_oracle,
     drazin_solve,
+    dz_solve_left,
     index_of,
     inverse,
     ls_min_norm_solve,
@@ -29,6 +34,7 @@ from exactgi import (
     ls_solve_right,
     mp_inverse,
     ode_left_partial,
+    ode_right_partial,
     projector,
     rank,
     rank_profile,
@@ -771,8 +777,9 @@ def test_a_right_factor_keeps_one_packing_per_width():
     # field width s + 2 + bitlen(16) + 1 = s + 8 is 16 at s = 8 and 7, 28
     # (a 32-bit word) at s = 20, 58 (a 64-bit word) at s = 50, and 68 at
     # s = 60, past the native words, which is rounded up to 128.  B keeps one
-    # packing, built on its first packed product, with one pack per width; a
-    # repeated width reuses it
+    # packing, built on its first packed product, with one pack per native
+    # width; a repeated width reuses it, and the 128-bit pack is dropped when
+    # its product returns
     rng = random.Random(27)
     n = 8
     b = ExactMatrix(n, n, [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3))
@@ -783,18 +790,21 @@ def test_a_right_factor_keeps_one_packing_per_width():
         x = ExactMatrix(3, n, [ExactScalar(rng.choice([-top, top]), rng.choice([-top, top, 0]))
                                for _ in range(3 * n)])
         assert x @ b == reference_matmul(x, b)
-        packing = packing or b._packing
-        assert b._packing is packing
-        assert packing.by_width[w][0] is packs.setdefault(w, packing.by_width[w][0])
-    assert sorted(packing.by_width) == [16, 32, 64, 128]
+        packing = packing or b._kept["packing"]
+        assert b._kept["packing"] is packing
+        if w > 64:
+            assert w not in packing.by_width
+        else:
+            assert packing.by_width[w][0] is packs.setdefault(w, packing.by_width[w][0])
+    assert sorted(packing.by_width) == [16, 32, 64]
 
 
 def test_a_packed_right_factor_equals_and_hashes_like_a_fresh_one(rng):
     b = rand_rational_matrix(rng, 7, 7)
     rand_rational_matrix(rng, 2, 7) @ b
-    assert b._packing.by_width
+    assert b._kept["packing"].by_width
     fresh = ExactMatrix(7, 7, b.entries)
-    assert fresh._packing is None
+    assert fresh._kept is None
     assert_same_value(b, fresh)
 
 
@@ -1127,14 +1137,15 @@ def test_forced_tail_stops_at_the_first_square_off_the_slope(monkeypatch):
 
 
 def test_profile_builds_a_missing_power_from_the_stored_ones(monkeypatch):
-    # core 2 beside J_8 stores A, A^2, A^4 and A^8 = A^k; a read builds a
-    # missing power from the nearest stored one below and the largest stored
-    # one that fits: A^9 = A^8 A, A^17 = A^9 A^8, A^3 = A^2 A, and A^0 and
-    # the stored powers take no product
+    # core 2 beside J_8 keeps A^8 = A^k of the powers its profile formed
+    # (A^2, A^4 and A^8); a read builds a missing power from the nearest kept
+    # one below and the largest kept one that fits, and keeps the power read
+    # but not the steps: A^9 = A^8 A, A^17 = A^9 A^8, A^3 = (A A) A,
+    # A^4 = A^3 A and A^2 = A A, and A^0 and a kept power take no product
     a = core_plus_jordan(random.Random(10), 10, 2, [8])
     profile = rank_profile(a)
     assert profile.index == 8
-    reads = ((8, 0), (0, 0), (9, 1), (17, 1), (3, 1), (4, 0), (2, 0))
+    reads = ((8, 0), (0, 0), (9, 1), (17, 1), (3, 2), (4, 1), (2, 1), (3, 0))
     expected = {e: a.power(e) for e, _ in reads}
     product, calls = matrix_module.int_matmul, []
     monkeypatch.setattr(matrix_module, "int_matmul", lambda *rows: calls.append(1) or product(*rows))
@@ -1170,12 +1181,27 @@ def test_nilpotent_profile_stops_the_chain_at_the_zero_power(rng, monkeypatch):
 # -- the rank and the profile a matrix keeps ------------------------------------------
 
 
+# the record keys of the Moore-Penrose parts, and the Gram base of each side
+MP_PARTS = {"A*", "A*A", "AA*"}
+GRAM_BASE = {"column": "A*A", "row": "AA*"}
+
+
+def kept(a):
+    """The record of what `a` keeps, empty if it keeps nothing yet."""
+    return a._kept or {}
+
+
+def kept_powers(a):
+    """{e: A^e} for the powers `a` keeps."""
+    return {e: p for e, p in kept(a).items() if type(e) is int}
+
+
 @contextmanager
 def counting_rankings_and_powers(a):
     """Counts the Bareiss eliminations, which rank, and the products of two
     powers of A (A itself or a power it keeps) made inside the block."""
     eliminate, matmul = matrix_module._eliminate, ExactMatrix.__matmul__
-    kept = {id(a)} | {id(p) for p in (a._profile[2].values() if a._profile else ())}
+    powers = {id(a)} | {id(p) for p in kept_powers(a).values()}
     counts = {"rankings": 0, "powers": 0}
 
     def counted_eliminate(re_rows, im_rows, width, jordan):
@@ -1183,7 +1209,7 @@ def counting_rankings_and_powers(a):
         return eliminate(re_rows, im_rows, width, jordan)
 
     def counted_matmul(x, y):
-        counts["powers"] += id(x) in kept and id(y) in kept
+        counts["powers"] += id(x) in powers and id(y) in powers
         return matmul(x, y)
 
     matrix_module._eliminate, ExactMatrix.__matmul__ = counted_eliminate, counted_matmul
@@ -1285,8 +1311,9 @@ def counting_gram_products_and_recurrences(*matrices):
 
 def kept_pack_widths(*matrices):
     """The pack widths of each kept Moore-Penrose part (A*, A*A, AA*)."""
-    return [(key, sorted(part._packing.by_width) if part._packing else [])
-            for a in matrices for key, part in sorted((a._gram or {}).items())]
+    return [(key, sorted(kept(part)["packing"].by_width) if "packing" in kept(part) else [])
+            for a in matrices for key, part in sorted((k, v) for k, v in kept(a).items()
+                                                      if k in MP_PARTS)]
 
 
 @given(st.data())
@@ -1317,7 +1344,7 @@ def test_a_second_moore_penrose_call_forms_no_gram_product_property(data):
             order = x.cols if side == "column" else x.rows
             if order >= matrix_module._PACKED_MIN_COLS and 2 < rank(x) < order:
                 # the recurrence made packed products by the kept base
-                packing = x._gram[side]._packing
+                packing = kept(kept(x)[GRAM_BASE[side]]).get("packing")
                 assert packing is not None and packing.by_width, name
         fresh = ExactMatrix(m, n, a.entries), ExactMatrix(m + 1, m + 2, c.entries)
         assert first == again == call(*fresh, d, e), name
@@ -1346,9 +1373,9 @@ def test_a_profiled_matrix_is_freed_by_reference_counting(rng):
     gc.disable()
     try:
         shapes, gram = profiled_matrices()
-        assert all(a._profile for a in shapes)
-        assert all(a._gram.keys() == {"factor", "column", "row"} for a in gram)
-        assert all(part._packing for a in gram for part in a._gram.values())
+        assert all("profile" in kept(a) for a in shapes)
+        assert all(kept(a).keys() & MP_PARTS == MP_PARTS for a in gram)
+        assert all("packing" in kept(kept(a)[key]) for a in gram for key in MP_PARTS)
         del shapes, gram
         assert gc.collect() == 0
     finally:
@@ -1360,12 +1387,87 @@ def test_reading_the_powers_keeps_no_gap():
     # alone: the matrix keeps the exponents it kept before the read
     a = core_plus_jordan(random.Random(10), 10, 2, [8])
     drazin_inverse(a)
-    assert sorted(a._profile[2]) == [2, 4, 8, 9]
+    assert sorted(kept_powers(a)) == [8, 9]
     profile = rank_profile(a)
     powers = profile.powers
-    assert sorted(a._profile[2]) == [2, 4, 8, 9]
+    assert sorted(kept_powers(a)) == [8, 9]
     assert powers == tuple(profile.power(e) for e in range(10))
     assert powers == tuple(a.power(e) for e in range(10))
+
+
+def image_ints(a):
+    re, im, q = clear_denominators(a)
+    return chain(*re, *im, (q,))
+
+
+def kept_ints(a):
+    """The integers `a` keeps: its rank, its ranks and index, the image of
+    each matrix it keeps with what that matrix keeps, and every kept pack."""
+    for value in kept(a).values():
+        if isinstance(value, ExactMatrix):
+            yield from image_ints(value)
+            yield from kept_ints(value)
+        elif isinstance(value, _Packing):
+            for packs, bias in value.by_width.values():
+                yield from (*packs, bias)
+        elif isinstance(value, int):
+            yield value
+        else:  # the ranks of the powers and the index
+            ranks, index = value
+            yield from (*ranks, index)
+
+
+def kept_share(a):
+    """The bytes `a` keeps over the bytes of its image (sys.getsizeof)."""
+    return sum(map(sys.getsizeof, kept_ints(a))) / sum(map(sys.getsizeof, image_ints(a)))
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_a_matrix_keeps_at_most_five_times_its_image(n):
+    # a matrix keeps what its rules read again, and packs up to 64 bits
+    # wide: after each family of calls, at rank n/2 and at core rank n/2
+    # and index 3, what it keeps takes at most 5x its image.  Each side of
+    # the Moore-Penrose family runs on its own equal matrix, since each side
+    # keeps A* and its own Gram base; the Drazin oracle runs after the
+    # Drazin family on the same matrix
+    rng, budget = random.Random(n), 10**40
+    a = rand_low_rank(rng, n, n, n // 2)
+    d = rand_index_matrix(rng, n, n // 2, 3)
+    y, b = rand_matrix(rng, n, 1).col(1), rand_matrix(rng, n, 2)
+    families = (
+        ("Moore-Penrose, column side", ExactMatrix(n, n, a.entries), lambda x: (
+            mp_inverse(x, budget=budget), ls_solve_left(x, b, budget), projector(x, "in", budget))),
+        ("Moore-Penrose, row side", ExactMatrix(n, n, a.entries), lambda x: (
+            mp_inverse(x, "row", budget), ls_solve_right(x, b.transpose(), budget),
+            projector(x, "out", budget))),
+        ("Drazin", d, lambda x: (
+            drazin_inverse(x, budget=budget), drazin_solve(x, y, budget),
+            dz_solve_left(x, b, budget), projector(x, "drazin_left", budget),
+            projector(x, "drazin_right", budget), ode_left_partial(x, b @ b.transpose(), budget),
+            ode_right_partial(x, b @ b.transpose(), budget))),
+        ("Drazin, then its oracle", d, drazin_inverse_oracle),
+    )
+    for name, x, calls in families:
+        calls(x)
+        assert kept_share(x) <= 5, name
+
+
+def test_the_high_index_input_keeps_the_two_powers_its_rule_reads():
+    # the seed-0 input of the high_index_drazin benchmark, core rank 2 beside
+    # J_8: its profile forms A^2, A^4 and A^8, and the matrix keeps A^8 and
+    # A^9, the factor and the base of its Drazin rule, after the Drazin
+    # inverse and again after the oracle, whose A^17 serves that call alone
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    (item,) = gen.high_index(0)
+    a = ExactMatrix.from_rows([[ExactScalar(*e) for e in row] for row in item["a"]])
+    assert (index_of(a), rank(a)) == (8, 9)
+    drazin_inverse(a)
+    assert sorted(kept_powers(a)) == [8, 9]
+    drazin_inverse_oracle(a)
+    assert sorted(kept_powers(a)) == [8, 9]
 
 
 def test_assigning_to_a_returned_profile_changes_no_later_result(rng):

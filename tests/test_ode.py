@@ -274,7 +274,7 @@ def test_right_chain_builds_no_pack_of_a_the_profile_built(rng, monkeypatch):
     monkeypatch.setattr(matrix_module, "_Packing", Packing)
     a, b = rand_index_matrix(rng, 10, 2, 8), rand_matrix(rng, 10, 10)
     rank_profile(a)
-    of_a = a._packing.by_width
+    of_a = a._kept["packing"].by_width
     profiled = set(of_a)
     built.clear()
     read.clear()

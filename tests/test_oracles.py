@@ -126,11 +126,13 @@ def test_no_operation_imports_the_oracles(module):
 
 def test_only_the_matrix_module_names_the_packing():
     # a matrix keeps the packs of its own image, so no other module hands a
-    # `_Packing` around
-    naming = set()
-    for path in Path(exactgi.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
-            if "_Packing" in (getattr(node, "id", None), getattr(node, "attr", None), *names):
-                naming.add(path.name)
-    assert naming == {"matrix.py"}
+    # `_Packing` around, and it keeps them with all else it keeps in one
+    # record, which only `matrix._keep` fills, so no other module names it
+    for private in ("_Packing", "_kept"):
+        naming = set()
+        for path in Path(exactgi.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+                if private in (getattr(node, "id", None), getattr(node, "attr", None), *names):
+                    naming.add(path.name)
+        assert naming == {"matrix.py"}, private
